@@ -1,7 +1,7 @@
-"""Time the compiled breadth-first engine against the pure-Python fallback.
+"""Time the joint breadth-first search on five fixed cases.
 
-Both backends receive byte-identical arguments; the run aborts if their
-answers (status, path, explored-state count) ever differ. Invoke with
+Each case calls `mapfdc.engine.joint_bfs` directly and reports the best of
+several runs. Invoke with
 
     python3 benchmarks/engine_bench.py [--repeats N]
 """
@@ -13,22 +13,16 @@ import sys
 import time
 from typing import List, Optional, Tuple
 
-from mapfdc import _engine_py
-from mapfdc.engine import DEFAULT_STATE_GUARD, _closed_neighborhood_csr
+from mapfdc.engine import joint_bfs
 from mapfdc.gadgets import random_instance
 from mapfdc.graphs import Graph, complete_graph
-
-try:
-    from mapfdc import _engine_c
-except ImportError:
-    _engine_c = None
 
 
 def _cycle(n: int) -> Graph:
     return Graph(n, [(i, (i + 1) % n) for i in range(n)])
 
 
-def _cases() -> List[Tuple[str, Graph, Tuple[int, ...], Tuple[int, ...], Optional[bytes], int]]:
+def _cases() -> List[Tuple[str, Graph, Tuple[int, ...], Tuple[int, ...], Optional[Tuple[int, ...]], int]]:
     cases = []
 
     g = complete_graph(8)
@@ -46,25 +40,10 @@ def _cases() -> List[Tuple[str, Graph, Tuple[int, ...], Tuple[int, ...], Optiona
     cases.append(("cycle-12v-3a", g, (0, 4, 8), (4, 8, 0), None, 0))
 
     g = Graph(9, [(i, j) for i in range(8) for j in range(i + 1, 8)] + [(8, 0), (8, 1)])
-    mask = bytearray(9)
-    mask[8] = 1
     cases.append(
-        ("occupancy-floor-9v-5a", g, (8, 1, 2, 3, 4), (8, 2, 1, 4, 3), bytes(mask), 1)
+        ("occupancy-floor-9v-5a", g, (8, 1, 2, 3, 4), (8, 2, 1, 4, 3), (8,), 1)
     )
     return cases
-
-
-def _run(impl, g: Graph, starts, targets, mask, min_occ, repeats: int):
-    indptr, data = _closed_neighborhood_csr(g)
-    best = float("inf")
-    out = None
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        out = impl.run_bfs(
-            g.n, indptr, data, starts, targets, mask, min_occ, None, DEFAULT_STATE_GUARD
-        )
-        best = min(best, (time.perf_counter() - t0) * 1000.0)
-    return out, best
 
 
 def main(argv=None) -> int:
@@ -72,33 +51,20 @@ def main(argv=None) -> int:
     parser.add_argument("--repeats", type=int, default=3, help="timing runs per case")
     args = parser.parse_args(argv)
 
-    if _engine_c is None:
-        print("compiled engine unavailable; timing the fallback alone", file=sys.stderr)
-
-    header = ("case", "makespan", "states", "py ms", "c ms", "speedup")
+    header = ("case", "makespan", "states", "ms")
     rows = [header]
-    failures = 0
-    for name, g, starts, targets, mask, min_occ in _cases():
-        py_out, py_ms = _run(_engine_py, g, starts, targets, mask, min_occ, args.repeats)
-        status, path, states = py_out
-        makespan = "-" if path is None else str(len(path) - 1)
-        c_ms_text, speedup = "-", "-"
-        if _engine_c is not None:
-            c_out, c_ms = _run(_engine_c, g, starts, targets, mask, min_occ, args.repeats)
-            if (status, path, states) != (c_out[0], c_out[1], c_out[2]):
-                print(f"MISMATCH on {name}: py={py_out[:1]} c={c_out[:1]}", file=sys.stderr)
-                failures += 1
-            c_ms_text = f"{c_ms:.2f}"
-            speedup = f"{py_ms / c_ms:.1f}x" if c_ms > 0 else "-"
-        rows.append((name, makespan, str(states), f"{py_ms:.2f}", c_ms_text, speedup))
+    for name, g, starts, targets, floor_vertices, min_occ in _cases():
+        best = float("inf")
+        for _ in range(args.repeats):
+            t0 = time.perf_counter()
+            res = joint_bfs(g, starts, targets, floor_vertices, min_occ)
+            best = min(best, (time.perf_counter() - t0) * 1000.0)
+        makespan = "-" if res.path is None else str(len(res.path) - 1)
+        rows.append((name, makespan, str(res.states), f"{best:.2f}"))
 
     widths = [max(len(r[i]) for r in rows) for i in range(len(header))]
     for r in rows:
         print("  ".join(cell.ljust(widths[i]) for i, cell in enumerate(r)).rstrip())
-    if failures:
-        print(f"{failures} case(s) disagreed", file=sys.stderr)
-        return 1
-    print("engines agree on every case" if _engine_c is not None else "fallback only")
     return 0
 
 

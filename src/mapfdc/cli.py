@@ -9,8 +9,8 @@ from typing import List, Optional, Sequence, Tuple
 
 from . import fpt, oracle
 from .cliques import solve_clique
-from .engine import DEFAULT_STATE_GUARD, active_engine
-from .errors import MapfError, ParseError, PreconditionError, ResourceLimitError
+from .engine import DEFAULT_STATE_GUARD
+from .errors import ParseError, PreconditionError, ResourceLimitError
 from .gadgets import (
     build_colored_pancake_instance,
     build_pancake_instance,
@@ -38,6 +38,7 @@ EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_USAGE = 2
 EXIT_RESOURCE = 3
+EXIT_INTERNAL = 4
 
 
 @dataclass(frozen=True)
@@ -301,7 +302,6 @@ def _bench_one(
 
 def _cmd_bench(args: argparse.Namespace) -> int:
     paths = sorted(Path(args.directory).glob("*.mapf"))
-    _info(f"engine: {active_engine()}")
     print("\t".join(("instance", "algo", "feasible", "makespan", "states", "ms")))
     if not paths:
         _info(f"no .mapf instances under {args.directory}")
@@ -436,9 +436,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except OSError as exc:
         _info(f"io error: {exc}")
         return EXIT_USAGE
-    except MapfError as exc:
-        _info(f"error: {exc}")
-        return EXIT_NEGATIVE
+    except Exception as exc:
+        # a failure of the program itself, never an answer about the input
+        _info(f"internal error: {type(exc).__name__}: {exc}")
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

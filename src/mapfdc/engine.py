@@ -1,32 +1,14 @@
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
-from . import _engine_py
-from .errors import PreconditionError
+from .errors import PreconditionError, ResourceLimitError
 from .graphs import Graph
 from .model import Placement
 
 DEFAULT_STATE_GUARD = 50_000_000
-
-try:
-    from . import _engine_c
-except ImportError:  # pragma: no cover - depends on build environment
-    _engine_c = None
-
-_FORCED = os.environ.get("MAPFDC_ENGINE", "").strip().lower()
-if _FORCED == "py":
-    _engine_c = None
-elif _FORCED == "c" and _engine_c is None:
-    raise ImportError("MAPFDC_ENGINE=c but the compiled engine is unavailable")
-
-
-def active_engine() -> str:
-    """Name of the engine the selector will use: 'c' or 'py'."""
-    return "py" if _engine_c is None else "c"
 
 
 @dataclass(frozen=True)
@@ -60,7 +42,10 @@ def joint_bfs(
 
     occupancy_vertices/min_occupancy: every placement other than the start
     and target must keep at least min_occupancy agents on the given
-    vertices. The returned path starts with the start placement.
+    vertices. The returned path starts with the start placement; status is
+    "found" or "absent" (no schedule within depth_cap turns). Raises
+    ResourceLimitError once the search would discover more than state_guard
+    states.
     """
     if len(starts) != len(targets):
         raise PreconditionError("start and target maps differ in length")
@@ -68,23 +53,100 @@ def joint_bfs(
         raise PreconditionError("depth cap must be non-negative")
     if state_guard <= 0:
         raise PreconditionError("state guard must be positive")
-    mask: Optional[bytes] = None
+    starts = tuple(starts)
+    targets = tuple(targets)
+    occupancy_mask: Optional[bytes] = None
     if min_occupancy > 0:
         row = bytearray(graph.n)
         for v in occupancy_vertices or ():
             row[v] = 1
-        mask = bytes(row)
-    indptr, data = _closed_neighborhood_csr(graph)
-    impl = _engine_py if _engine_c is None or graph.n > 65535 else _engine_c
-    status, path, states = impl.run_bfs(
-        graph.n,
-        indptr,
-        data,
-        tuple(starts),
-        tuple(targets),
-        mask,
-        min_occupancy,
-        depth_cap,
-        state_guard,
-    )
-    return BfsResult(status, tuple(path) if path is not None else None, states)
+        occupancy_mask = bytes(row)
+    nbr_indptr, nbr_data = _closed_neighborhood_csr(graph)
+    n_verts = graph.n
+    n_agents = len(starts)
+    if starts == targets:
+        return BfsResult("found", (starts,), 1)
+
+    # Successors are enumerated depth-first over agents in id order, each
+    # agent's options in ascending vertex order: new[level] is the vertex
+    # chosen for agent `level`, choice[level] its index in the CSR row.
+    visited: Dict[Tuple[int, ...], int] = {starts: 0}
+    states: List[Tuple[int, ...]] = [starts]
+    parents: List[int] = [-1]
+    frontier: List[int] = [0]
+    depth = 0
+
+    prev_occ = [-1] * n_verts
+    occupied = bytearray(n_verts)
+    new = [0] * n_agents
+    choice = [0] * n_agents
+
+    while frontier:
+        if depth_cap is not None and depth >= depth_cap:
+            return BfsResult("absent", None, len(states))
+        depth += 1
+        next_frontier: List[int] = []
+        for sid in frontier:
+            prev = states[sid]
+            for a in range(n_agents):
+                prev_occ[prev[a]] = a
+            hit = -1
+            level = 0
+            choice[0] = 0
+            while level >= 0:
+                base = nbr_indptr[prev[level]]
+                end = nbr_indptr[prev[level] + 1]
+                i = choice[level]
+                if base + i >= end:
+                    level -= 1
+                    if level >= 0:
+                        occupied[new[level]] = 0
+                        choice[level] += 1
+                    continue
+                v = nbr_data[base + i]
+                if occupied[v]:
+                    choice[level] += 1
+                    continue
+                holder = prev_occ[v]
+                if 0 <= holder < level and new[holder] == prev[level]:
+                    choice[level] += 1
+                    continue
+                new[level] = v
+                if level + 1 == n_agents:
+                    key = tuple(new)
+                    accept = True
+                    if min_occupancy > 0 and key != targets:
+                        cnt = 0
+                        for w in new:
+                            if occupancy_mask[w]:
+                                cnt += 1
+                        accept = cnt >= min_occupancy
+                    if accept and key not in visited:
+                        if len(states) >= state_guard:
+                            raise ResourceLimitError(
+                                f"state guard of {state_guard} states exhausted"
+                            )
+                        visited[key] = len(states)
+                        states.append(key)
+                        parents.append(sid)
+                        if key == targets:
+                            hit = len(states) - 1
+                            break
+                        next_frontier.append(len(states) - 1)
+                    choice[level] += 1
+                else:
+                    occupied[v] = 1
+                    level += 1
+                    choice[level] = 0
+            for a in range(n_agents):
+                prev_occ[prev[a]] = -1
+            if hit >= 0:
+                path: List[Tuple[int, ...]] = []
+                idx = hit
+                while idx >= 0:
+                    path.append(states[idx])
+                    idx = parents[idx]
+                path.reverse()
+                return BfsResult("found", tuple(path), len(states))
+        frontier = next_frontier
+    return BfsResult("absent", None, len(states))

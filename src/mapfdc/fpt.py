@@ -4,14 +4,13 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from .cliques import solve_clique
 from .engine import DEFAULT_STATE_GUARD, joint_bfs
-from .errors import MapfError, PreconditionError, ResourceLimitError
+from .errors import MapfError, PreconditionError
 from .graphs import CliqueSplit, clique_split
 from .kernelize import (
     Kernel,
     build_kernel,
-    build_pamapf,
     classify_types,
-    makespan_bound,
+    kernel_search_bound,
     select_core_agents,
 )
 from .model import Instance, Placement, Schedule, detect_swaps, validate_schedule
@@ -29,8 +28,6 @@ def _config_search(
         depth_cap=bound,
         state_guard=state_guard,
     )
-    if res.status == "resource":
-        raise ResourceLimitError(f"state guard of {state_guard} states exhausted")
     if res.status == "absent":
         return None, res.states
     return Schedule(res.path[1:]), res.states
@@ -53,22 +50,41 @@ def _kuhn_matching(
     left: Sequence[int], right: Sequence[int], forbidden: Set[Tuple[int, int]]
 ) -> Dict[int, int]:
     """Perfect matching on a complete bipartite graph minus `forbidden`
-    (vertex-id pairs), via augmenting paths scanned in id order."""
-    match_right: List[int] = [-1] * len(right)
+    (vertex-id pairs), via augmenting paths scanned in id order.
 
-    def try_assign(li: int, seen: List[bool]) -> bool:
-        w = left[li]
-        for ri, y in enumerate(right):
-            if seen[ri] or (w, y) in forbidden:
+    The depth-first search keeps its own stack: an augmenting path can be
+    as long as the matching is large."""
+    n_right = len(right)
+    match_right: List[int] = [-1] * n_right
+    for root in range(len(left)):
+        seen = [False] * n_right
+        stack = [root]  # left indices along the current path
+        resume = [0]  # per stack entry, the next right index to scan
+        via: List[int] = []  # right index leading from stack[j] to stack[j + 1]
+        while stack:
+            li = stack[-1]
+            w = left[li]
+            ri = resume[-1]
+            while ri < n_right and (seen[ri] or (w, right[ri]) in forbidden):
+                ri += 1
+            if ri == n_right:
+                stack.pop()
+                resume.pop()
+                if via:
+                    via.pop()
                 continue
             seen[ri] = True
-            if match_right[ri] < 0 or try_assign(match_right[ri], seen):
+            resume[-1] = ri + 1
+            owner = match_right[ri]
+            if owner < 0:
                 match_right[ri] = li
-                return True
-        return False
-
-    for li in range(len(left)):
-        if not try_assign(li, [False] * len(right)):
+                for j, r in enumerate(via):
+                    match_right[r] = stack[j]
+                break
+            via.append(ri)
+            stack.append(owner)
+            resume.append(0)
+        else:
             raise AssertionError("no perfect matching in exchange frame")
     out: Dict[int, int] = {}
     for ri, li in enumerate(match_right):
@@ -176,8 +192,9 @@ def repair_final_swaps(
 
     Four or more offending pairs rotate among themselves, reordered first so
     the rotation itself stays swap-free; fewer pairs each borrow an
-    uninvolved dropped agent and trade places with it. The second-to-last
-    turn is rewritten in place."""
+    uninvolved dropped agent and trade places with it, or, when no helper
+    is eligible, step aside to a spare clique vertex that is free in the
+    last three placements. The second-to-last turn is rewritten in place."""
     m = partial.makespan
     prev = partial.placements[m - 2] if m >= 2 else inst.starts
     final = partial.placements[m - 1]
@@ -235,11 +252,12 @@ def repair_final_swaps(
         pool = sorted(a for a in inst.agents if a not in core and a not in involved)
         beta_prev = {prev[b] for b in betas}
         beta_before = {before[b] for b in betas}
-        chosen: List[int] = []
+        spares = iter(sorted(split.clique.difference(before, prev, final)))
+        helper_of: Dict[int, int] = {}
         for beta in betas:
             pick = None
             for g in pool:
-                if g in chosen:
+                if g in helper_of.values():
                     continue
                 ok = True
                 for c in core:
@@ -255,16 +273,23 @@ def repair_final_swaps(
                     continue
                 if prev[g] in beta_before:
                     continue
-                if any(before[g] == prev[h] or prev[g] == before[h] for h in chosen):
+                if any(
+                    before[g] == prev[h] or prev[g] == before[h]
+                    for h in helper_of.values()
+                ):
                     continue
                 if before[g] == prev[g] and before[beta] == prev[beta]:
                     continue
                 pick = g
                 break
             if pick is None:
-                raise MapfError("no eligible helper agent for final-turn repair")
-            chosen.append(pick)
-        for beta, g in zip(betas, chosen):
+                spare = next(spares, None)
+                if spare is None:
+                    raise MapfError("no eligible helper agent for final-turn repair")
+                new_prev[beta] = spare
+                continue
+            helper_of[beta] = pick
+        for beta, g in helper_of.items():
             new_prev[beta] = prev[g]
             new_prev[g] = prev[beta]
 
@@ -294,12 +319,7 @@ def _solve_pipeline(
     types, _ = classify_types(inst, split)
     core = select_core_agents(inst, split, types)
     kernel = build_kernel(inst, split, core)
-    bound = makespan_bound(split.dc)
-    pam = build_pamapf(inst, split)
-    named_bound = 3 * (len(pam.named_ids) + 2) ** split.dc + (
-        2 if pam.anon_ids else 0
-    )
-    bound = max(bound, named_bound)
+    bound = kernel_search_bound(inst, split)
     ksched, states = _config_search(kernel, kernel.k, bound, state_guard)
     if ksched is None:
         return None, states

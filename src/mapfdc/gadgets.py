@@ -698,7 +698,7 @@ def random_instance(
     until the split comes out exact."""
     if vertices < 1:
         raise PreconditionError("need at least one vertex")
-    if not (0 <= dc <= vertices):
+    if not (0 <= dc < vertices):
         raise PreconditionError("distance to clique out of range")
     if not (1 <= agents <= vertices):
         raise PreconditionError("agent count out of range")

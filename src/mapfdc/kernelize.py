@@ -66,21 +66,37 @@ class PamapfInstance:
         return self.named_starts + self.anon_starts
 
 
+def _named_and_anonymous(
+    inst: Instance, split: CliqueSplit
+) -> Tuple[List[int], List[int]]:
+    """Agents with an endpoint on the modulator stay named and the rest turn
+    anonymous, unless fewer than four would (then everyone is named)."""
+    m = split.modulator
+    named: List[int] = []
+    anon: List[int] = []
+    for a in inst.agents:
+        if inst.starts[a] in m or inst.targets[a] in m:
+            named.append(a)
+        else:
+            anon.append(a)
+    if len(anon) < 4:
+        return list(inst.agents), []
+    return named, anon
+
+
+def kernel_search_bound(inst: Instance, split: CliqueSplit) -> int:
+    """Makespan cap for the kernel search: max(makespan_bound(dc),
+    3 (named + 2)^dc + a), where a is 2 when some agent is anonymous and 0
+    otherwise, with agents named or anonymous as in build_pamapf."""
+    named, anon = _named_and_anonymous(inst, split)
+    named_bound = 3 * (len(named) + 2) ** split.dc + (2 if anon else 0)
+    return max(makespan_bound(split.dc), named_bound)
+
+
 def build_pamapf(inst: Instance, split: CliqueSplit) -> PamapfInstance:
     """Anonymize the agents with both endpoints off the modulator, unless
     fewer than four agents would stay anonymous (then nobody is)."""
-    m = split.modulator
-    touching = [
-        a
-        for a in inst.agents
-        if inst.starts[a] in m or inst.targets[a] in m
-    ]
-    rest = [a for a in inst.agents if a not in set(touching)]
-    if len(rest) < 4:
-        named = list(inst.agents)
-        anon: List[int] = []
-    else:
-        named, anon = touching, rest
+    named, anon = _named_and_anonymous(inst, split)
     return PamapfInstance(
         inst.graph,
         tuple(named),

@@ -3,7 +3,6 @@ from __future__ import annotations
 from typing import Optional, Tuple
 
 from .engine import DEFAULT_STATE_GUARD, joint_bfs
-from .errors import ResourceLimitError
 from .model import Instance, Schedule
 
 
@@ -26,10 +25,6 @@ def solve_with_stats(
         depth_cap=cap,
         state_guard=state_guard,
     )
-    if res.status == "resource":
-        raise ResourceLimitError(
-            f"state guard of {state_guard} states exhausted"
-        )
     if res.status == "absent":
         return None, res.states
     sched = Schedule(res.path[1:])

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from mapfdc import cli
+from mapfdc.errors import MapfError
 from mapfdc.graphs import Graph, complete_graph
 from mapfdc.model import (
     Instance,
@@ -102,6 +103,22 @@ def test_solve_state_guard_exit_code(tmp_path, capsys) -> None:
         == 3
     )
     assert "resource limit" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "failure", [RecursionError("maximum recursion depth exceeded"), MapfError("boom")]
+)
+def test_solve_internal_failure_exit_code(tmp_path, capsys, monkeypatch, failure) -> None:
+    def broken(*args, **kwargs):
+        raise failure
+
+    monkeypatch.setattr(cli.fpt, "solve_with_stats", broken)
+    ipath = tmp_path / "step.mapf"
+    _write_instance(ipath, Instance(Graph(2, [(0, 1)]), (0,), (1,)))
+    assert cli.main(["solve", str(ipath), "--algo", "fpt"]) == 4
+    err = capsys.readouterr().err
+    assert err.count("internal error:") == 1
+    assert "infeasible" not in err
 
 
 def test_solve_rejects_colored_instances(tmp_path, capsys) -> None:

@@ -15,6 +15,7 @@ from mapfdc.kernelize import (
     classify_types,
     compress_schedule,
     extend_pamapf_solution,
+    kernel_search_bound,
     kappa,
     makespan_bound,
     placement_type_key,
@@ -62,6 +63,12 @@ def test_kappa_guards() -> None:
         kappa(13)
 
 
+def _pamapf_cap(pam, dc: int) -> int:
+    """The kernel-search cap as read off a built PAMAPF instance."""
+    named_bound = 3 * (len(pam.named_ids) + 2) ** dc + (2 if pam.anon_ids else 0)
+    return max(makespan_bound(dc), named_bound)
+
+
 def test_build_pamapf_everyone_touches_the_modulator() -> None:
     g = _hub_and_clique(4, 2)
     split = clique_split(g)
@@ -71,6 +78,7 @@ def test_build_pamapf_everyone_touches_the_modulator() -> None:
     assert pam.anon_ids == ()
     assert pam.named_ids == (0, 1)
     assert pam.starts == inst.starts
+    assert kernel_search_bound(inst, split) == _pamapf_cap(pam, split.dc) == 14
 
 
 def test_build_pamapf_needs_four_agents_to_anonymize() -> None:
@@ -81,6 +89,7 @@ def test_build_pamapf_needs_four_agents_to_anonymize() -> None:
     pam = build_pamapf(inst, split)
     assert pam.anon_ids == ()
     assert pam.named_ids == (0, 1, 2, 3)
+    assert kernel_search_bound(inst, split) == _pamapf_cap(pam, split.dc) == 18
 
 
 def test_build_pamapf_anonymizes_five_clique_agents() -> None:
@@ -97,6 +106,7 @@ def test_build_pamapf_anonymizes_five_clique_agents() -> None:
     assert pam.anon_starts == (1, 2, 3, 4, 5)
     assert pam.anon_true_targets == (2, 3, 4, 5, 6)
     assert pam.anon_target_set == frozenset({2, 3, 4, 5, 6})
+    assert kernel_search_bound(inst, split) == _pamapf_cap(pam, split.dc) == 14
 
 
 def test_validate_pamapf_schedule_relaxes_only_anonymous_targets() -> None:

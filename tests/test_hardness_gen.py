@@ -502,4 +502,6 @@ def test_random_instance_rejects_impossible_requests() -> None:
     with pytest.raises(PreconditionError):
         random_instance(3, 5, 1, 0)
     with pytest.raises(PreconditionError):
+        random_instance(3, 3, 1, 0)
+    with pytest.raises(PreconditionError):
         random_instance(4, 0, 9, 0)

@@ -6,7 +6,7 @@ from typing import Dict, List, Optional, Tuple
 
 import pytest
 
-from mapfdc import _engine_py, engine
+from mapfdc import engine
 from mapfdc.errors import ResourceLimitError
 from mapfdc.graphs import Graph, complete_graph
 from mapfdc.model import Instance, Schedule, detect_swaps, validate_schedule
@@ -151,40 +151,6 @@ def test_solve_with_stats_counts_states() -> None:
         Instance(_path(2), (0, 1), (1, 0)), cap=6
     )
     assert absent is None and states2 > 0
-
-
-def _bfs_cases() -> List[Instance]:
-    rng = random.Random(31)
-    cases = [
-        Instance(complete_graph(4), (0, 1), (1, 0)),
-        Instance(_path(4), (0, 3), (3, 0)),
-        Instance(_path(5), (0,), (4,)),
-    ]
-    cases.extend(_random_small_instance(rng) for _ in range(25))
-    return cases
-
-
-@pytest.mark.skipif(
-    engine.active_engine() != "c",
-    reason="compiled engine unavailable; parity has nothing to compare",
-)
-def test_compiled_and_pure_engines_agree_exactly() -> None:
-    from mapfdc import _engine_c
-
-    for inst in _bfs_cases():
-        g = inst.graph
-        indptr, data = engine._closed_neighborhood_csr(g)
-        args = (
-            g.n, indptr, data, tuple(inst.starts), tuple(inst.targets),
-            None, 0, 9, 10_000_000,
-        )
-        c_out = _engine_c.run_bfs(*args)
-        py_out = _engine_py.run_bfs(*args)
-        assert c_out[0] == py_out[0]
-        assert c_out[2] == py_out[2]
-        c_path = tuple(map(tuple, c_out[1])) if c_out[1] is not None else None
-        py_path = tuple(map(tuple, py_out[1])) if py_out[1] is not None else None
-        assert c_path == py_path
 
 
 def test_occupancy_floor_is_enforced_between_endpoints() -> None:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import sys
 from typing import Dict, List, Set, Tuple
 
 import pytest
@@ -101,6 +102,26 @@ def test_kuhn_matching_threads_a_tight_diagonal() -> None:
     match = _kuhn_matching(left, right, forbidden)
     assert sorted(match.values()) == right
     assert all((w, y) not in forbidden for w, y in match.items())
+
+
+def _stack_depth() -> int:
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth += 1
+        frame = frame.f_back
+    return depth
+
+
+def test_kuhn_matching_does_not_recurse_per_agent() -> None:
+    side = list(range(300))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_stack_depth() + 100)
+    try:
+        match = _kuhn_matching(side, side, set())
+    finally:
+        sys.setrecursionlimit(limit)
+    assert sorted(match) == side
+    assert sorted(match.values()) == side
 
 
 def test_fix_mutual_exchanges_rewires_to_stationary() -> None:
@@ -213,12 +234,24 @@ def test_repair_borrows_a_helper_for_a_single_pair() -> None:
     assert fixed.placements[0] != mid
 
 
-def test_repair_fails_without_an_eligible_helper() -> None:
+def test_repair_steps_aside_to_a_spare_vertex_without_a_helper() -> None:
     g = complete_graph(4)
     split = CliqueSplit(frozenset(), frozenset(range(4)))
     inst = Instance(g, (0, 1), (1, 0))
     mid = (0, 1)
     partial = Schedule((mid, (1, 0)))
+    fixed = repair_final_swaps(inst, split, partial, frozenset())
+    assert fixed.placements == ((0, 2), (1, 0))
+    assert validate_schedule(inst, fixed).ok
+
+
+def test_repair_fails_without_an_eligible_helper() -> None:
+    # the only bystander stood still, and K3 has no spare vertex
+    g = complete_graph(3)
+    split = CliqueSplit(frozenset(), frozenset(range(3)))
+    inst = Instance(g, (0, 1, 2), (1, 0, 2))
+    mid = (0, 1, 2)
+    partial = Schedule((mid, (1, 0, 2)))
     with pytest.raises(MapfError):
         repair_final_swaps(inst, split, partial, frozenset())
 
@@ -230,6 +263,25 @@ def test_repair_rejects_core_only_offenders() -> None:
     partial = Schedule(((0, 1), (1, 0)))
     with pytest.raises(PreconditionError):
         repair_final_swaps(inst, split, partial, frozenset({0, 1}))
+
+
+def test_solve_fpt_repairs_one_exchange_among_idle_dropped_agents() -> None:
+    # dc = 1: clique 0..309, vertex 310 joined to 302..309. Agents 0..99 stand
+    # still and become the core, so the kernel schedule is empty and gets
+    # padded to two turns. Dropped agents 100 and 101 exchange vertices; the
+    # rest shift one place along a chain.
+    clique, attached = 310, 8
+    edges = [(u, v) for u in range(clique) for v in range(u + 1, clique)]
+    edges.extend((v, clique) for v in range(clique - attached, clique))
+    g = Graph(clique + 1, edges)
+    starts = tuple(range(250))
+    targets = tuple(range(100)) + (101, 100) + tuple(range(103, 251))
+    inst = Instance(g, starts, targets)
+    result = solve_fpt(inst)
+    assert result is not None
+    makespan, sched = result
+    assert makespan == 2
+    assert validate_schedule(inst, sched).ok
 
 
 def test_solve_fpt_routes_complete_graphs_to_the_clique_solver() -> None:
