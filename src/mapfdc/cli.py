@@ -51,7 +51,6 @@ class RunReport:
     makespan: Optional[int]
     states: int
     millis: float
-    resource: bool = False
 
     def row(self) -> str:
         mk = "-" if self.makespan is None else str(self.makespan)
@@ -128,7 +127,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
             result, states = fpt.solve_with_stats(inst, args.state_guard)
     except ResourceLimitError:
         millis = (time.perf_counter() - started) * 1000.0
-        _info(RunReport(args.instance, algo, False, None, 0, millis, True).row())
+        _info(RunReport(args.instance, algo, False, None, 0, millis).row())
         raise
     millis = (time.perf_counter() - started) * 1000.0
     report = RunReport(

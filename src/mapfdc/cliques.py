@@ -1,43 +1,18 @@
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Mapping, Optional, Sequence, Tuple
 
 from .errors import PreconditionError
 from .graphs import Graph
-from .model import Instance, Placement, Schedule
+from .model import Instance, Placement, Schedule, detect_swaps
 from . import oracle
-
-
-@dataclass(frozen=True)
-class SwappingPairSet:
-    """Agent pairs that would have to exchange vertices in a single turn:
-    each pair (a, b) has start(a) = target(b) and start(b) = target(a)."""
-
-    pairs: Tuple[Tuple[int, int], ...]
-
-    @property
-    def p(self) -> int:
-        return len(self.pairs)
-
-
-def find_swapping_pairs(starts: Sequence[int], targets: Sequence[int]) -> SwappingPairSet:
-    at_start: Dict[int, int] = {v: a for a, v in enumerate(starts)}
-    out: List[Tuple[int, int]] = []
-    for a, v in enumerate(targets):
-        b = at_start.get(v)
-        if b is None or b == a:
-            continue
-        if a < b and targets[b] == starts[a]:
-            out.append((a, b))
-    return SwappingPairSet(tuple(out))
 
 
 def _one_turn(targets: Placement) -> Tuple[int, Schedule]:
     return 1, Schedule((targets,))
 
 
-def _case_many_pairs(starts: Placement, pairs: Tuple[Tuple[int, int], ...]) -> Placement:
+def _case_many_pairs(starts: Placement, pairs: Sequence[Tuple[int, int]]) -> Placement:
     """Two or more swapping pairs: rotate the betas one pair onward, with the
     last alpha filling the gap, so every blocked exchange is broken at once."""
     alphas = [a for a, _ in pairs]
@@ -101,13 +76,13 @@ def solve_clique(inst: Instance) -> Optional[Tuple[int, Schedule]]:
         return 0, Schedule(())
     if inst.graph.n < 4:
         return oracle.optimal_schedule(inst)
-    pairs = find_swapping_pairs(inst.starts, inst.targets)
-    if pairs.p == 0:
+    pairs = detect_swaps(inst.starts, inst.targets)
+    if not pairs:
         result = _one_turn(inst.targets)
-    elif pairs.p >= 2:
-        result = 2, Schedule((_case_many_pairs(inst.starts, pairs.pairs), inst.targets))
+    elif len(pairs) >= 2:
+        result = 2, Schedule((_case_many_pairs(inst.starts, pairs), inst.targets))
     else:
-        result = 2, Schedule((_case_one_pair(inst, pairs.pairs[0]), inst.targets))
+        result = 2, Schedule((_case_one_pair(inst, pairs[0]), inst.targets))
     if inst.makespan_limit is not None and result[0] > inst.makespan_limit:
         return None
     return result

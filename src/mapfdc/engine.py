@@ -13,7 +13,6 @@ DEFAULT_STATE_GUARD = 50_000_000
 
 @dataclass(frozen=True)
 class BfsResult:
-    status: str
     path: Optional[Tuple[Placement, ...]]
     states: int
 
@@ -42,8 +41,8 @@ def joint_bfs(
 
     occupancy_vertices/min_occupancy: every placement other than the start
     and target must keep at least min_occupancy agents on the given
-    vertices. The returned path starts with the start placement; status is
-    "found" or "absent" (no schedule within depth_cap turns). Raises
+    vertices. The returned path starts with the start placement, and is None
+    when no schedule exists within depth_cap turns. Raises
     ResourceLimitError once the search would discover more than state_guard
     states.
     """
@@ -65,7 +64,7 @@ def joint_bfs(
     n_verts = graph.n
     n_agents = len(starts)
     if starts == targets:
-        return BfsResult("found", (starts,), 1)
+        return BfsResult((starts,), 1)
 
     # Successors are enumerated depth-first over agents in id order, each
     # agent's options in ascending vertex order: new[level] is the vertex
@@ -83,7 +82,7 @@ def joint_bfs(
 
     while frontier:
         if depth_cap is not None and depth >= depth_cap:
-            return BfsResult("absent", None, len(states))
+            return BfsResult(None, len(states))
         depth += 1
         next_frontier: List[int] = []
         for sid in frontier:
@@ -147,6 +146,6 @@ def joint_bfs(
                     path.append(states[idx])
                     idx = parents[idx]
                 path.reverse()
-                return BfsResult("found", tuple(path), len(states))
+                return BfsResult(tuple(path), len(states))
         frontier = next_frontier
-    return BfsResult("absent", None, len(states))
+    return BfsResult(None, len(states))

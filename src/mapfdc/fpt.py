@@ -28,7 +28,7 @@ def _config_search(
         depth_cap=bound,
         state_guard=state_guard,
     )
-    if res.status == "absent":
+    if res.path is None:
         return None, res.states
     return Schedule(res.path[1:]), res.states
 
@@ -46,67 +46,37 @@ def config_shortest_schedule(
     return sched
 
 
-def _kuhn_matching(
+def _drift_matching(
     left: Sequence[int], right: Sequence[int], forbidden: Set[Tuple[int, int]]
 ) -> Dict[int, int]:
-    """Perfect matching on a complete bipartite graph minus `forbidden`
-    (vertex-id pairs), via augmenting paths scanned in id order.
+    """Perfect matching of `left` onto `right` (equal lengths) that avoids
+    every `forbidden` (left vertex, right vertex) pair.
 
-    The depth-first search keeps its own stack: an augmenting path can be
-    as long as the matching is large."""
-    n_right = len(right)
-    match_right: List[int] = [-1] * n_right
-    for root in range(len(left)):
-        seen = [False] * n_right
-        stack = [root]  # left indices along the current path
-        resume = [0]  # per stack entry, the next right index to scan
-        via: List[int] = []  # right index leading from stack[j] to stack[j + 1]
-        while stack:
-            li = stack[-1]
-            w = left[li]
-            ri = resume[-1]
-            while ri < n_right and (seen[ri] or (w, right[ri]) in forbidden):
-                ri += 1
-            if ri == n_right:
-                stack.pop()
-                resume.pop()
-                if via:
-                    via.pop()
-                continue
-            seen[ri] = True
-            resume[-1] = ri + 1
-            owner = match_right[ri]
-            if owner < 0:
-                match_right[ri] = li
-                for j, r in enumerate(via):
-                    match_right[r] = stack[j]
-                break
-            via.append(ri)
-            stack.append(owner)
-            resume.append(0)
-        else:
-            raise AssertionError("no perfect matching in exchange frame")
-    out: Dict[int, int] = {}
-    for ri, li in enumerate(match_right):
-        out[left[li]] = right[ri]
-    return out
+    Pairs `left[j]` with `right[-1 - j]`; where that pair is forbidden,
+    `left[j]` trades partners with position j + 1, or with j - 1 at the last
+    position. The trade is safe when there are at least two positions and no
+    vertex is the left or the right end of two forbidden pairs (a lift frame
+    forbids one move per core agent): `left[j]` gets a vertex other than its
+    one forbidden partner, and the neighbour gets a vertex whose one
+    forbidden partner is `left[j]`."""
+    pick = list(reversed(right))
+    last = len(pick) - 1
+    for j, w in enumerate(left):
+        if (w, pick[j]) in forbidden:
+            o = j + 1 if j < last else j - 1
+            pick[j], pick[o] = pick[o], pick[j]
+    return dict(zip(left, pick))
 
 
 def _fix_mutual_exchanges(match: Dict[int, int]) -> None:
     """Rewire pairs w1 -> y1, w2 -> y2 with y1 = w2 and y2 = w1 into the two
-    stationary assignments; each rewrite removes one exchanged pair."""
-    while True:
-        found = None
-        for w1 in sorted(match):
-            y1 = match[w1]
-            if y1 != w1 and y1 in match and match[y1] == w1:
-                found = (w1, y1)
-                break
-        if found is None:
-            return
-        w1, w2 = found
-        match[w1] = w1
-        match[w2] = w2
+    stationary assignments. Such pairs are disjoint 2-cycles and rewiring one
+    creates no other, so one pass removes them all."""
+    for w in list(match):
+        y = match[w]
+        if y != w and match.get(y) == w:
+            match[w] = w
+            match[y] = y
 
 
 def lift_schedule(
@@ -166,7 +136,7 @@ def lift_schedule(
             y = core_rows[i][ci]
             if w in left_set and y in right_set:
                 forbidden.add((w, y))
-        match = _kuhn_matching(left, right, forbidden)
+        match = _drift_matching(left, right, forbidden)
         _fix_mutual_exchanges(match)
         for a in noncore:
             cur[a] = match[cur[a]]
@@ -316,9 +286,9 @@ def _solve_pipeline(
     split = clique_split(inst.graph)
     if not split.modulator and inst.graph.n >= 4:
         return solve_clique(inst), 0
-    types, _ = classify_types(inst, split)
-    core = select_core_agents(inst, split, types)
-    kernel = build_kernel(inst, split, core)
+    types, agent_types = classify_types(inst, split)
+    core = select_core_agents(inst, split, types, agent_types)
+    kernel = build_kernel(inst, split, core, types)
     bound = kernel_search_bound(inst, split)
     ksched, states = _config_search(kernel, kernel.k, bound, state_guard)
     if ksched is None:

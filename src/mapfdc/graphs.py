@@ -207,6 +207,13 @@ def min_vertex_cover(g: Graph, budget: int = 20) -> Optional[FrozenSet[int]]:
         adj = _adj_map(g, chosen)
         if all(not ns for ns in adj.values()):
             break
+        # more uncovered edges than the cover has room left for: v lies in
+        # every minimum cover extending `chosen`, so taking it keeps the
+        # lexicographically smallest one
+        forced = {v for v, ns in adj.items() if len(ns) > size - len(chosen)}
+        if forced:
+            chosen |= forced
+            continue
         for v in range(g.n):
             if v in chosen or not adj.get(v):
                 continue

@@ -311,15 +311,18 @@ def classify_types(
 
 
 def select_core_agents(
-    inst: Instance, split: CliqueSplit, types: Tuple[VertexType, ...]
+    inst: Instance,
+    split: CliqueSplit,
+    types: Tuple[VertexType, ...],
+    agent_types: Dict[int, Tuple[int, int]],
 ) -> FrozenSet[int]:
     """Agents whose motion the kernel search models explicitly.
 
     Seeds every modulator-touching agent plus a per-(start type, target
     type) quota of the others, then closes under vertex types that are
     scarce relative to the chosen set; keeps everyone when the result would
-    not shrink the instance by at least half (or below 100 agents)."""
-    _, agent_types = classify_types(inst, split)
+    not shrink the instance by at least half (or below 100 agents).
+    `types` and `agent_types` are the two parts of classify_types."""
     quota = kappa(split.dc)
     touching = sorted(a for a in inst.agents if a not in agent_types)
     by_pair: Dict[Tuple[int, int], List[int]] = {}
@@ -372,13 +375,19 @@ class Kernel:
     kept_by_type: Tuple[Tuple[int, Tuple[int, ...]], ...]
 
 
-def build_kernel(inst: Instance, split: CliqueSplit, core: FrozenSet[int]) -> Kernel:
+def build_kernel(
+    inst: Instance,
+    split: CliqueSplit,
+    core: FrozenSet[int],
+    types: Tuple[VertexType, ...],
+) -> Kernel:
+    """Kernel over the `core` agents, trimming each of the vertex `types`
+    (from classify_types)."""
     core_sorted = tuple(sorted(core))
     endpoints = set()
     for a in core_sorted:
         endpoints.add(inst.starts[a])
         endpoints.add(inst.targets[a])
-    types, _ = classify_types(inst, split)
     budget = 3 * len(core)
     kept: List[Tuple[int, Tuple[int, ...]]] = []
     u: Set[int] = set(split.modulator)

@@ -25,7 +25,7 @@ def solve_with_stats(
         depth_cap=cap,
         state_guard=state_guard,
     )
-    if res.status == "absent":
+    if res.path is None:
         return None, res.states
     sched = Schedule(res.path[1:])
     return (sched.makespan, sched), res.states

@@ -153,10 +153,10 @@ def test_feasible_makespans_respect_the_distance_bound(suite2) -> None:
 def test_kernel_preserves_the_optimum_when_all_agents_are_core(suite2) -> None:
     for inst, _, ref in suite2:
         split = clique_split(inst.graph, budget=inst.graph.n)
-        types, _ = classify_types(inst, split)
-        core = select_core_agents(inst, split, types)
+        types, agent_types = classify_types(inst, split)
+        core = select_core_agents(inst, split, types, agent_types)
         assert core == frozenset(inst.agents)
-        kern = build_kernel(inst, split, core)
+        kern = build_kernel(inst, split, core, types)
         res = engine.joint_bfs(
             kern.graph,
             kern.starts,

@@ -5,24 +5,11 @@ from typing import Tuple
 
 import pytest
 
-from mapfdc.cliques import (
-    find_swapping_pairs,
-    solve_clique,
-    solve_clique_anonymous,
-)
+from mapfdc.cliques import solve_clique, solve_clique_anonymous
 from mapfdc.errors import PreconditionError
 from mapfdc.graphs import Graph, complete_graph
 from mapfdc.model import Instance, validate_schedule
 from mapfdc.oracle import optimal_schedule
-
-
-def test_find_swapping_pairs_basic() -> None:
-    assert find_swapping_pairs((0, 1), (1, 0)).pairs == ((0, 1),)
-    assert find_swapping_pairs((0, 1), (0, 1)).pairs == ()
-    assert find_swapping_pairs((0, 1, 2), (1, 2, 0)).pairs == ()
-    both = find_swapping_pairs((0, 1, 2, 3), (1, 0, 3, 2))
-    assert both.pairs == ((0, 1), (2, 3))
-    assert both.p == 2
 
 
 def test_settled_agents_are_makespan_zero() -> None:

@@ -1,7 +1,7 @@
 from __future__ import annotations
 
 import random
-from typing import Dict, List, Tuple
+from typing import Dict, FrozenSet, List, Tuple
 
 import pytest
 
@@ -342,8 +342,8 @@ def test_select_core_agents_keeps_small_instances_whole() -> None:
     g = _hub_and_clique(8, 2)
     split = clique_split(g)
     inst = Instance(g, (0, 1, 2, 3, 4, 5), (8, 2, 3, 4, 5, 6))
-    types, _ = classify_types(inst, split)
-    core = select_core_agents(inst, split, types)
+    types, agent_types = classify_types(inst, split)
+    core = select_core_agents(inst, split, types, agent_types)
     assert core == frozenset(inst.agents)
 
 
@@ -370,7 +370,7 @@ def test_select_core_agents_quota_and_scarce_type_absorption() -> None:
     inst, split = _large_two_type_instance()
     types, agent_types = classify_types(inst, split)
     assert [len(t.members) for t in types] == [110, 1000]
-    core = select_core_agents(inst, split, types)
+    core = select_core_agents(inst, split, types, agent_types)
     # per-pair quota is 100; the scarce start type (110 members < 3|A'|)
     # then absorbs every agent touching it; the 1000-member type stays put
     assert len(core) == 210
@@ -378,12 +378,17 @@ def test_select_core_agents_quota_and_scarce_type_absorption() -> None:
     assert sorted(a for a in core if a >= 110) == list(range(110, 210))
 
 
+def _kernel(inst: Instance, split: CliqueSplit, core: FrozenSet[int]) -> Kernel:
+    types, _ = classify_types(inst, split)
+    return build_kernel(inst, split, core, types)
+
+
 def test_build_kernel_small_instance_is_the_whole_graph() -> None:
     g = _hub_and_clique(4, 2)
     split = clique_split(g)
     inst = Instance(g, (0, 3), (1, 4))
     core = frozenset(inst.agents)
-    kernel = build_kernel(inst, split, core)
+    kernel = _kernel(inst, split, core)
     assert kernel.u_vertices == tuple(range(5))
     assert kernel.graph == g
     assert kernel.starts == inst.starts
@@ -399,7 +404,7 @@ def test_build_kernel_trims_each_type_to_three_per_core_agent() -> None:
     split = clique_split(g)
     assert split.modulator == frozenset({0})
     inst = Instance(g, (1, 2), (3, 4))
-    kernel = build_kernel(inst, split, frozenset({0, 1}))
+    kernel = _kernel(inst, split, frozenset({0, 1}))
     assert len(kernel.kept_by_type) == 1
     tid, kept = kernel.kept_by_type[0]
     assert len(kept) == 6
@@ -413,7 +418,7 @@ def test_build_kernel_counts_pigeonhole_obligation() -> None:
     split = clique_split(g)
     assert len(split.clique) == 3
     inst = Instance(g, (0, 1, 2, 3), (1, 2, 3, 0))
-    kernel = build_kernel(inst, split, frozenset(inst.agents))
+    kernel = _kernel(inst, split, frozenset(inst.agents))
     assert kernel.k == 1
 
 
@@ -435,7 +440,7 @@ def test_build_kernel_size_bound() -> None:
         starts = tuple(rng.sample(range(n), agents))
         targets = tuple(rng.sample(range(n), agents))
         inst = Instance(g, starts, targets)
-        kernel = build_kernel(inst, split, frozenset(inst.agents))
+        kernel = _kernel(inst, split, frozenset(inst.agents))
         limit = len(split.modulator) + 2 ** len(split.modulator) * 3 * inst.n_agents
         assert len(kernel.u_vertices) <= limit
         # kernel endpoints exist and land inside the reduced graph

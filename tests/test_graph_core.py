@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mapfdc import graphs
 from mapfdc.errors import ResourceLimitError
 from mapfdc.graphs import (
     CliqueSplit,
@@ -229,3 +230,23 @@ def test_clique_split_result_is_deterministic() -> None:
     second = clique_split(g)
     assert isinstance(first, CliqueSplit)
     assert first == second
+
+
+def test_clique_split_takes_forced_modulator_vertices_without_trials(monkeypatch) -> None:
+    # K60 plus vertex 60 joined to 58 and 59: in the complement, 60 has 58
+    # edges against a cover of size 1, so it is taken without trying each
+    # lower vertex in turn (60 branch calls before that rule, 1 with it)
+    edges = [(u, v) for u in range(60) for v in range(u + 1, 60)]
+    edges.extend([(58, 60), (59, 60)])
+    calls = 0
+    branch = graphs._vc_branch
+
+    def counted(adj, budget):
+        nonlocal calls
+        calls += 1
+        return branch(adj, budget)
+
+    monkeypatch.setattr(graphs, "_vc_branch", counted)
+    split = clique_split(Graph(61, edges))
+    assert split.modulator == frozenset({60})
+    assert calls <= 2

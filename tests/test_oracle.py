@@ -160,7 +160,6 @@ def test_occupancy_floor_is_enforced_between_endpoints() -> None:
     res = engine.joint_bfs(
         g, (0, 1), (1, 0), occupancy_vertices=(2, 3), min_occupancy=1
     )
-    assert res.status == "found"
     assert res.path is not None
     for placement in res.path[1:-1]:
         assert any(v in (2, 3) for v in placement)

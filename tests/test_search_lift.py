@@ -2,14 +2,15 @@ from __future__ import annotations
 
 import random
 import sys
-from typing import Dict, List, Set, Tuple
+from typing import Dict, FrozenSet, List, Set, Tuple
 
 import pytest
 
+from mapfdc import fpt
 from mapfdc.errors import MapfError, PreconditionError
 from mapfdc.fpt import (
     _fix_mutual_exchanges,
-    _kuhn_matching,
+    _drift_matching,
     config_shortest_schedule,
     lift_schedule,
     repair_final_swaps,
@@ -34,6 +35,11 @@ def _k4_kernel(starts: Tuple[int, ...], targets: Tuple[int, ...], k: int = 0) ->
         frozenset(),
         ((0, (0, 1, 2, 3)),),
     )
+
+
+def _kernel(inst: Instance, split: CliqueSplit, core: FrozenSet[int]) -> Kernel:
+    types, _ = classify_types(inst, split)
+    return build_kernel(inst, split, core, types)
 
 
 def test_config_search_settled_agents_cost_nothing() -> None:
@@ -84,22 +90,21 @@ def test_config_search_keeps_agents_on_the_modulator() -> None:
     assert free is not None and free.makespan == 2
 
 
-def test_kuhn_matching_avoids_forbidden_pairs() -> None:
+def test_drift_matching_avoids_forbidden_pairs() -> None:
     left = [0, 1, 2, 3, 4]
     right = [5, 6, 7, 8, 9]
-    match = _kuhn_matching(left, right, {(0, 5)})
+    match = _drift_matching(left, right, {(0, 5)})
     assert sorted(match) == left
     assert sorted(match.values()) == right
     assert match[0] != 5
 
 
-def test_kuhn_matching_threads_a_tight_diagonal() -> None:
-    # forbid the identity-like assignment everywhere except one column,
-    # forcing the augmenting paths to untangle a chain
+def test_drift_matching_threads_a_tight_diagonal() -> None:
+    # forbid the identity-like assignment everywhere except one column
     left = [0, 1, 2]
     right = [0, 1, 2]
     forbidden: Set[Tuple[int, int]] = {(0, 0), (1, 1)}
-    match = _kuhn_matching(left, right, forbidden)
+    match = _drift_matching(left, right, forbidden)
     assert sorted(match.values()) == right
     assert all((w, y) not in forbidden for w, y in match.items())
 
@@ -112,16 +117,51 @@ def _stack_depth() -> int:
     return depth
 
 
-def test_kuhn_matching_does_not_recurse_per_agent() -> None:
+def test_drift_matching_does_not_recurse_per_agent() -> None:
     side = list(range(300))
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(_stack_depth() + 100)
     try:
-        match = _kuhn_matching(side, side, set())
+        match = _drift_matching(side, side, set())
     finally:
         sys.setrecursionlimit(limit)
     assert sorted(match) == side
     assert sorted(match.values()) == side
+
+
+def _random_frame(rng: random.Random, width: int) -> Tuple[List[int], List[int]]:
+    vertices = range(3 * width)
+    return sorted(rng.sample(vertices, width)), sorted(rng.sample(vertices, width))
+
+
+def test_drift_matching_reverses_frames_without_forbidden_pairs() -> None:
+    rng = random.Random(404)
+    for _ in range(200):
+        left, right = _random_frame(rng, rng.randint(1, 60))
+        match = _drift_matching(left, right, set())
+        assert match == {w: right[-1 - j] for j, w in enumerate(left)}
+
+
+def test_drift_matching_avoids_sparse_forbidden_pairs() -> None:
+    # as in a lift frame, no vertex is the left or the right end of two
+    # forbidden pairs
+    rng = random.Random(405)
+    for _ in range(200):
+        width = rng.randint(2, 60)
+        left, right = _random_frame(rng, width)
+        count = rng.randint(1, width)
+        forbidden = set(zip(rng.sample(left, count), rng.sample(right, count)))
+        match = _drift_matching(left, right, forbidden)
+        assert sorted(match) == left
+        assert sorted(match.values()) == right
+        assert all((w, y) not in forbidden for w, y in match.items())
+
+
+def test_drift_matching_trades_partners_with_a_neighbour() -> None:
+    left, right = [0, 1, 2, 3], [4, 5, 6, 7]
+    # the next position, or the previous one at the end
+    assert _drift_matching(left, right, {(1, 6)}) == {0: 7, 1: 5, 2: 6, 3: 4}
+    assert _drift_matching(left, right, {(3, 4)}) == {0: 7, 1: 6, 2: 4, 3: 5}
 
 
 def test_fix_mutual_exchanges_rewires_to_stationary() -> None:
@@ -145,7 +185,7 @@ def test_lift_with_full_core_is_a_relabeling() -> None:
     split = clique_split(g)
     assert split.modulator == frozenset({0})
     inst = Instance(g, (0, 2), (2, 3), makespan_limit=None)
-    kernel = build_kernel(inst, split, frozenset(inst.agents))
+    kernel = _kernel(inst, split, frozenset(inst.agents))
     ksched = config_shortest_schedule(kernel, kernel.k, 14)
     assert ksched is not None
     lifted = lift_schedule(inst, split, kernel, ksched)
@@ -169,7 +209,7 @@ def _drop_instance() -> Tuple[Instance, CliqueSplit]:
 def test_lift_extends_a_kernel_schedule_to_dropped_agents() -> None:
     inst, split = _drop_instance()
     core = frozenset({0})
-    kernel = build_kernel(inst, split, core)
+    kernel = _kernel(inst, split, core)
     assert len(kernel.u_vertices) < inst.graph.n
     ksched = config_shortest_schedule(kernel, kernel.k, 14)
     assert ksched is not None
@@ -183,11 +223,42 @@ def test_lift_extends_a_kernel_schedule_to_dropped_agents() -> None:
         assert placement[0] == back[ksched.placements[turn][0]]
 
 
+def test_lift_drifts_around_a_forbidden_core_move() -> None:
+    # clique 1..60 plus vertex 0 joined to 1 only; three core agents move
+    # inside the clique while 51 dropped agents stay on the lowest other
+    # clique vertices, so a drift turn must avoid a core agent's move
+    clique = list(range(1, 61))
+    edges = [(u, v) for i, u in enumerate(clique) for v in clique[i + 1 :]]
+    edges.append((0, 1))
+    g = Graph(61, edges)
+    dwellers = [v for v in clique if v not in (1, 10, 11, 30)][:51]
+    starts = tuple([1, 0, 10] + dwellers)
+    targets = tuple([0, 30, 11] + dwellers)
+    inst = Instance(g, starts, targets)
+    split = clique_split(g)
+    kernel = _kernel(inst, split, frozenset({0, 1, 2}))
+    ksched = config_shortest_schedule(kernel, kernel.k, 12)
+    assert ksched is not None and ksched.makespan == 3
+    frames: List[Set[Tuple[int, int]]] = []
+    drift = fpt._drift_matching
+
+    def recorded(left, right, forbidden):
+        frames.append(set(forbidden))
+        return drift(left, right, forbidden)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fpt, "_drift_matching", recorded)
+        lifted = lift_schedule(inst, split, kernel, ksched)
+    assert (3, 10) in frames[0]
+    assert lifted.makespan == 3
+    assert validate_schedule(inst, lifted).ok
+
+
 def test_lift_rejects_small_drop_pools() -> None:
     g = Graph(6, [(0, 1)] + [(u, v) for u in range(1, 6) for v in range(u + 1, 6)])
     split = clique_split(g)
     inst = Instance(g, (0, 2, 3, 4), (5, 2, 3, 4))
-    kernel = build_kernel(inst, split, frozenset({0}))
+    kernel = _kernel(inst, split, frozenset({0}))
     ksched = config_shortest_schedule(kernel, kernel.k, 14)
     assert ksched is not None
     with pytest.raises(PreconditionError):
