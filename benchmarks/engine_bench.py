@@ -1,9 +1,9 @@
 """Time the joint breadth-first search on five fixed cases.
 
 Each case calls `mapfdc.engine.joint_bfs` directly and reports the best of
-several runs. Invoke with
+several runs. Invoke from the repository root with
 
-    python3 benchmarks/engine_bench.py [--repeats N]
+    PYTHONPATH=src python3 benchmarks/engine_bench.py [--repeats N]
 """
 
 from __future__ import annotations

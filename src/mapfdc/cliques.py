@@ -1,9 +1,8 @@
 from __future__ import annotations
 
-from typing import Mapping, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 from .errors import PreconditionError
-from .graphs import Graph
 from .model import Instance, Placement, Schedule, detect_swaps
 from . import oracle
 
@@ -87,30 +86,3 @@ def solve_clique(inst: Instance) -> Optional[Tuple[int, Schedule]]:
         return None
     return result
 
-
-def solve_clique_anonymous(
-    graph: Graph,
-    named: Mapping[int, Tuple[int, int]],
-    anon_starts: Sequence[int],
-    anon_targets: Sequence[int],
-) -> Schedule:
-    """Clique schedule where only some agents have fixed targets.
-
-    `named` maps an agent key to its (start, target); anonymous agents may
-    end on any vertex of `anon_targets`. Returned placements list the named
-    agents first in ascending key order, then one anonymous agent per start
-    vertex in ascending start order; anonymous starts are matched to targets
-    in increasing vertex order, which on a clique costs nothing.
-    """
-    if not graph.is_complete():
-        raise PreconditionError("graph is not complete")
-    if graph.n < 4:
-        raise PreconditionError("anonymous clique solving needs at least 4 vertices")
-    if len(anon_starts) != len(anon_targets):
-        raise PreconditionError("anonymous start/target counts differ")
-    keys = sorted(named)
-    starts = tuple(named[k][0] for k in keys) + tuple(sorted(anon_starts))
-    targets = tuple(named[k][1] for k in keys) + tuple(sorted(anon_targets))
-    result = solve_clique(Instance(graph, starts, targets))
-    assert result is not None
-    return result[1]

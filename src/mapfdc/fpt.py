@@ -229,15 +229,13 @@ def repair_final_swaps(
             for g in pool:
                 if g in helper_of.values():
                     continue
-                ok = True
-                for c in core:
-                    if before[c] == prev[beta] and prev[c] == before[g]:
-                        ok = False
-                        break
-                    if before[c] == prev[g] and prev[c] == before[beta]:
-                        ok = False
-                        break
-                if not ok:
+                # g and beta trade prev vertices; skip g when either would
+                # exchange with the agent that stood on its new vertex
+                c = at_before.get(prev[beta])
+                if c is not None and prev[c] == before[g]:
+                    continue
+                c = at_before.get(prev[g])
+                if c is not None and prev[c] == before[beta]:
                     continue
                 if before[g] in beta_prev:
                     continue
@@ -278,9 +276,17 @@ def _within_limit(inst: Instance, sched: Schedule) -> Optional[Tuple[int, Schedu
     return sched.makespan, sched
 
 
-def _solve_pipeline(
-    inst: Instance, state_guard: int
+def solve_with_stats(
+    inst: Instance,
+    state_guard: int = DEFAULT_STATE_GUARD,
 ) -> Tuple[Optional[Tuple[int, Schedule]], int]:
+    """Exact optimal solve parameterized by distance to clique, plus the
+    kernel-search state count (0 when no search ran).
+
+    Splits off a minimum modulator, routes complete graphs to the
+    constant-makespan solver, and otherwise searches the kernel instance
+    under the occupancy constraint, lifting the kernel schedule back to all
+    agents when some were dropped."""
     if inst.starts == inst.targets:
         return (0, Schedule(())), 0
     split = clique_split(inst.graph)
@@ -293,10 +299,7 @@ def _solve_pipeline(
     ksched, states = _config_search(kernel, kernel.k, bound, state_guard)
     if ksched is None:
         return None, states
-    if len(core) == inst.n_agents:
-        lifted = lift_schedule(inst, split, kernel, ksched)
-        return _within_limit(inst, lifted), states
-    if ksched.makespan < 2:
+    if len(core) < inst.n_agents and ksched.makespan < 2:
         direct = Schedule((inst.targets,))
         if validate_schedule(inst, direct).ok:
             return _within_limit(inst, direct), states
@@ -311,19 +314,6 @@ def solve_fpt(
     inst: Instance,
     state_guard: int = DEFAULT_STATE_GUARD,
 ) -> Optional[Tuple[int, Schedule]]:
-    """Exact optimal solve parameterized by distance to clique.
-
-    Splits off a minimum modulator, routes complete graphs to the
-    constant-makespan solver, and otherwise searches the kernel instance
-    under the occupancy constraint, lifting the kernel schedule back to all
-    agents when some were dropped."""
-    result, _ = _solve_pipeline(inst, state_guard)
+    """solve_with_stats without the state count."""
+    result, _ = solve_with_stats(inst, state_guard)
     return result
-
-
-def solve_with_stats(
-    inst: Instance,
-    state_guard: int = DEFAULT_STATE_GUARD,
-) -> Tuple[Optional[Tuple[int, Schedule]], int]:
-    """solve_fpt plus the kernel-search state count (0 when no search ran)."""
-    return _solve_pipeline(inst, state_guard)

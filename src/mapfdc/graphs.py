@@ -116,11 +116,9 @@ def is_clique(g: Graph, vertices: Optional[Iterable[int]] = None) -> bool:
     return True
 
 
-def _reduce(adj: Dict[int, Set[int]], chosen: Set[int]) -> bool:
+def _reduce(adj: Dict[int, Set[int]], chosen: Set[int]) -> None:
     """Apply safe reductions in place: drop isolated vertices, and for any
-    degree-1 vertex put its neighbor in the cover. Returns False if the
-    running cover already exceeds any budget the caller tracks separately
-    (always True here; sizing is the caller's job)."""
+    degree-1 vertex put its neighbor in the cover."""
     again = True
     while again:
         again = False
@@ -139,7 +137,6 @@ def _reduce(adj: Dict[int, Set[int]], chosen: Set[int]) -> bool:
                 del adj[u]
                 del adj[v]
                 again = True
-    return True
 
 
 def _vc_branch(adj: Dict[int, Set[int]], budget: int) -> Optional[int]:

@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import random
 import time
-from collections import Counter, deque
+from collections import deque
 from itertools import permutations
 from typing import Dict, List, Optional, Set, Tuple
 
@@ -23,17 +23,12 @@ from mapfdc.gadgets import (
 from mapfdc.graphs import Graph, clique_split, complete_graph, min_vertex_cover
 from mapfdc.kernelize import (
     build_kernel,
-    build_pamapf,
     classify_types,
-    compress_schedule,
     makespan_bound,
-    placement_type_key,
     select_core_agents,
-    validate_pamapf_schedule,
 )
 from mapfdc.model import (
     Instance,
-    Schedule,
     validate_colored_schedule,
     validate_schedule,
 )
@@ -166,53 +161,6 @@ def test_kernel_preserves_the_optimum_when_all_agents_are_core(suite2) -> None:
         )
         kernel_opt = None if res.path is None else len(res.path) - 1
         assert kernel_opt == (None if ref is None else ref[0])
-
-
-# --- criterion 5: repeated occupancy patterns compress out ------------------------
-
-
-def _pad(pam, sched: Schedule) -> Schedule:
-    rows: List[Tuple[int, ...]] = []
-    for row in sched.placements:
-        rows.extend([row] * 4)
-    last = rows[-1] if rows else pam.starts
-    rows.extend([last] * 6)
-    return Schedule(tuple(rows))
-
-
-def test_padded_schedules_compress_to_bounded_length() -> None:
-    rng = random.Random(55)
-    done = 0
-    attempts = 0
-    while done < 50:
-        attempts += 1
-        assert attempts < 400
-        v = rng.randint(6, 8)
-        dc = rng.randint(0, 2)
-        a = rng.randint(1, 4)
-        inst = random_instance(v, dc, a, seed=7000 + attempts)
-        result = oracle.optimal_schedule(inst)
-        if result is None:
-            continue
-        split = clique_split(inst.graph, budget=inst.graph.n)
-        pam = build_pamapf(inst, split)
-        order = pam.named_ids + pam.anon_ids
-        reordered = Schedule(
-            tuple(tuple(row[i] for i in order) for row in result[1].placements)
-        )
-        padded = _pad(pam, reordered)
-        assert validate_pamapf_schedule(pam, padded).ok
-        comp = compress_schedule(pam, split, padded)
-        assert validate_pamapf_schedule(pam, comp).ok
-        census = Counter(
-            placement_type_key(pam, pl, split.modulator)
-            for pl in (pam.starts,) + comp.placements
-        )
-        assert all(c <= 3 for c in census.values())
-        assert comp.makespan <= 3 * (pam.n_agents + 2) ** len(split.modulator)
-        assert comp.makespan <= padded.makespan
-        done += 1
-    assert done >= 50
 
 
 # --- criterion 6: the numeric-partition reduction ---------------------------------

@@ -1,11 +1,13 @@
 from __future__ import annotations
 
+import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import mapfdc
 from mapfdc import cli
 from mapfdc.errors import MapfError
 from mapfdc.graphs import Graph, complete_graph
@@ -352,6 +354,12 @@ def test_main_requires_a_subcommand() -> None:
 
 
 def test_module_entry_point(tmp_path) -> None:
+    # the child interpreter must import the same package as this process
+    src = str(Path(mapfdc.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p
+    )
     proc = subprocess.run(
         [
             sys.executable,
@@ -370,6 +378,7 @@ def test_module_entry_point(tmp_path) -> None:
         ],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
     inst = parse_instance(proc.stdout)

@@ -5,7 +5,7 @@ from typing import Tuple
 
 import pytest
 
-from mapfdc.cliques import solve_clique, solve_clique_anonymous
+from mapfdc.cliques import solve_clique
 from mapfdc.errors import PreconditionError
 from mapfdc.graphs import Graph, complete_graph
 from mapfdc.model import Instance, validate_schedule
@@ -111,38 +111,3 @@ def test_constant_makespan_on_larger_cliques() -> None:
         assert result[0] in (0, 1, 2)
         assert validate_schedule(inst, result[1]).ok
 
-
-def test_anonymous_with_no_anonymous_agents_matches_plain_solver() -> None:
-    g = complete_graph(5)
-    named = {0: (0, 1), 1: (1, 0), 2: (2, 2)}
-    sched = solve_clique_anonymous(g, named, (), ())
-    inst = Instance(g, (0, 1, 2), (1, 0, 2))
-    plain = solve_clique(inst)
-    assert plain is not None
-    assert sched == plain[1]
-
-
-def test_anonymous_identity_targets_cost_nothing() -> None:
-    g = complete_graph(4)
-    sched = solve_clique_anonymous(g, {7: (0, 0)}, (1, 2), (2, 1))
-    assert sched.makespan == 0
-
-
-def test_anonymous_swap_with_bystanders() -> None:
-    g = complete_graph(5)
-    named = {0: (0, 1), 1: (1, 0)}
-    sched = solve_clique_anonymous(g, named, (2, 3), (3, 2))
-    assert sched.makespan <= 2
-    # rows list named agents (key order), then anonymous by start vertex
-    starts = (0, 1, 2, 3)
-    inst = Instance(g, starts, (1, 0, 2, 3))
-    assert validate_schedule(inst, sched).ok
-
-
-def test_anonymous_requires_four_vertices_and_balance() -> None:
-    with pytest.raises(PreconditionError):
-        solve_clique_anonymous(complete_graph(3), {0: (0, 1)}, (), ())
-    with pytest.raises(PreconditionError):
-        solve_clique_anonymous(complete_graph(4), {0: (0, 1)}, (2,), ())
-    with pytest.raises(PreconditionError):
-        solve_clique_anonymous(Graph(4, [(0, 1)]), {0: (0, 1)}, (), ())

@@ -1,7 +1,7 @@
 from __future__ import annotations
 
 import random
-from typing import Dict, FrozenSet, List, Tuple
+from typing import FrozenSet, Tuple
 
 import pytest
 
@@ -9,21 +9,14 @@ from mapfdc.errors import PreconditionError, ResourceLimitError
 from mapfdc.graphs import CliqueSplit, Graph, clique_split, complete_graph
 from mapfdc.kernelize import (
     Kernel,
-    PamapfInstance,
     build_kernel,
-    build_pamapf,
     classify_types,
-    compress_schedule,
-    extend_pamapf_solution,
     kernel_search_bound,
     kappa,
     makespan_bound,
-    placement_type_key,
     select_core_agents,
-    validate_pamapf_schedule,
 )
-from mapfdc.model import Instance, Schedule, validate_schedule
-from mapfdc.oracle import optimal_schedule
+from mapfdc.model import Instance
 
 
 def _hub_and_clique(clique_size: int, hub_neighbors: int) -> Graph:
@@ -63,220 +56,26 @@ def test_kappa_guards() -> None:
         kappa(13)
 
 
-def _pamapf_cap(pam, dc: int) -> int:
-    """The kernel-search cap as read off a built PAMAPF instance."""
-    named_bound = 3 * (len(pam.named_ids) + 2) ** dc + (2 if pam.anon_ids else 0)
-    return max(makespan_bound(dc), named_bound)
-
-
-def test_build_pamapf_everyone_touches_the_modulator() -> None:
-    g = _hub_and_clique(4, 2)
+@pytest.mark.parametrize(
+    "clique_size, starts, targets, bound",
+    [
+        # both agents touch the modulator: makespan_bound(1) wins
+        (4, (0, 1), (1, 0), 14),
+        # three clique-only agents are too few to be anonymous, so all four
+        # are named: 3 (4 + 2) = 18
+        (6, (0, 1, 2, 3), (6, 2, 3, 4), 18),
+        # one named agent and five anonymous: 3 (1 + 2) + 2 < 14
+        (8, (0, 1, 2, 3, 4, 5), (8, 2, 3, 4, 5, 6), 14),
+    ],
+    ids=["all-touch-modulator", "too-few-anonymous", "five-anonymous"],
+)
+def test_kernel_search_bound_counts_named_agents(
+    clique_size: int, starts: Tuple[int, ...], targets: Tuple[int, ...], bound: int
+) -> None:
+    g = _hub_and_clique(clique_size, 2)
     split = clique_split(g)
     assert split.modulator == frozenset({0})
-    inst = Instance(g, (0, 1), (1, 0))
-    pam = build_pamapf(inst, split)
-    assert pam.anon_ids == ()
-    assert pam.named_ids == (0, 1)
-    assert pam.starts == inst.starts
-    assert kernel_search_bound(inst, split) == _pamapf_cap(pam, split.dc) == 14
-
-
-def test_build_pamapf_needs_four_agents_to_anonymize() -> None:
-    g = _hub_and_clique(6, 2)
-    split = clique_split(g)
-    # three clique-only agents stay named
-    inst = Instance(g, (0, 1, 2, 3), (6, 2, 3, 4))
-    pam = build_pamapf(inst, split)
-    assert pam.anon_ids == ()
-    assert pam.named_ids == (0, 1, 2, 3)
-    assert kernel_search_bound(inst, split) == _pamapf_cap(pam, split.dc) == 18
-
-
-def test_build_pamapf_anonymizes_five_clique_agents() -> None:
-    g = _hub_and_clique(8, 2)
-    split = clique_split(g)
-    inst = Instance(
-        g,
-        (0, 1, 2, 3, 4, 5),
-        (8, 2, 3, 4, 5, 6),
-    )
-    pam = build_pamapf(inst, split)
-    assert pam.named_ids == (0,)
-    assert pam.anon_ids == (1, 2, 3, 4, 5)
-    assert pam.anon_starts == (1, 2, 3, 4, 5)
-    assert pam.anon_true_targets == (2, 3, 4, 5, 6)
-    assert pam.anon_target_set == frozenset({2, 3, 4, 5, 6})
-    assert kernel_search_bound(inst, split) == _pamapf_cap(pam, split.dc) == 14
-
-
-def test_validate_pamapf_schedule_relaxes_only_anonymous_targets() -> None:
-    g = _hub_and_clique(7, 2)
-    split = clique_split(g)
-    inst = Instance(g, (0, 1, 2, 3, 4), (7, 2, 3, 4, 1))
-    pam = build_pamapf(inst, split)
-    assert pam.anon_ids == (1, 2, 3, 4)
-    # anonymous agents may settle for any vertex of the target set, but the
-    # named agent must hit its exact target
-    stray = Schedule(((2, 1, 3, 4, 5), (2, 1, 3, 4, 5)))
-    verdict = validate_pamapf_schedule(pam, stray)
-    assert not verdict.ok and verdict.rule == "target"
-    assert verdict.agents == (0,)
-    home = Schedule(((2, 1, 5, 3, 4), (7, 1, 2, 3, 4)))
-    assert validate_pamapf_schedule(pam, home).ok
-
-
-def test_validate_pamapf_schedule_accepts_set_level_finish() -> None:
-    g = _hub_and_clique(8, 2)
-    split = clique_split(g)
-    inst = Instance(g, (1, 2, 3, 4, 5), (1, 3, 4, 5, 2))
-    pam = build_pamapf(inst, split)
-    assert pam.named_ids == ()
-    assert validate_pamapf_schedule(pam, Schedule(())).ok
-
-
-def test_extend_without_anonymous_agents_is_identity() -> None:
-    g = _hub_and_clique(4, 4)
-    split = clique_split(g)
-    inst = Instance(g, (0, 1), (1, 0))
-    pam = build_pamapf(inst, split)
-    sched = Schedule(((2, 1), (2, 0), (1, 0)))
-    assert extend_pamapf_solution(pam, sched, split) == sched
-
-
-def test_extend_when_already_reconciled_is_identity() -> None:
-    g = _hub_and_clique(8, 2)
-    split = clique_split(g)
-    inst = Instance(g, (1, 2, 3, 4), (1, 2, 3, 4))
-    pam = build_pamapf(inst, split)
-    assert pam.anon_ids == (0, 1, 2, 3)
-    sched = Schedule(())
-    assert extend_pamapf_solution(pam, sched, split) == sched
-
-
-def test_extend_reconciles_a_cyclic_shift_in_two_turns() -> None:
-    g = _hub_and_clique(8, 2)
-    split = clique_split(g)
-    # anonymous agents land on the target set rotated by two: two blocked
-    # exchanges, so reconciliation costs exactly two extra turns
-    inst = Instance(g, (1, 2, 3, 4), (3, 4, 1, 2))
-    pam = build_pamapf(inst, split)
-    assert pam.anon_ids == (0, 1, 2, 3)
-    sched = Schedule(())  # starts already cover the target set
-    out = extend_pamapf_solution(pam, sched, split)
-    assert out.makespan == 2
-    final = out.final(pam.starts)
-    assert final == pam.anon_true_targets
-    assert validate_schedule(inst, out).ok
-
-
-def test_extend_reconciles_a_four_cycle_in_one_turn() -> None:
-    g = _hub_and_clique(8, 2)
-    split = clique_split(g)
-    inst = Instance(g, (1, 2, 3, 4), (2, 3, 4, 1))
-    pam = build_pamapf(inst, split)
-    out = extend_pamapf_solution(pam, Schedule(()), split)
-    assert out.makespan == 1
-    assert validate_schedule(inst, out).ok
-
-
-def test_extend_rejects_modulator_targets_and_short_blocks() -> None:
-    g = _hub_and_clique(8, 2)
-    split = clique_split(g)
-    pam = PamapfInstance(g, (), (), (), (0, 1, 2, 3), (1, 2, 3, 4), (0, 2, 3, 4))
-    with pytest.raises(PreconditionError):
-        extend_pamapf_solution(pam, Schedule(((0, 2, 3, 4),)), split)
-    small = PamapfInstance(g, (), (), (), (0, 1), (1, 2), (2, 1))
-    with pytest.raises(PreconditionError):
-        extend_pamapf_solution(small, Schedule(()), split)
-
-
-def test_placement_type_key_census() -> None:
-    g = _hub_and_clique(8, 2)
-    split = clique_split(g)
-    inst = Instance(g, (0, 1, 2, 3, 4), (8, 2, 3, 4, 1))
-    pam = build_pamapf(inst, split)
-    mod = split.modulator
-    # everyone off the modulator: all slots empty
-    assert placement_type_key(pam, (5, 1, 2, 3, 4), mod) == (-1,)
-    # the named agent (original id 0) stands on the modulator vertex
-    assert placement_type_key(pam, (0, 1, 2, 3, 4), mod) == (0,)
-    # an anonymous agent there is recorded namelessly
-    assert placement_type_key(pam, (5, 0, 2, 3, 4), mod) == (-2,)
-
-
-def _pad_with_repeats(
-    sched: Schedule, at: int, copies: int
-) -> Schedule:
-    rows = list(sched.placements)
-    anchor = rows[at]
-    return Schedule(tuple(rows[: at + 1] + [anchor] * copies + rows[at + 1 :]))
-
-
-def test_compress_leaves_short_schedules_alone() -> None:
-    g = _hub_and_clique(6, 2)
-    split = clique_split(g)
-    inst = Instance(g, (0, 2, 3, 4, 5), (6, 3, 4, 5, 2))
-    pam = build_pamapf(inst, split)
-    sched = Schedule(((1, 2, 3, 4, 5), (6, 2, 3, 4, 5)))
-    assert compress_schedule(pam, split, sched) == sched
-
-
-def test_compress_squeezes_stationary_padding() -> None:
-    g = _hub_and_clique(6, 2)
-    split = clique_split(g)
-    inst = Instance(g, (0, 2, 3, 4, 5), (6, 3, 4, 5, 2))
-    pam = build_pamapf(inst, split)
-    base = Schedule(((1, 2, 3, 4, 5), (6, 2, 3, 4, 5)))
-    padded = _pad_with_repeats(base, 1, 5)
-    assert validate_pamapf_schedule(pam, padded).ok
-    out = compress_schedule(pam, split, padded)
-    assert validate_pamapf_schedule(pam, out).ok
-    mod = split.modulator
-    census: Dict[Tuple[int, ...], int] = {}
-    for pl in (pam.starts,) + out.placements:
-        key = placement_type_key(pam, pl, mod)
-        census[key] = census.get(key, 0) + 1
-    assert max(census.values()) <= 3
-    assert out.makespan < padded.makespan
-    assert out.makespan <= 3 * (pam.n_agents + 2) ** len(mod)
-
-
-def test_compress_preserves_feasibility_on_sampled_schedules() -> None:
-    rng = random.Random(402)
-    for _ in range(12):
-        clique_size = rng.randint(6, 8)
-        g = _hub_and_clique(clique_size, 2)
-        split = clique_split(g)
-        perm = list(range(2, clique_size + 1))
-        rng.shuffle(perm)
-        k = rng.randint(4, min(5, clique_size - 1))
-        starts = tuple([0] + perm[: k - 1])
-        targets = tuple([clique_size] + sorted(perm[: k - 1], reverse=True))
-        try:
-            inst = Instance(g, starts, targets)
-        except PreconditionError:
-            continue
-        solved = optimal_schedule(inst, cap=8)
-        if solved is None:
-            continue
-        pam = build_pamapf(inst, split)
-        order = pam.named_ids + pam.anon_ids
-        rows = tuple(
-            tuple(pl[a] for a in order) for pl in solved[1].placements
-        )
-        sched = Schedule(rows)
-        if sched.makespan == 0:
-            continue
-        padded = _pad_with_repeats(sched, rng.randrange(sched.makespan), 4 + rng.randrange(3))
-        assert validate_pamapf_schedule(pam, padded).ok
-        out = compress_schedule(pam, split, padded)
-        assert validate_pamapf_schedule(pam, out).ok
-        census: Dict[Tuple[int, ...], int] = {}
-        for pl in (pam.starts,) + out.placements:
-            key = placement_type_key(pam, pl, split.modulator)
-            census[key] = census.get(key, 0) + 1
-        assert max(census.values()) <= 3
-        assert out.makespan <= 3 * (pam.n_agents + 2) ** len(split.modulator)
+    assert kernel_search_bound(Instance(g, starts, targets), split) == bound
 
 
 def test_classify_types_on_a_complete_graph() -> None:

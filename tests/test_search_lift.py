@@ -336,6 +336,39 @@ def test_repair_rejects_core_only_offenders() -> None:
         repair_final_swaps(inst, split, partial, frozenset({0, 1}))
 
 
+def test_repair_helper_avoids_an_exchange_with_a_dropped_agent() -> None:
+    # clique 0..62, vertex 63 joined to 25, 27, 55, 58, 60 and 64, vertex 64
+    # joined to 18, 35 and 43. The lift leaves one offending pair, (25, 55),
+    # and no spare vertex; the first helper it used to borrow moved 15 -> 47
+    # while dropped agent 11 moved 47 -> 15 in the same turn. Only the lift
+    # runs here: solve_fpt keeps all 60 agents in the core, and that joint
+    # search is far too large.
+    edges = [(u, v) for u in range(63) for v in range(u + 1, 63)]
+    edges.extend((v, 63) for v in (25, 27, 55, 58, 60, 64))
+    edges.extend((v, 64) for v in (18, 35, 43))
+    g = Graph(65, edges)
+    starts = (
+        63, 44, 15, 30, 51, 59, 10, 20, 41, 19, 1, 47, 18, 37, 14, 24, 38, 17,
+        25, 5, 54, 62, 2, 27, 40, 21, 9, 6, 0, 35, 11, 52, 33, 26, 23, 46, 42,
+        60, 58, 57, 4, 31, 49, 39, 56, 32, 34, 8, 55, 28, 43, 3, 48, 53, 36,
+        16, 13, 45, 12, 7,
+    )
+    targets = (
+        52, 63, 30, 15, 12, 40, 59, 49, 62, 16, 53, 43, 55, 35, 23, 34, 39,
+        21, 46, 31, 3, 11, 41, 28, 2, 47, 36, 54, 29, 48, 24, 26, 20, 45, 4,
+        13, 14, 25, 17, 32, 50, 18, 10, 19, 9, 51, 33, 0, 57, 7, 37, 61, 5,
+        60, 27, 42, 38, 8, 6, 1,
+    )
+    inst = Instance(g, starts, targets)
+    split = clique_split(g)
+    kernel = _kernel(inst, split, frozenset({0, 1, 59}))
+    ksched = config_shortest_schedule(kernel, kernel.k, 12)
+    assert ksched is not None and ksched.makespan == 2
+    lifted = lift_schedule(inst, split, kernel, ksched)
+    assert lifted.makespan == 2
+    assert validate_schedule(inst, lifted).ok
+
+
 def test_solve_fpt_repairs_one_exchange_among_idle_dropped_agents() -> None:
     # dc = 1: clique 0..309, vertex 310 joined to 302..309. Agents 0..99 stand
     # still and become the core, so the kernel schedule is empty and gets
