@@ -1,7 +1,9 @@
-"""Time the joint breadth-first search on five fixed cases.
+"""Time the joint search on six fixed cases.
 
-Each case calls `mapfdc.engine.joint_bfs` directly and reports the best of
-several runs. Invoke from the repository root with
+Each case calls `mapfdc.engine.joint_bfs` directly and reports the
+makespan (`-` when none exists), the placements kept (`states`), the
+successor placements produced (`generated`) and the best time of several
+runs. Invoke from the repository root with
 
     PYTHONPATH=src python3 benchmarks/engine_bench.py [--repeats N]
 """
@@ -43,6 +45,13 @@ def _cases() -> List[Tuple[str, Graph, Tuple[int, ...], Tuple[int, ...], Optiona
     cases.append(
         ("occupancy-floor-9v-5a", g, (8, 1, 2, 3, 4), (8, 2, 1, 4, 3), (8,), 1)
     )
+
+    # packed kernel with no schedule: the search must exhaust every
+    # placement it can reach
+    g = Graph(7, [(0, 5), (1, 4), (1, 6), (2, 3), (2, 4), (2, 5), (2, 6), (3, 4), (3, 5), (4, 5)])
+    cases.append(
+        ("infeasible-packed-7v-7a", g, (4, 6, 1, 0, 2, 3, 5), (3, 4, 6, 5, 1, 2, 0), (0, 1, 6), 3)
+    )
     return cases
 
 
@@ -51,7 +60,7 @@ def main(argv=None) -> int:
     parser.add_argument("--repeats", type=int, default=3, help="timing runs per case")
     args = parser.parse_args(argv)
 
-    header = ("case", "makespan", "states", "ms")
+    header = ("case", "makespan", "states", "generated", "ms")
     rows = [header]
     for name, g, starts, targets, floor_vertices, min_occ in _cases():
         best = float("inf")
@@ -60,7 +69,7 @@ def main(argv=None) -> int:
             res = joint_bfs(g, starts, targets, floor_vertices, min_occ)
             best = min(best, (time.perf_counter() - t0) * 1000.0)
         makespan = "-" if res.path is None else str(len(res.path) - 1)
-        rows.append((name, makespan, str(res.states), f"{best:.2f}"))
+        rows.append((name, makespan, str(res.states), str(res.generated), f"{best:.2f}"))
 
     widths = [max(len(r[i]) for r in rows) for i in range(len(header))]
     for r in rows:

@@ -1,8 +1,9 @@
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Dict, List, Optional, Tuple
+from operator import itemgetter
+from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from .errors import PreconditionError, ResourceLimitError
 from .graphs import Graph
@@ -10,21 +11,81 @@ from .model import Placement
 
 DEFAULT_STATE_GUARD = 50_000_000
 
+_Row = Tuple[Tuple[int, ...], Tuple[int, ...], Tuple[int, ...], bool]
+
 
 @dataclass(frozen=True)
 class BfsResult:
+    """Search outcome: the path (None when no schedule exists), the number
+    of placements kept (discovered and stored), and the number of complete
+    successor placements generated, kept or not."""
+
     path: Optional[Tuple[Placement, ...]]
     states: int
+    generated: int = 0
 
 
-@lru_cache(maxsize=128)
-def _closed_neighborhood_csr(graph: Graph) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
-    indptr = [0]
-    data: List[int] = []
-    for v in range(graph.n):
-        data.extend(graph.closed_neighbors(v))
-        indptr.append(len(data))
-    return tuple(indptr), tuple(data)
+def _distances(graph: Graph, source: int) -> List[int]:
+    """Hop distance from every vertex to `source`; graph.n when unreachable."""
+    dist = [graph.n] * graph.n
+    dist[source] = 0
+    queue = deque((source,))
+    while queue:
+        u = queue.popleft()
+        for v in graph.neighbors(u):
+            if dist[v] == graph.n:
+                dist[v] = dist[u] + 1
+                queue.append(v)
+    return dist
+
+
+class _Options:
+    """Move options of agents bound for one target vertex.
+
+    row(slack, u) is (kept, near, rim, cut): `kept` is the part of N[u] at
+    distance at most `slack` from the target, `near` and `rim` split it
+    into the vertices closer than `slack` and those exactly at it (each
+    ascending by vertex id), and `cut` tells whether some vertex of N[u]
+    that can still reach the target was left out. Rows are built on first
+    use.
+    """
+
+    __slots__ = ("graph", "dist", "rows")
+
+    def __init__(self, graph: Graph, target: int) -> None:
+        self.graph = graph
+        self.dist = _distances(graph, target)
+        self.rows: Dict[int, List[Optional[_Row]]] = {}
+
+    def row(self, slack: int, u: int) -> _Row:
+        by_vertex = self.rows.get(slack)
+        if by_vertex is None:
+            by_vertex = self.rows[slack] = [None] * self.graph.n
+        entry = by_vertex[u]
+        if entry is None:
+            dist = self.dist
+            closed = self.graph.closed_neighbors(u)
+            kept = tuple(v for v in closed if dist[v] <= slack)
+            near = tuple(v for v in kept if dist[v] < slack)
+            rim = tuple(v for v in kept if dist[v] == slack)
+            cut = any(slack < dist[v] < self.graph.n for v in closed)
+            entry = by_vertex[u] = (kept, near, rim, cut)
+        return entry
+
+
+def _width(pair: Tuple[int, Tuple[int, ...]]) -> int:
+    return len(pair[1])
+
+
+def _steps_home(placement: Tuple[int, ...], homes: List[int], targets: Placement) -> bool:
+    """Whether agents that each stand within one edge of their target can
+    all step onto it in one turn: no two of them trade vertices. homes[v]
+    is the agent whose target is v, or -1."""
+    for a, u in enumerate(placement):
+        b = homes[u]
+        if b >= 0 and b != a and placement[b] == targets[a]:
+            return False
+    return True
 
 
 def joint_bfs(
@@ -36,15 +97,55 @@ def joint_bfs(
     depth_cap: Optional[int] = None,
     state_guard: int = DEFAULT_STATE_GUARD,
 ) -> BfsResult:
-    """Breadth-first search over joint placements under simultaneous-move,
+    """Shortest schedule over joint placements under simultaneous-move,
     per-turn-injective, swap-free semantics.
 
     occupancy_vertices/min_occupancy: every placement other than the start
     and target must keep at least min_occupancy agents on the given
     vertices. The returned path starts with the start placement, and is None
     when no schedule exists within depth_cap turns. Raises
-    ResourceLimitError once the search would discover more than state_guard
+    ResourceLimitError once the search would keep more than state_guard
     states.
+
+    The search is f-layered with distance pruning. With dist(v, t) the hop
+    distance in `graph`, h(P) = max_a dist(P[a], t_a) is a consistent lower
+    bound on the turns left, because an agent moves at most one edge per
+    turn. Layer F = h(start), h(start) + 1, ... takes its states in
+    ascending depth g. A state at depth g in layer F offers agent a only the
+    vertices v of N[P[a]] with dist(v, t_a) <= F - g - 1, so every successor
+    has g + 1 + h <= F and joins layer F at depth g + 1. A state that had an
+    option cut goes back into layer F + 1 at the same depth, where it
+    produces only the successors that the wider budget newly admits. The
+    visited set is kept across layers; a placement is kept when first
+    discovered. A placement discovered at depth F - 1 of layer F has every
+    agent within one edge of its target, and when no two agents would trade
+    vertices on the way, the target follows it at once.
+
+    Why the answer is optimal, with d(s) the least depth of placement s:
+
+    1. First discovery within a layer has minimal g. Take the first
+       placement s discovered at a depth d' > d(s), in layer F, and a
+       shortest path start = s_0, ..., s_d = s. Consistency gives
+       j + 1 + h(s_{j+1}) <= d + h(s) < F for every j < d. Let s_j be the
+       last path placement discovered before s; as s is the first
+       exception, s_j sits at depth j < d' - 1. A state is expanded at its
+       depth in every layer from the one that discovers it to the first
+       that cuts nothing, and a layer expands depth j before depth d' - 1.
+       So before s was discovered, s_j had been expanded with a budget that
+       admits s_{j+1}, which was therefore discovered before s: a
+       contradiction. The same argument shows that every s with
+       d(s) + h(s) <= F is discovered by the end of layer F.
+       (The target reached by the one-turn step ends the search; 2 covers
+       it.)
+    2. Therefore the first goal found is optimal. The target (h = 0) is
+       discovered by the end of layer d(target), so a target found in layer
+       F has d(target) >= F, and it is found at depth at most F. Layer
+       F > depth_cap thus proves that no schedule fits within depth_cap.
+    3. An empty queue means every reachable placement was fully expanded:
+       no layer holds a state only when every kept placement was expanded
+       with nothing cut, so every placement that is reachable, meets the
+       floor, and leaves each agent able to reach its target was kept, and
+       the target is not among them.
     """
     if len(starts) != len(targets):
         raise PreconditionError("start and target maps differ in length")
@@ -54,98 +155,155 @@ def joint_bfs(
         raise PreconditionError("state guard must be positive")
     starts = tuple(starts)
     targets = tuple(targets)
-    occupancy_mask: Optional[bytes] = None
-    if min_occupancy > 0:
-        row = bytearray(graph.n)
-        for v in occupancy_vertices or ():
-            row[v] = 1
-        occupancy_mask = bytes(row)
-    nbr_indptr, nbr_data = _closed_neighborhood_csr(graph)
+    if starts == targets:
+        return BfsResult((starts,), 1, 0)
+
     n_verts = graph.n
     n_agents = len(starts)
-    if starts == targets:
-        return BfsResult((starts,), 1)
+    if len(set(targets)) < n_agents:
+        return BfsResult(None, 1, 0)
+    homes = [-1] * n_verts
+    for a, t in enumerate(targets):
+        homes[t] = a
+    by_target = {t: _Options(graph, t) for t in targets}
+    options = [by_target[t] for t in targets]
+    layer = max(options[a].dist[starts[a]] for a in range(n_agents))
+    if layer >= n_verts or (depth_cap is not None and layer > depth_cap):
+        return BfsResult(None, 1, 0)
+    occupancy_mask: Optional[bytes] = None
+    if min_occupancy > 0:
+        mask = bytearray(n_verts)
+        for v in occupancy_vertices or ():
+            mask[v] = 1
+        occupancy_mask = bytes(mask)
 
-    # Successors are enumerated depth-first over agents in id order, each
-    # agent's options in ascending vertex order: new[level] is the vertex
-    # chosen for agent `level`, choice[level] its index in the CSR row.
-    visited: Dict[Tuple[int, ...], int] = {starts: 0}
+    visited: Set[Tuple[int, ...]] = {starts}
     states: List[Tuple[int, ...]] = [starts]
     parents: List[int] = [-1]
-    frontier: List[int] = [0]
-    depth = 0
+    generated = 0
 
+    def keep(key: Tuple[int, ...], parent: int) -> int:
+        if len(states) >= state_guard:
+            raise ResourceLimitError(f"state guard of {state_guard} states exhausted")
+        visited.add(key)
+        states.append(key)
+        parents.append(parent)
+        return len(states) - 1
+
+    # buckets[g]: ids of states at depth g waiting in the current layer; a
+    # state at depth `layer` would be the target, so g stays below it. The
+    # first repeats[g] of them were deferred by a cut in the layer before.
+    buckets: List[List[int]] = [[0]] + [[] for _ in range(layer)]
+    repeats = [0] * (layer + 1)
+
+    # Successors are enumerated depth-first, one agent per level, from
+    # plans: a plan lists (agent, option row) pairs, and rows with fewer
+    # options come first. A first expansion has one plan with every agent's
+    # kept row. A state expanded again after a cut already produced every
+    # successor inside the old slack, so it only produces those where some
+    # agent takes a rim vertex (exactly at the slack): one plan per such
+    # agent a, with a on its rim first and the rim agents before a held to
+    # their near rows, so no successor comes out twice. In the search,
+    # new[level] is the vertex chosen at `level` from opts[level], and
+    # pending[level] iterates over the options not tried yet.
+    agents = range(n_agents)
     prev_occ = [-1] * n_verts
     occupied = bytearray(n_verts)
+    here = [0] * n_agents
+    at_level = [0] * n_agents
     new = [0] * n_agents
-    choice = [0] * n_agents
+    opts: List[Tuple[int, ...]] = [()] * n_agents
+    pending: List[Iterator[int]] = [iter(())] * n_agents
+    last = n_agents - 1
 
-    while frontier:
-        if depth_cap is not None and depth >= depth_cap:
-            return BfsResult(None, len(states))
-        depth += 1
-        next_frontier: List[int] = []
-        for sid in frontier:
-            prev = states[sid]
-            for a in range(n_agents):
-                prev_occ[prev[a]] = a
-            hit = -1
-            level = 0
-            choice[0] = 0
-            while level >= 0:
-                base = nbr_indptr[prev[level]]
-                end = nbr_indptr[prev[level] + 1]
-                i = choice[level]
-                if base + i >= end:
-                    level -= 1
-                    if level >= 0:
-                        occupied[new[level]] = 0
-                        choice[level] += 1
-                    continue
-                v = nbr_data[base + i]
-                if occupied[v]:
-                    choice[level] += 1
-                    continue
-                holder = prev_occ[v]
-                if 0 <= holder < level and new[holder] == prev[level]:
-                    choice[level] += 1
-                    continue
-                new[level] = v
-                if level + 1 == n_agents:
-                    key = tuple(new)
-                    accept = True
-                    if min_occupancy > 0 and key != targets:
-                        cnt = 0
-                        for w in new:
-                            if occupancy_mask[w]:
-                                cnt += 1
-                        accept = cnt >= min_occupancy
-                    if accept and key not in visited:
-                        if len(states) >= state_guard:
-                            raise ResourceLimitError(
-                                f"state guard of {state_guard} states exhausted"
-                            )
-                        visited[key] = len(states)
-                        states.append(key)
-                        parents.append(sid)
-                        if key == targets:
-                            hit = len(states) - 1
-                            break
-                        next_frontier.append(len(states) - 1)
-                    choice[level] += 1
+    while True:
+        if depth_cap is not None and layer > depth_cap:
+            return BfsResult(None, len(states), generated)
+        deferred: List[List[int]] = [[] for _ in range(layer + 2)]
+        for g in range(layer):
+            slack = min(layer - g - 1, n_verts - 1)
+            grown = buckets[g + 1]
+            for rank, sid in enumerate(buckets[g]):
+                prev = states[sid]
+                rows = [options[a].row(slack, prev[a]) for a in agents]
+                if any(row[3] for row in rows):
+                    deferred[g].append(sid)
+                if rank < repeats[g]:
+                    plans = []
+                    held: Set[int] = set()
+                    for a in agents:
+                        if rows[a][2]:
+                            others = [
+                                (b, rows[b][1] if b in held else rows[b][0])
+                                for b in agents
+                                if b != a
+                            ]
+                            plans.append([(a, rows[a][2])] + sorted(others, key=_width))
+                            held.add(a)
                 else:
-                    occupied[v] = 1
-                    level += 1
-                    choice[level] = 0
-            for a in range(n_agents):
-                prev_occ[prev[a]] = -1
-            if hit >= 0:
-                path: List[Tuple[int, ...]] = []
-                idx = hit
-                while idx >= 0:
-                    path.append(states[idx])
-                    idx = parents[idx]
-                path.reverse()
-                return BfsResult(tuple(path), len(states))
-        frontier = next_frontier
-    return BfsResult(None, len(states))
+                    plans = [sorted(((a, rows[a][0]) for a in agents), key=_width)]
+                hit = -1
+                for plan in plans:
+                    if not all(row for _, row in plan):
+                        continue
+                    for level, (a, row) in enumerate(plan):
+                        opts[level] = row
+                        here[level] = prev[a]
+                        prev_occ[prev[a]] = level
+                        at_level[a] = level
+                    unpermute = itemgetter(*at_level) if n_agents > 1 else tuple
+                    level = 0
+                    pending[0] = iter(opts[0])
+                    while level >= 0:
+                        mine = here[level]
+                        for v in pending[level]:
+                            if occupied[v]:
+                                continue
+                            holder = prev_occ[v]
+                            if 0 <= holder < level and new[holder] == mine:
+                                continue
+                            new[level] = v
+                            if level < last:
+                                occupied[v] = 1
+                                level += 1
+                                pending[level] = iter(opts[level])
+                                break
+                            generated += 1
+                            key = unpermute(new)
+                            if key in visited:
+                                continue
+                            if occupancy_mask is not None and key != targets:
+                                if sum(occupancy_mask[w] for w in new) < min_occupancy:
+                                    continue
+                            kid = keep(key, sid)
+                            if key == targets:
+                                hit = kid
+                                break
+                            if g + 2 == layer and _steps_home(key, homes, targets):
+                                generated += 1
+                                hit = keep(targets, kid)
+                                break
+                            grown.append(kid)
+                        else:
+                            level -= 1
+                            if level >= 0:
+                                occupied[new[level]] = 0
+                            continue
+                        if hit >= 0:
+                            break
+                    if hit >= 0:
+                        break
+                for v in prev:
+                    prev_occ[v] = -1
+                if hit >= 0:
+                    path: List[Tuple[int, ...]] = []
+                    while hit >= 0:
+                        path.append(states[hit])
+                        hit = parents[hit]
+                    path.reverse()
+                    return BfsResult(tuple(path), len(states), generated)
+        buckets = deferred
+        repeats = [len(b) for b in deferred]
+        layer += 1
+        if not any(buckets):
+            return BfsResult(None, len(states), generated)

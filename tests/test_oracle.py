@@ -1,8 +1,7 @@
 from __future__ import annotations
 
-import itertools
 import random
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Sequence, Set, Tuple
 
 import pytest
 
@@ -17,35 +16,65 @@ def _path(n: int) -> Graph:
     return Graph(n, [(i, i + 1) for i in range(n - 1)])
 
 
-def _reference_optimum(inst: Instance, cap: int) -> Optional[int]:
-    """Independent exhaustive check: breadth-first over joint placements,
-    expanding successors by brute per-agent products. Small inputs only."""
-    g = inst.graph
+def _cycle(n: int) -> Graph:
+    return Graph(n, [(i, (i + 1) % n) for i in range(n)])
+
+
+def _moves(g: Graph, cur: Tuple[int, ...]) -> List[Tuple[int, ...]]:
+    """Every placement one turn after `cur`: each agent stays or crosses one
+    edge, no two agents share a vertex, and no two trade vertices."""
+    out: List[Tuple[int, ...]] = []
+    at = {v: a for a, v in enumerate(cur)}
+    acc = list(cur)
+    taken: Set[int] = set()
+
+    def place(i: int) -> None:
+        if i == len(cur):
+            out.append(tuple(acc))
+            return
+        for v in g.closed_neighbors(cur[i]):
+            b = at.get(v, i)
+            if v in taken or (b < i and acc[b] == cur[i]):
+                continue
+            taken.add(v)
+            acc[i] = v
+            place(i + 1)
+            taken.discard(v)
+
+    place(0)
+    return out
+
+
+def _reference_optimum(
+    inst: Instance,
+    cap: int,
+    floor_vertices: Sequence[int] = (),
+    min_occupancy: int = 0,
+) -> Optional[int]:
+    """Independent exhaustive check: breadth-first over joint placements
+    from both ends (a turn played backwards is a turn), one layer of the
+    smaller frontier at a time. Placements other than the start and target
+    must keep min_occupancy agents on floor_vertices. Small inputs only."""
     start = tuple(inst.starts)
     goal = tuple(inst.targets)
     if start == goal:
         return 0
-    frontier = [start]
-    seen = {start}
-    for depth in range(1, cap + 1):
+    floor = set(floor_vertices)
+    seen = [{start}, {goal}]
+    fronts = [[start], [goal]]
+    for length in range(1, cap + 1):
+        side = 0 if len(fronts[0]) <= len(fronts[1]) else 1
         nxt: List[Tuple[int, ...]] = []
-        for cur in frontier:
-            for cand in itertools.product(
-                *[g.closed_neighbors(v) for v in cur]
-            ):
-                if len(set(cand)) != len(cand):
-                    continue
-                if detect_swaps(cur, cand):
-                    continue
-                if cand in seen:
-                    continue
-                if cand == goal:
-                    return depth
-                seen.add(cand)
-                nxt.append(cand)
-        frontier = nxt
-        if not frontier:
+        for cur in fronts[side]:
+            for cand in _moves(inst.graph, cur):
+                if cand in seen[1 - side]:
+                    return length
+                if cand not in seen[side] and sum(v in floor for v in cand) >= min_occupancy:
+                    seen[side].add(cand)
+                    nxt.append(cand)
+        if not nxt:
             return None
+        fronts[side] = nxt
     return None
 
 
@@ -137,7 +166,11 @@ def test_solver_is_deterministic() -> None:
 
 
 def test_state_guard_trips_on_tiny_budget() -> None:
-    inst = Instance(complete_graph(5), (0, 1, 2), (2, 0, 1))
+    # three agents rotate a third of the way round a 12-cycle: makespan 4,
+    # so the search keeps at least the start and three placements between
+    inst = Instance(_cycle(12), (0, 4, 8), (4, 8, 0))
+    result, states = solve_with_stats(inst)
+    assert result is not None and result[0] == 4 and states > 3
     with pytest.raises(ResourceLimitError):
         optimal_schedule(inst, state_guard=3)
 
@@ -163,3 +196,69 @@ def test_occupancy_floor_is_enforced_between_endpoints() -> None:
     assert res.path is not None
     for placement in res.path[1:-1]:
         assert any(v in (2, 3) for v in placement)
+
+
+def _near_clique(rng: random.Random, n: int, dc: int) -> Tuple[Graph, List[int]]:
+    """A clique on n - dc vertices plus dc vertices joined to every other
+    vertex by a coin flip; returns the graph and those dc vertices."""
+    mods = sorted(rng.sample(range(n), dc))
+    edges = [
+        (u, v)
+        for u in range(n)
+        for v in range(u + 1, n)
+        if (u not in mods and v not in mods) or rng.random() < 0.5
+    ]
+    return Graph(n, edges), mods
+
+
+def _assert_legal_path(
+    g: Graph,
+    path: Sequence[Tuple[int, ...]],
+    starts: Tuple[int, ...],
+    targets: Tuple[int, ...],
+    floor: Sequence[int],
+    k: int,
+) -> None:
+    assert path[0] == starts and path[-1] == targets
+    for prev, cur in zip(path, path[1:]):
+        assert len(set(cur)) == len(cur)
+        assert all(u == v or g.has_edge(u, v) for u, v in zip(prev, cur))
+        assert not detect_swaps(prev, cur)
+    for placement in path[1:-1]:
+        assert sum(v in floor for v in placement) >= k
+
+
+def _differential_cases(rng: random.Random):
+    """(graph, agents, floor vertices, floor k): 240 near-cliques, then 30
+    paths and 30 cycles."""
+    for _ in range(240):
+        g, mods = _near_clique(rng, rng.randint(7, 9), rng.randint(1, 3))
+        yield g, rng.randint(4, 6), mods, rng.choice((0, 1, 2))
+    for i in range(60):
+        n = rng.randint(3, 8)
+        g = _path(n) if i % 2 else _cycle(n)
+        floor = rng.sample(range(n), rng.randint(1, 2))
+        yield g, rng.randint(1, min(3, n)), floor, rng.choice((0, 1))
+
+
+def test_pruned_search_matches_the_reference_with_floors_and_caps() -> None:
+    cap = 8
+    rng = random.Random(2024)
+    infeasible = capped = 0
+    for g, agents, floor, k in _differential_cases(rng):
+        starts = tuple(rng.sample(range(g.n), agents))
+        targets = tuple(rng.sample(range(g.n), agents))
+        expected = _reference_optimum(Instance(g, starts, targets), cap, floor, k)
+        res = engine.joint_bfs(g, starts, targets, floor, k, depth_cap=cap)
+        assert res.generated >= res.states - 1
+        if expected is None:
+            infeasible += 1
+            assert res.path is None
+            continue
+        assert res.path is not None and len(res.path) - 1 == expected
+        _assert_legal_path(g, res.path, starts, targets, floor, k)
+        if expected > 0:
+            capped += 1
+            below = engine.joint_bfs(g, starts, targets, floor, k, depth_cap=expected - 1)
+            assert below.path is None
+    assert infeasible >= 20 and capped >= 200

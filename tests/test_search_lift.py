@@ -237,8 +237,13 @@ def test_lift_drifts_around_a_forbidden_core_move() -> None:
     inst = Instance(g, starts, targets)
     split = clique_split(g)
     kernel = _kernel(inst, split, frozenset({0, 1, 2}))
-    ksched = config_shortest_schedule(kernel, kernel.k, 12)
-    assert ksched is not None and ksched.makespan == 3
+    found = config_shortest_schedule(kernel, kernel.k, 12)
+    assert found is not None and found.makespan == 3
+    # The search may return any optimal schedule; this one makes the first
+    # drift frame forbid a core move.
+    ksched = Schedule(((2, 1, 3), (1, 3, 2), (0, 10, 9)))
+    kinst = Instance(kernel.graph, kernel.starts, kernel.targets)
+    assert kernel.k == 0 and validate_schedule(kinst, ksched).ok
     frames: List[Set[Tuple[int, int]]] = []
     drift = fpt._drift_matching
 
@@ -362,9 +367,25 @@ def test_repair_helper_avoids_an_exchange_with_a_dropped_agent() -> None:
     inst = Instance(g, starts, targets)
     split = clique_split(g)
     kernel = _kernel(inst, split, frozenset({0, 1, 59}))
-    ksched = config_shortest_schedule(kernel, kernel.k, 12)
-    assert ksched is not None and ksched.makespan == 2
-    lifted = lift_schedule(inst, split, kernel, ksched)
+    found = config_shortest_schedule(kernel, kernel.k, 12)
+    assert found is not None and found.makespan == 2
+    # The search may return any optimal schedule; this one leaves exactly
+    # the offending pair above for the repair.
+    ksched = Schedule(((8, 9, 0), (13, 17, 1)))
+    kinst = Instance(kernel.graph, kernel.starts, kernel.targets)
+    assert kernel.k == 0 and validate_schedule(kinst, ksched).ok
+    offenders: List[List[Tuple[int, int]]] = []
+    repair = fpt.repair_final_swaps
+
+    def spied(inst_, split_, partial, core):
+        m = partial.makespan
+        offenders.append(detect_swaps(partial.placements[m - 2], partial.placements[m - 1]))
+        return repair(inst_, split_, partial, core)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fpt, "repair_final_swaps", spied)
+        lifted = lift_schedule(inst, split, kernel, ksched)
+    assert offenders == [[(25, 55)]]
     assert lifted.makespan == 2
     assert validate_schedule(inst, lifted).ok
 
