@@ -11,32 +11,57 @@ Edge = Tuple[int, int]
 class Graph:
     """Undirected simple graph on vertices 0..n-1.
 
-    Immutable by convention; adjacency is precomputed and sorted so every
-    traversal in the package enumerates neighbors in increasing vertex id.
+    Stored as one neighbour set per vertex, plus the same neighbours as a
+    sorted tuple, so every traversal in the package enumerates neighbors in
+    increasing vertex id. `edges` is derived from them on first use.
+    Immutable by convention.
     """
 
-    __slots__ = ("n", "edges", "_adj")
+    __slots__ = ("n", "_nbr", "_adj", "_edges")
 
     def __init__(self, n: int, edges: Iterable[Edge] = ()) -> None:
         if n < 0:
             raise ValueError("vertex count must be non-negative")
-        norm: Set[Edge] = set()
+        nbr: List[Set[int]] = [set() for _ in range(n)]
         for u, v in edges:
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u}, {v}) out of range")
-            norm.add((u, v) if u < v else (v, u))
+            nbr[u].add(v)
+            nbr[v].add(u)
+        self._store(n, nbr)
+
+    @classmethod
+    def _from_neighbor_sets(cls, n: int, nbr: Sequence[Iterable[int]]) -> "Graph":
+        """Graph whose vertex v has neighbours nbr[v], without validation.
+
+        For callers inside the package that already hold a valid adjacency:
+        nbr has n entries of distinct ids within 0..n-1, symmetric and
+        loop-free."""
+        g = cls.__new__(cls)
+        g._store(n, nbr)
+        return g
+
+    def _store(self, n: int, nbr: Sequence[Iterable[int]]) -> None:
         self.n = n
-        self.edges: FrozenSet[Edge] = frozenset(norm)
-        adj: List[List[int]] = [[] for _ in range(n)]
-        for u, v in norm:
-            adj[u].append(v)
-            adj[v].append(u)
-        self._adj: Tuple[Tuple[int, ...], ...] = tuple(tuple(sorted(a)) for a in adj)
+        self._nbr: Tuple[FrozenSet[int], ...] = tuple(frozenset(s) for s in nbr)
+        self._adj: Tuple[Tuple[int, ...], ...] = tuple(tuple(sorted(s)) for s in nbr)
+        self._edges: Optional[FrozenSet[Edge]] = None
+
+    @property
+    def edges(self) -> FrozenSet[Edge]:
+        """Every edge once, as (u, v) with u < v."""
+        if self._edges is None:
+            self._edges = frozenset(self.sorted_edges())
+        return self._edges
 
     def neighbors(self, v: int) -> Tuple[int, ...]:
         return self._adj[v]
+
+    def neighbor_set(self, v: int) -> FrozenSet[int]:
+        """N(v) as a set, for membership tests and set algebra."""
+        return self._nbr[v]
 
     def closed_neighbors(self, v: int) -> Tuple[int, ...]:
         """N[v] sorted by vertex id (v merged into its neighbor list)."""
@@ -52,43 +77,43 @@ class Graph:
         return tuple(out)
 
     def has_edge(self, u: int, v: int) -> bool:
-        if u == v:
-            return False
-        return ((u, v) if u < v else (v, u)) in self.edges
+        return 0 <= u < self.n and v in self._nbr[u]
 
     def degree(self, v: int) -> int:
         return len(self._adj[v])
 
     def sorted_edges(self) -> List[Edge]:
-        return sorted(self.edges)
+        return [(u, v) for u, a in enumerate(self._adj) for v in a if u < v]
 
     def induced(self, vertices: Iterable[int]) -> Tuple["Graph", Tuple[int, ...]]:
         """Induced subgraph with dense ids. Returns (subgraph, old_ids) where
         new vertex i corresponds to old_ids[i]; old_ids is sorted."""
         old_ids = tuple(sorted(set(vertices)))
-        index = {v: i for i, v in enumerate(old_ids)}
-        sub = [
-            (index[u], index[v])
-            for u, v in self.edges
-            if u in index and v in index
-        ]
-        return Graph(len(old_ids), sub), old_ids
+        if old_ids and not (0 <= old_ids[0] and old_ids[-1] < self.n):
+            raise ValueError(f"induced: vertex ids must lie in 0..{self.n - 1}")
+        keep = frozenset(old_ids)
+        new_id = [0] * self.n
+        for i, v in enumerate(old_ids):
+            new_id[v] = i
+        relabel = new_id.__getitem__
+        sub = [list(map(relabel, self._nbr[v] & keep)) for v in old_ids]
+        return Graph._from_neighbor_sets(len(old_ids), sub), old_ids
 
     def is_complete(self) -> bool:
-        return len(self.edges) == self.n * (self.n - 1) // 2
+        return all(len(a) == self.n - 1 for a in self._adj)
 
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, Graph)
             and self.n == other.n
-            and self.edges == other.edges
+            and self._adj == other._adj
         )
 
     def __hash__(self) -> int:
-        return hash((self.n, self.edges))
+        return hash((self.n, self._adj))
 
     def __repr__(self) -> str:
-        return f"Graph(n={self.n}, m={len(self.edges)})"
+        return f"Graph(n={self.n}, m={sum(map(len, self._adj)) // 2})"
 
 
 def complete_graph(n: int) -> Graph:
@@ -96,24 +121,22 @@ def complete_graph(n: int) -> Graph:
 
 
 def complement(g: Graph) -> Graph:
-    missing = [
-        (u, v)
-        for u in range(g.n)
-        for v in range(u + 1, g.n)
-        if (u, v) not in g.edges
-    ]
-    return Graph(g.n, missing)
+    everyone = frozenset(range(g.n))
+    return Graph._from_neighbor_sets(
+        g.n, [everyone - g.neighbor_set(u) - {u} for u in range(g.n)]
+    )
 
 
 def is_clique(g: Graph, vertices: Optional[Iterable[int]] = None) -> bool:
     """True when the given vertex set (default: all of g) is pairwise adjacent."""
-    vs = sorted(set(vertices)) if vertices is not None else range(g.n)
-    vs = list(vs)
-    for i, u in enumerate(vs):
-        for v in vs[i + 1 :]:
-            if not g.has_edge(u, v):
-                return False
-    return True
+    if vertices is None:
+        return g.is_complete()
+    vs = set(vertices)
+    if len(vs) < 2:
+        return True
+    # u is never its own neighbour, so vs - N(u) = {u} exactly when
+    # vs - {u} is a subset of N(u)
+    return all(0 <= u < g.n and len(vs - g.neighbor_set(u)) == 1 for u in vs)
 
 
 def _reduce(adj: Dict[int, Set[int]], chosen: Set[int]) -> None:

@@ -72,7 +72,7 @@ def classify_types(
     sig_of: Dict[int, FrozenSet[int]] = {}
     groups: Dict[FrozenSet[int], List[int]] = {}
     for v in sorted(split.clique):
-        sig = frozenset(w for w in inst.graph.neighbors(v) if w in split.modulator)
+        sig = inst.graph.neighbor_set(v) & split.modulator
         sig_of[v] = sig
         groups.setdefault(sig, []).append(v)
     ordered = sorted(groups.values(), key=lambda vs: vs[0])

@@ -1,7 +1,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from .errors import ParseError, PreconditionError
 from .graphs import Graph
@@ -224,13 +224,15 @@ def validate_colored_schedule(inst: ColoredInstance, sched: Schedule) -> Verdict
 # --- file formats ---------------------------------------------------------
 
 
-def _content_lines(text: str) -> List[Tuple[int, List[str]]]:
-    out = []
+def _content_lines(text: str) -> Iterator[Tuple[int, List[str]]]:
+    """(line number, tokens) of every line that has tokens once a `#`
+    comment is cut off."""
     for no, raw in enumerate(text.splitlines(), start=1):
-        body = raw.split("#", 1)[0].strip()
-        if body:
-            out.append((no, body.split()))
-    return out
+        if "#" in raw:
+            raw = raw.split("#", 1)[0]
+        toks = raw.split()
+        if toks:
+            yield no, toks
 
 
 def _int_tok(no: int, tok: str, what: str) -> int:
@@ -241,22 +243,43 @@ def _int_tok(no: int, tok: str, what: str) -> int:
 
 
 def _parse_graph_lines(
-    lines: List[Tuple[int, List[str]]], header: str
-) -> Tuple[int, List[Tuple[int, int]], List[Tuple[int, List[str]]]]:
-    """Common head of both instance formats: header, vertices, edges.
-    Returns (n, edges, remaining directive lines)."""
-    if not lines:
+    text: str, header: str
+) -> Tuple[Graph, List[Tuple[int, List[str]]], int]:
+    """Common head of both instance formats, read in one pass: header,
+    vertices, edges. Edge lines go straight into per-vertex neighbour sets.
+    Returns (graph, remaining directive lines, last content line number)."""
+    lines = _content_lines(text)
+    first = next(lines, None)
+    if first is None:
         raise ParseError(1, "empty file")
-    no, toks = lines[0]
+    no, toks = first
     if toks != [header, "1"]:
         raise ParseError(no, f"expected header '{header} 1'")
     n: Optional[int] = None
-    edges: List[Tuple[int, int]] = []
-    seen_edges = set()
+    nbr: List[Set[int]] = []
     rest: List[Tuple[int, List[str]]] = []
-    for no, toks in lines[1:]:
+    for no, toks in lines:
         key = toks[0]
-        if key == "vertices":
+        if key == "edge":
+            if n is None:
+                raise ParseError(no, "edge before vertices line")
+            if len(toks) != 3:
+                raise ParseError(no, "edge takes two endpoints")
+            try:
+                u, v = int(toks[1]), int(toks[2])
+            except ValueError:
+                u = _int_tok(no, toks[1], "endpoint")
+                v = _int_tok(no, toks[2], "endpoint")
+            if u == v:
+                raise ParseError(no, f"self-loop at vertex {u}")
+            if not (0 <= u < n and 0 <= v < n):
+                raise ParseError(no, f"unknown vertex id in edge {u} {v}")
+            nu = nbr[u]
+            if v in nu:
+                raise ParseError(no, f"duplicate edge {u} {v}")
+            nu.add(v)
+            nbr[v].add(u)
+        elif key == "vertices":
             if n is not None:
                 raise ParseError(no, "duplicate vertices line")
             if len(toks) != 2:
@@ -264,32 +287,17 @@ def _parse_graph_lines(
             n = _int_tok(no, toks[1], "vertex count")
             if n < 0:
                 raise ParseError(no, "vertex count must be non-negative")
-        elif key == "edge":
-            if n is None:
-                raise ParseError(no, "edge before vertices line")
-            if len(toks) != 3:
-                raise ParseError(no, "edge takes two endpoints")
-            u = _int_tok(no, toks[1], "endpoint")
-            v = _int_tok(no, toks[2], "endpoint")
-            if u == v:
-                raise ParseError(no, f"self-loop at vertex {u}")
-            if not (0 <= u < n and 0 <= v < n):
-                raise ParseError(no, f"unknown vertex id in edge {u} {v}")
-            e = (u, v) if u < v else (v, u)
-            if e in seen_edges:
-                raise ParseError(no, f"duplicate edge {u} {v}")
-            seen_edges.add(e)
-            edges.append(e)
+            nbr = [set() for _ in range(n)]
         else:
             rest.append((no, toks))
     if n is None:
-        raise ParseError(lines[-1][0], "missing vertices line")
-    return n, edges, rest
+        raise ParseError(no, "missing vertices line")
+    return Graph._from_neighbor_sets(n, nbr), rest, no
 
 
 def parse_instance(text: str) -> Instance:
-    lines = _content_lines(text)
-    n, edges, rest = _parse_graph_lines(lines, "mapf")
+    graph, rest, last = _parse_graph_lines(text, "mapf")
+    n = graph.n
     starts: List[int] = []
     targets: List[int] = []
     seen_s: Dict[int, int] = {}
@@ -324,8 +332,8 @@ def parse_instance(text: str) -> Instance:
         else:
             raise ParseError(no, f"unknown directive {key!r}")
     if not starts:
-        raise ParseError(lines[-1][0], "instance has no agents")
-    return Instance(Graph(n, edges), tuple(starts), tuple(targets), limit)
+        raise ParseError(last, "instance has no agents")
+    return Instance(graph, tuple(starts), tuple(targets), limit)
 
 
 def serialize_instance(inst: Instance) -> str:
@@ -340,8 +348,8 @@ def serialize_instance(inst: Instance) -> str:
 
 
 def parse_colored_instance(text: str) -> ColoredInstance:
-    lines = _content_lines(text)
-    n, edges, rest = _parse_graph_lines(lines, "cmapf")
+    graph, rest, last = _parse_graph_lines(text, "cmapf")
+    n = graph.n
     groups: List[ColoredGroup] = []
     limit: Optional[int] = None
     i = 0
@@ -380,11 +388,11 @@ def parse_colored_instance(text: str) -> ColoredInstance:
         groups.append(ColoredGroup(gid, tuple(svs), tuple(tvs)))
         i += 3
     if not groups:
-        raise ParseError(lines[-1][0], "colored instance has no groups")
+        raise ParseError(last, "colored instance has no groups")
     try:
-        return ColoredInstance(Graph(n, edges), tuple(groups), limit)
+        return ColoredInstance(graph, tuple(groups), limit)
     except PreconditionError as exc:
-        raise ParseError(lines[-1][0], str(exc)) from None
+        raise ParseError(last, str(exc)) from None
 
 
 def serialize_colored_instance(inst: ColoredInstance) -> str:
@@ -404,7 +412,7 @@ def parse_schedule(text: str, inst) -> Schedule:
     vertex rows in agent order."""
     n_agents = inst.n_agents
     n_verts = inst.graph.n
-    lines = _content_lines(text)
+    lines = list(_content_lines(text))
     if not lines:
         raise ParseError(1, "empty schedule file")
     no, toks = lines[0]
@@ -428,18 +436,21 @@ def parse_schedule(text: str, inst) -> Schedule:
         i = _int_tok(no, toks[1][:-1], "turn index")
         if i != idx:
             raise ParseError(no, f"turn index {i} out of order, expected {idx}")
-        vs = [_int_tok(no, x, "vertex") for x in toks[2:]]
+        try:
+            vs = tuple(map(int, toks[2:]))
+        except ValueError:  # rerun token by token to name the bad one
+            vs = tuple(_int_tok(no, x, "vertex") for x in toks[2:])
         if len(vs) != n_agents:
             raise ParseError(no, f"turn covers {len(vs)} agents, expected {n_agents}")
-        for v in vs:
-            if not (0 <= v < n_verts):
-                raise ParseError(no, f"unknown vertex id {v}")
-        placements.append(tuple(vs))
+        if vs and (min(vs) < 0 or max(vs) >= n_verts):
+            bad = next(v for v in vs if not (0 <= v < n_verts))
+            raise ParseError(no, f"unknown vertex id {bad}")
+        placements.append(vs)
     return Schedule(tuple(placements))
 
 
 def serialize_schedule(sched: Schedule) -> str:
     out = [f"schedule {sched.makespan}"]
     for i, pl in enumerate(sched.placements, start=1):
-        out.append(f"turn {i}: " + " ".join(str(v) for v in pl))
+        out.append(f"turn {i}: " + " ".join(map(str, pl)))
     return "\n".join(out) + "\n"

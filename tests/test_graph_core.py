@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mapfdc import graphs
+from mapfdc import fpt, graphs
 from mapfdc.errors import ResourceLimitError
 from mapfdc.graphs import (
     CliqueSplit,
@@ -19,6 +19,7 @@ from mapfdc.graphs import (
     is_clique,
     min_vertex_cover,
 )
+from mapfdc.model import parse_instance, validate_schedule
 
 
 def _cycle(n: int) -> Graph:
@@ -250,3 +251,135 @@ def test_clique_split_takes_forced_modulator_vertices_without_trials(monkeypatch
     split = clique_split(Graph(61, edges))
     assert split.modulator == frozenset({60})
     assert calls <= 2
+
+
+# --- differential check against the raw edge list ------------------------------
+
+
+def _raw_random_edges(rng: random.Random, n: int) -> List[Tuple[int, int]]:
+    """Random simple graph as an edge list in random order and orientation."""
+    p = rng.choice((0.2, 0.5, 0.8, 1.0))
+    raw = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+    raw = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in raw]
+    rng.shuffle(raw)
+    return raw
+
+
+def _raw_near_clique_edges(rng: random.Random, n: int, dc: int) -> List[Tuple[int, int]]:
+    """Clique on n - dc randomly placed vertices, each of the other dc joined
+    to a random share of everything, in random order and orientation."""
+    modulator = set(rng.sample(range(n), dc))
+    raw = []
+    for u in range(n):
+        for v in range(u + 1, n):
+            if (u in modulator or v in modulator) and rng.random() < 0.5:
+                continue
+            raw.append((v, u) if rng.random() < 0.5 else (u, v))
+    rng.shuffle(raw)
+    return raw
+
+
+def _assert_matches_edge_list(g: Graph, n: int, raw: List[Tuple[int, int]]) -> None:
+    pairs = {frozenset(e) for e in raw}
+    assert g.n == n
+    for u in range(-2, n + 2):
+        for v in range(-2, n + 2):
+            want = 0 <= u < n and 0 <= v < n and frozenset((u, v)) in pairs and u != v
+            assert g.has_edge(u, v) == want, (u, v)
+    for v in range(n):
+        nbrs = [u for u in range(n) if frozenset((u, v)) in pairs and u != v]
+        assert g.neighbors(v) == tuple(nbrs)
+        assert g.neighbor_set(v) == frozenset(nbrs)
+        assert g.closed_neighbors(v) == tuple(sorted(nbrs + [v]))
+        assert g.degree(v) == len(nbrs)
+    edges = {(min(e), max(e)) for e in raw}
+    assert g.edges == frozenset(edges)
+    assert g.sorted_edges() == sorted(edges)
+    assert g.is_complete() == (len(edges) == n * (n - 1) // 2)
+
+
+def _assert_graph_operations(rng: random.Random, g: Graph, raw: List[Tuple[int, int]]) -> None:
+    n = g.n
+    _assert_matches_edge_list(g, n, raw)
+    pairs = {frozenset(e) for e in raw}
+    missing = [(u, v) for u in range(n) for v in range(u + 1, n) if frozenset((u, v)) not in pairs]
+    _assert_matches_edge_list(complement(g), n, missing)
+    assert is_clique(g) == g.is_complete()
+    for _ in range(10):
+        sub = rng.sample(range(n), rng.randint(0, n))
+        if rng.random() < 0.3:  # on a near-clique, a set that is a clique or nearly one
+            sub = [v for v in range(n) if g.degree(v) >= n - 2]
+        want = all(frozenset(e) in pairs for e in itertools.combinations(sub, 2))
+        assert is_clique(g, sub) == want
+        h, old_ids = g.induced(sub + sub[:2])
+        assert old_ids == tuple(sorted(sub))
+        new_id = {v: i for i, v in enumerate(old_ids)}
+        kept = [(new_id[u], new_id[v]) for u, v in raw if u in new_id and v in new_id]
+        _assert_matches_edge_list(h, len(old_ids), kept)
+    assert not is_clique(g, [0, n]) and not is_clique(g, [-1, 0])
+
+
+def _instance_text(n: int, raw: List[Tuple[int, int]]) -> str:
+    lines = ["mapf 1", f"vertices {n}"] + [f"edge {u} {v}" for u, v in raw] + ["agent 0 0"]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_graph_agrees_with_its_edge_list(seed: int) -> None:
+    rng = random.Random(seed)
+    cases = [(n, _raw_random_edges(rng, n)) for n in rng.choices(range(1, 13), k=15)]
+    cases += [(n, _raw_near_clique_edges(rng, n, rng.randint(0, 3))) for n in (20, 40, 60)]
+    for n, raw in cases:
+        built = Graph(n, raw)
+        parsed = parse_instance(_instance_text(n, raw)).graph
+        whole, _ = parsed.induced(range(n))
+        for g in (built, parsed, whole):
+            _assert_graph_operations(rng, g, raw)
+        assert built == parsed == whole
+        assert hash(built) == hash(parsed) == hash(whole)
+        assert built == complement(complement(parsed))
+        if raw:
+            fewer = Graph(n, raw[1:])
+            assert fewer != built and fewer != parsed
+            assert fewer == parse_instance(_instance_text(n, raw[1:])).graph
+
+
+def test_induced_rejects_ids_outside_the_graph() -> None:
+    g = complete_graph(4)
+    for bad in ([0, 4], [-1, 2]):
+        with pytest.raises(ValueError):
+            g.induced(bad)
+
+
+def test_dense_solve_builds_no_graph_from_an_edge_list(monkeypatch) -> None:
+    # dc = 1 near-clique on 200 vertices: clique 0..198, vertex 199 joined to
+    # 0, 1 and 2. Parse, clique split, kernel build and search must work on
+    # neighbour sets alone: no validating constructor run over its 19,704
+    # edges, and no edge set derived from them.
+    n = 200
+    lines = ["mapf 1", f"vertices {n}"]
+    lines += [f"edge {u} {v}" for u in range(n - 1) for v in range(u + 1, n - 1)]
+    lines += [f"edge {u} {n - 1}" for u in (0, 1, 2)]
+    agents = [(n - 1, 0)] + [(v, v + 40) for v in range(10, 40)] + [(v, v) for v in range(100, 130)]
+    lines += [f"agent {s} {t}" for s, t in agents]
+    text = "\n".join(lines) + "\n"
+
+    calls = {"init": 0, "edges": 0}
+    init = Graph.__init__
+    edges = Graph.edges
+
+    def counted_init(self, *args, **kwargs):
+        calls["init"] += 1
+        init(self, *args, **kwargs)
+
+    def counted_edges(self):
+        calls["edges"] += 1
+        return edges.fget(self)
+
+    monkeypatch.setattr(Graph, "__init__", counted_init)
+    monkeypatch.setattr(Graph, "edges", property(counted_edges))
+    inst = parse_instance(text)
+    result, _ = fpt.solve_with_stats(inst)
+    assert calls == {"init": 0, "edges": 0}
+    assert result is not None and result[0] == 1
+    assert validate_schedule(inst, result[1]).ok

@@ -207,13 +207,62 @@ def test_parse_instance_rejects_bad_header_and_unknown_directive() -> None:
         parse_instance("")
 
 
+# (graph head after the header line, line of the error, message). The head
+# is followed by a valid agent or group section, so the graph lines are the
+# first fault in the file.
+GRAPH_HEAD_ERRORS = [
+    ("vertices 2\nedge 0 0\n", 3, "self-loop at vertex 0"),
+    ("vertices 2\nedge 0 5\n", 3, "unknown vertex id in edge 0 5"),
+    ("vertices 2\nedge -1 1\n", 3, "unknown vertex id in edge -1 1"),
+    ("vertices 2\nedge 0 1\nedge 0 1\n", 4, "duplicate edge 0 1"),
+    ("vertices 2\nedge 0 1\nedge 1 0\n", 4, "duplicate edge 1 0"),
+    ("vertices 2\nedge 0 x\n", 3, "expected integer endpoint, got 'x'"),
+    ("vertices 2\nedge 1.5 y\n", 3, "expected integer endpoint, got '1.5'"),
+    ("vertices 2\nedge 0\n", 3, "edge takes two endpoints"),
+    ("vertices 2\nedge 0 1 1\n", 3, "edge takes two endpoints"),
+    ("edge 0 1\nvertices 2\n", 2, "edge before vertices line"),
+    ("vertices 2\nedge 0 0   # a loop\n", 3, "self-loop at vertex 0"),
+    ("vertices 2\nedge 0 1 # ok\nedge 1 0#again\n", 4, "duplicate edge 1 0"),
+    ("vertices 2\n\n# gap\nedge 0 5\n", 5, "unknown vertex id in edge 0 5"),
+    ("vertices x\n", 2, "expected integer vertex count, got 'x'"),
+    ("vertices -1\n", 2, "vertex count must be non-negative"),
+    ("vertices 2 3\n", 2, "vertices takes one count"),
+    ("vertices 2\nvertices 2\n", 3, "duplicate vertices line"),
+]
+
+def _parse_error(parse, text: str) -> ParseError:
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    return err.value
+
+
+def _check_graph_line_errors(parse, header: str, tail: str) -> None:
+    """Every case of GRAPH_HEAD_ERRORS, then the file-level faults, for one
+    format; `tail` is a valid section after the graph."""
+    for head, line, message in GRAPH_HEAD_ERRORS:
+        err = _parse_error(parse, f"{header} 1\n{head}{tail}")
+        assert (err.line, str(err)) == (line, f"line {line}: {message}")
+        # blank and comment-only lines before the header shift every line number
+        err = _parse_error(parse, f"\n# intro\n\n{header} 1\n{head}{tail}")
+        assert (err.line, str(err)) == (line + 3, f"line {line + 3}: {message}")
+    for text in ("", "\n", "# only a comment\n\n"):
+        err = _parse_error(parse, text)
+        assert (err.line, str(err)) == (1, "line 1: empty file")
+    err = _parse_error(parse, f"\n# intro\nwrong 1\nvertices 2\n{tail}")
+    assert (err.line, str(err)) == (3, f"line 3: expected header '{header} 1'")
+    # reported on the last content line; trailing blanks and comments do not count
+    last = 1 + tail.count("\n")
+    for text in (f"{header} 1\n{tail}", f"{header} 1\n{tail}\n# end\n\n"):
+        err = _parse_error(parse, text)
+        assert (err.line, str(err)) == (last, f"line {last}: missing vertices line")
+
+
 def test_parse_instance_rejects_edge_problems() -> None:
-    with pytest.raises(ParseError):
-        parse_instance("mapf 1\nvertices 2\nedge 0 0\nagent 0 1\n")
-    with pytest.raises(ParseError):
-        parse_instance("mapf 1\nvertices 2\nedge 0 5\nagent 0 1\n")
-    with pytest.raises(ParseError):
-        parse_instance("mapf 1\nvertices 2\nedge 0 1\nedge 1 0\nagent 0 1\n")
+    _check_graph_line_errors(parse_instance, "mapf", "agent 0 1\n")
+
+
+def test_parse_colored_instance_rejects_edge_problems() -> None:
+    _check_graph_line_errors(parse_colored_instance, "cmapf", "group 1\nstarts 0\ntargets 1\n")
 
 
 def test_colored_instance_round_trip() -> None:
@@ -254,6 +303,24 @@ def test_parse_schedule_wrong_arity_reports_line() -> None:
     with pytest.raises(ParseError) as err:
         parse_schedule("schedule 1\nturn 1: 1\n", inst)
     assert err.value.line == 2
+
+
+@pytest.mark.parametrize(
+    "rows, line, message",
+    [
+        ("turn 1: 1 2\nturn 2: 1 x\n", 3, "expected integer vertex, got 'x'"),
+        ("turn 1: 1 2\nturn 2: 9 1.0\n", 3, "expected integer vertex, got '1.0'"),
+        ("turn 1: 1 2\nturn 2: 1 3\n", 3, "unknown vertex id 3"),
+        ("turn 1: -1 2\nturn 2: 1 2\n", 2, "unknown vertex id -1"),
+        ("turn 1: 1 2\nturn 2: 7 -2\n", 3, "unknown vertex id 7"),
+        ("turn 1: 1 2\n# note\nturn 2: 1 2 5  # extra\n", 4, "turn covers 3 agents, expected 2"),
+    ],
+)
+def test_parse_schedule_rejects_bad_vertices_with_line(rows: str, line: int, message: str) -> None:
+    inst = Instance(_path(3), (0, 2), (1, 2))
+    with pytest.raises(ParseError) as err:
+        parse_schedule("schedule 2\n" + rows, inst)
+    assert (err.value.line, str(err.value)) == (line, f"line {line}: {message}")
 
 
 def test_parse_schedule_truncated_and_misordered() -> None:
