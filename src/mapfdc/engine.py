@@ -153,8 +153,9 @@ def joint_bfs(
     vertices. The returned path starts with the start placement, and is None
     when no schedule exists within depth_cap turns. Raises
     ResourceLimitError once the search would keep more than state_guard
-    states, and PreconditionError for a vertex id outside 0..n-1 or two
-    agents sharing a start.
+    states, and PreconditionError for a vertex id outside 0..n-1 (an
+    occupancy vertex is read only when min_occupancy > 0) or two agents
+    sharing a start.
 
     Some answers come before any search, with states == 1: repeated
     targets, a target some agent cannot reach, and a packed instance (as
@@ -250,6 +251,10 @@ def joint_bfs(
     if min_occupancy > 0:
         mask = bytearray(n_verts)
         for v in occupancy_vertices or ():
+            if not 0 <= v < n_verts:
+                raise PreconditionError(
+                    f"occupancy vertex {v} outside 0..{n_verts - 1}"
+                )
             mask[v] = 1
         occupancy_mask = bytes(mask)
 

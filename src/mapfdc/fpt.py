@@ -1,6 +1,6 @@
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .cliques import solve_clique
 from .engine import DEFAULT_STATE_GUARD, joint_bfs
@@ -87,10 +87,10 @@ def lift_schedule(
 ) -> Schedule:
     """Extend a kernel schedule to every agent of the original instance.
 
-    Core agents replay the kernel schedule; the dropped agents drift inside
+    Core agents replay the kernel schedule. The dropped agents drift inside
     the clique part through per-turn assignments onto vertices the core
-    leaves free, jump to their own targets in the final turn, and any swap
-    that final jump creates is repaired afterwards."""
+    leaves free up to turn m - 2; `_finish` then places them at turn m - 1
+    so that they reach their targets at turn m without a swap."""
     core = set(kernel.core_agents)
     m = ksched.makespan
     back = kernel.u_vertices
@@ -103,8 +103,8 @@ def lift_schedule(
     noncore = [a for a in inst.agents if a not in core]
     if len(noncore) <= max(len(core), 50):
         raise PreconditionError("dropped agents must outnumber max(core, 50)")
-    if m < 1:
-        raise PreconditionError("kernel schedule must have at least one turn")
+    if m < 2:
+        raise PreconditionError("kernel schedule must have at least two turns")
     q = split.clique
     for a in noncore:
         if inst.starts[a] not in q or inst.targets[a] not in q:
@@ -114,159 +114,155 @@ def lift_schedule(
 
     core_rows: List[Placement] = [tuple(back[v] for v in kernel.starts)] + core_pl
     free: List[List[int]] = []
-    for row in core_rows:
+    for row in core_rows[:m]:
         used = set(row)
         free.append(sorted(v for v in q if v not in used))
 
     cur: Dict[int, int] = {a: inst.starts[a] for a in noncore}
-    out: List[Placement] = []
     core_sorted = kernel.core_agents
-    for i in range(m - 1):
+
+    def placement(turn: int, at: Dict[int, int]) -> Placement:
+        row = [0] * inst.n_agents
+        for ci, a in enumerate(core_sorted):
+            row[a] = core_rows[turn][ci]
+        for a in noncore:
+            row[a] = at[a]
+        return tuple(row)
+
+    out: List[Placement] = []
+    for i in range(m - 2):
         occupied = sorted(cur.values())
         width = min(len(free[i]), len(free[i + 1]))
         occ_set = set(occupied)
         pad = [v for v in free[i] if v not in occ_set]
         left = sorted(occupied + pad[: width - len(occupied)])
-        right = list(free[i + 1])[:width]
-        forbidden: Set[Tuple[int, int]] = set()
-        left_set = set(left)
-        right_set = set(right)
-        for ci in range(len(core_sorted)):
-            w = core_rows[i + 1][ci]
-            y = core_rows[i][ci]
-            if w in left_set and y in right_set:
-                forbidden.add((w, y))
-        match = _drift_matching(left, right, forbidden)
+        right = free[i + 1][:width]
+        # a dropped agent must not take the vertex a core agent leaves
+        # while that core agent takes its own
+        match = _drift_matching(left, right, set(zip(core_rows[i + 1], core_rows[i])))
         _fix_mutual_exchanges(match)
         for a in noncore:
             cur[a] = match[cur[a]]
-        row = [0] * inst.n_agents
-        for ci, a in enumerate(core_sorted):
-            row[a] = core_rows[i + 1][ci]
-        for a in noncore:
-            row[a] = cur[a]
-        out.append(tuple(row))
+        out.append(placement(i + 1, cur))
+    before = out[-1] if out else inst.starts
+    last = placement(
+        m - 1, _finish(noncore, cur, inst.targets, core_rows[m - 2 :], free[m - 1])
+    )
+    if detect_swaps(before, last) or detect_swaps(last, inst.targets):
+        raise MapfError("the lift's last two turns left an exchange in place")
+    out.append(last)
     out.append(inst.targets)
-    partial = Schedule(tuple(out))
-    return repair_final_swaps(inst, split, partial, frozenset(core))
+    return Schedule(tuple(out))
 
 
-def repair_final_swaps(
-    inst: Instance,
-    split: CliqueSplit,
-    partial: Schedule,
-    core: FrozenSet[int],
-) -> Schedule:
-    """Remove vertex exchanges between the second-to-last placement and the
-    final (target) placement.
+# Backtracking steps `_finish` may take in all before it gives up. The
+# seeded lift suites in the tests take fewer than a hundred in all.
+_FINISH_BACKTRACKS = 10_000
 
-    Four or more offending pairs rotate among themselves, reordered first so
-    the rotation itself stays swap-free; fewer pairs each borrow an
-    uninvolved dropped agent and trade places with it, or, when no helper
-    is eligible, step aside to a spare clique vertex that is free in the
-    last three placements. The second-to-last turn is rewritten in place."""
-    m = partial.makespan
-    prev = partial.placements[m - 2] if m >= 2 else inst.starts
-    final = partial.placements[m - 1]
-    offenders = detect_swaps(prev, final)
-    if not offenders:
-        return partial
-    if m < 2:
-        raise PreconditionError("cannot repair a single-turn schedule")
-    before = partial.placements[m - 3] if m >= 3 else inst.starts
 
-    betas: List[int] = []
-    involved: Set[int] = set()
-    for a, b in offenders:
-        involved.add(a)
-        involved.add(b)
-        if b not in core:
-            betas.append(b)
-        elif a not in core:
-            betas.append(a)
-        else:
-            raise PreconditionError("an offending pair lies entirely in the core")
-    p = len(betas)
-    new_prev = list(prev)
-    at_before = {v: a for a, v in enumerate(before)}
+def _finish(
+    dropped: Sequence[int],
+    pos: Dict[int, int],
+    targets: Placement,
+    core_window: Sequence[Placement],
+    free: Sequence[int],
+) -> Dict[int, int]:
+    """Vertices X of the `dropped` agents at turn m - 1 of a lift, between
+    their vertices P (`pos`) at turn m - 2 and their `targets` T at turn m.
 
-    if p >= 4:
-        def is_bad(j: int, order: List[int]) -> bool:
-            nxt = order[(j + 1) % p]
-            delta = at_before.get(prev[nxt])
-            return delta is not None and prev[delta] == before[order[j]]
+    `core_window` holds the core rows C0, C1, C2 of turns m - 2, m - 1 and
+    m, and `free` the clique vertices F outside C1, with |F| >=
+    len(dropped). Let in(v) be the C0 vertex of the core agent standing on
+    v in C1, and out(v) its C2 vertex. P, X and T lie in the clique, so
+    every dropped move follows an edge. X is injective into F, which C1
+    avoids, so turn m - 1 has no collision; turn m is the target placement.
 
-        def bad_count(candidate: List[int]) -> int:
-            return sum(1 for j in range(p) if is_bad(j, candidate))
+    Agent a is early, X_a = T_a, when T_a is in F and in(P_a) != T_a; of
+    two early agents with P_a = T_b and P_b = T_a, the later one is not.
+    The others, detour agents, take distinct slots of R = F minus the early
+    targets; |R| >= their number. A slot v passes b's exchange check when
+    neither the agent on v at m - 2 is placed on P_b nor the agent with
+    target v is placed on T_b. Every swap is excluded by a named check:
 
-        order = betas[:]
-        while True:
-            bads = [j for j in range(p) if is_bad(j, order)]
-            if not bads:
-                break
-            j = bads[0]
-            cand = order[:]
-            cand[j], cand[(j + 1) % p] = cand[(j + 1) % p], cand[j]
-            if bad_count(cand) < len(bads):
-                order = cand
+    - core agent and early agent: at m - 1 by the rule in(P_a) != T_a; at m
+      the early agent waits.
+    - core agent and detour agent b: at m - 1 by the h1 check X_b !=
+      in(P_b); at m by the h2 check X_b != out(T_b).
+    - two early agents: at m - 1 by the pair split; at m both wait.
+    - an early and a detour agent: at m - 1 by the exchange check, as early
+      agents are placed before the search starts; at m the early one waits.
+    - two detour agents: by the exchange check at both turns.
+    - two core agents: the kernel schedule is swap-free.
+
+    A depth-first search assigns the slots, most constrained agent first.
+    When it runs out of choices, the first early agent by id becomes a
+    detour agent (a helper), adding its target to R, and the search runs
+    again. So a lone detour agent takes a spare vertex when there is one,
+    and a lone exchanging pair in a full clique ends in a three-cycle with
+    two helpers, as in `cliques._case_one_pair`. MapfError is raised when
+    no early agent is left or after _FINISH_BACKTRACKS backtracking steps."""
+    c0, c1, c2 = core_window
+    came_from = dict(zip(c1, c0))
+    goes_to = dict(zip(c1, c2))
+    at = {pos[a]: a for a in dropped}
+    owner = {targets[a]: a for a in dropped}
+    # targets lie in the clique, so T_a is in F exactly when C1 misses it
+    early = {
+        a
+        for a in dropped
+        if targets[a] not in came_from and came_from.get(pos[a]) != targets[a]
+    }
+    for a in dropped:
+        b = at.get(targets[a])
+        if a in early and b != a and b in early and targets[b] == pos[a]:
+            early.discard(b)
+    detour = [a for a in dropped if a not in early]
+
+    helpers = (a for a in dropped if a in early)
+    backtracks = 0
+
+    def search() -> Optional[Dict[int, int]]:
+        nonlocal backtracks
+        x = {a: targets[a] for a in early}
+        slots = [v for v in free if owner.get(v) not in early]
+        domain: Dict[int, List[int]] = {}
+        for b in detour:
+            banned = {came_from.get(pos[b]), goes_to.get(targets[b])}  # h1, h2
+            domain[b] = [v for v in slots if v not in banned]
+        order = sorted(detour, key=lambda b: (len(domain[b]), b))
+        taken: Set[int] = set()
+        tried = [0] * len(order)
+        depth = 0
+        while depth < len(order):
+            b = order[depth]
+            for i in range(tried[depth], len(domain[b])):
+                v = domain[b][i]
+                c, d = at.get(v), owner.get(v)
+                if v not in taken and x.get(c) != pos[b] and x.get(d) != targets[b]:
+                    break
             else:
-                cand = order[:]
-                a, b = (j + 1) % p, (j + 2) % p
-                cand[a], cand[b] = cand[b], cand[a]
-                if bad_count(cand) >= len(bads):
-                    raise MapfError("cannot reorder offenders into a clean rotation")
-                order = cand
-        for j in range(p):
-            new_prev[order[j]] = prev[order[(j + 1) % p]]
-    else:
-        pool = sorted(a for a in inst.agents if a not in core and a not in involved)
-        beta_prev = {prev[b] for b in betas}
-        beta_before = {before[b] for b in betas}
-        spares = iter(sorted(split.clique.difference(before, prev, final)))
-        helper_of: Dict[int, int] = {}
-        for beta in betas:
-            pick = None
-            for g in pool:
-                if g in helper_of.values():
-                    continue
-                # g and beta trade prev vertices; skip g when either would
-                # exchange with the agent that stood on its new vertex
-                c = at_before.get(prev[beta])
-                if c is not None and prev[c] == before[g]:
-                    continue
-                c = at_before.get(prev[g])
-                if c is not None and prev[c] == before[beta]:
-                    continue
-                if before[g] in beta_prev:
-                    continue
-                if prev[g] in beta_before:
-                    continue
-                if any(
-                    before[g] == prev[h] or prev[g] == before[h]
-                    for h in helper_of.values()
-                ):
-                    continue
-                if before[g] == prev[g] and before[beta] == prev[beta]:
-                    continue
-                pick = g
-                break
-            if pick is None:
-                spare = next(spares, None)
-                if spare is None:
-                    raise MapfError("no eligible helper agent for final-turn repair")
-                new_prev[beta] = spare
+                if depth == 0:
+                    return None
+                tried[depth] = 0
+                depth -= 1
+                taken.discard(x.pop(order[depth]))
+                backtracks += 1
+                if backtracks > _FINISH_BACKTRACKS:
+                    raise MapfError("the lift's last two turns took too long to place")
                 continue
-            helper_of[beta] = pick
-        for beta, g in helper_of.items():
-            new_prev[beta] = prev[g]
-            new_prev[g] = prev[beta]
+            x[b] = v
+            taken.add(v)
+            tried[depth] = i + 1
+            depth += 1
+        return x
 
-    row = tuple(new_prev)
-    if detect_swaps(before, row) or detect_swaps(row, final):
-        raise MapfError("final-turn repair left an exchange in place")
-    fixed = list(partial.placements)
-    fixed[m - 2] = row
-    return Schedule(tuple(fixed))
+    while (x := search()) is None:
+        helper = next(helpers, None)
+        if helper is None:
+            raise MapfError("no swap-free placement for the lift's last two turns")
+        early.discard(helper)
+        detour.append(helper)
+    return x
 
 
 def _within_limit(inst: Instance, sched: Schedule) -> Optional[Tuple[int, Schedule]]:
@@ -308,12 +304,3 @@ def solve_with_stats(
         )
     lifted = lift_schedule(inst, split, kernel, ksched)
     return _within_limit(inst, lifted), states
-
-
-def solve_fpt(
-    inst: Instance,
-    state_guard: int = DEFAULT_STATE_GUARD,
-) -> Optional[Tuple[int, Schedule]]:
-    """solve_with_stats without the state count."""
-    result, _ = solve_with_stats(inst, state_guard)
-    return result

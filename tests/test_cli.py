@@ -76,6 +76,27 @@ def test_solve_auto_uses_the_clique_algorithm_on_complete_graphs(
     assert sched.makespan == 2
 
 
+def test_solve_finishes_a_full_near_clique(tmp_path, capsys) -> None:
+    # dc = 1: clique 0..304 plus vertex 305 joined to 304. Agents 0..99 stand
+    # still; the others fill 100..303, two pairs of them exchange vertices
+    # and the rest shift one place along a cycle, so no vertex is spare
+    clique = 305
+    edges = [(u, v) for u in range(clique) for v in range(u + 1, clique)]
+    edges.append((clique - 1, clique))
+    region = list(range(100, clique - 1))
+    rest = region[4:]
+    targets = [101, 100, 103, 102] + rest[1:] + rest[:1]
+    core = list(range(100))
+    ipath = tmp_path / "full.mapf"
+    spath = tmp_path / "full.sched"
+    _write_instance(
+        ipath, Instance(Graph(clique + 1, edges), tuple(core + region), tuple(core + targets))
+    )
+    assert cli.main(["solve", str(ipath), "-o", str(spath)]) == 0
+    assert cli.main(["validate", str(ipath), str(spath)]) == 0
+    assert "valid, makespan 2" in capsys.readouterr().err
+
+
 def test_solve_reports_infeasible_with_exit_one(tmp_path, capsys) -> None:
     ipath = tmp_path / "edge.mapf"
     _write_instance(ipath, _swap_on_an_edge())

@@ -279,6 +279,16 @@ def test_joint_bfs_rejects_shared_or_unknown_vertices(starts, targets) -> None:
         engine.joint_bfs(complete_graph(4), starts, targets)
 
 
+@pytest.mark.parametrize("occupancy", [(-1,), (7,)])
+def test_joint_bfs_rejects_unknown_occupancy_vertices(occupancy) -> None:
+    # (-1,) used to act as vertex 3 and (7,) leaked IndexError
+    with pytest.raises(PreconditionError, match="occupancy vertex"):
+        engine.joint_bfs(
+            complete_graph(4), (0, 1), (1, 0),
+            occupancy_vertices=occupancy, min_occupancy=1,
+        )
+
+
 def test_joint_bfs_answers_repeated_targets_without_a_search() -> None:
     res = engine.joint_bfs(complete_graph(4), (0, 1), (2, 2))
     assert res == engine.BfsResult(None, 1, 0)

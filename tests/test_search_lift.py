@@ -1,8 +1,9 @@
 from __future__ import annotations
 
+import functools
 import random
 import sys
-from typing import Dict, FrozenSet, List, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 import pytest
 
@@ -13,8 +14,7 @@ from mapfdc.fpt import (
     _drift_matching,
     config_shortest_schedule,
     lift_schedule,
-    repair_final_swaps,
-    solve_fpt,
+    solve_with_stats,
 )
 from mapfdc.cliques import solve_clique
 from mapfdc.graphs import CliqueSplit, Graph, clique_split, complete_graph
@@ -270,83 +270,63 @@ def test_lift_rejects_small_drop_pools() -> None:
         lift_schedule(inst, split, kernel, ksched)
 
 
+def _finish_on_clique(
+    n: int, starts: Tuple[int, ...], targets: Tuple[int, ...]
+) -> Tuple[Schedule, Dict[int, int]]:
+    """Turns m - 1 and m that the finish gives agents standing on `starts`
+    in K_n with no core agent, as a schedule from `starts`."""
+    agents = range(len(starts))
+    x = fpt._finish(agents, dict(enumerate(starts)), targets, ((), (), ()), range(n))
+    return Schedule((tuple(x[a] for a in agents), targets)), x
+
+
 def test_repair_without_offenders_is_identity() -> None:
-    inst = Instance(complete_graph(5), (0, 1), (1, 2))
-    partial = Schedule(((1, 2),))
-    out = repair_final_swaps(inst, split=clique_split(inst.graph), partial=partial, core=frozenset())
-    assert out == partial
+    # nothing exchanges, so every agent is early and heads straight home
+    targets = (1, 2)
+    sched, _ = _finish_on_clique(5, (0, 1), targets)
+    assert sched.placements == (targets, targets)
 
 
 def test_repair_rotates_four_offending_pairs() -> None:
-    g = complete_graph(12)
-    split = clique_split(g)
     starts = tuple(range(8))
     targets = (1, 0, 3, 2, 5, 4, 7, 6)
-    inst = Instance(g, starts, targets)
-    partial = Schedule((starts, targets))
     assert len(detect_swaps(starts, targets)) == 4
-    fixed = repair_final_swaps(inst, split, partial, frozenset())
-    assert fixed.makespan == 2
-    assert fixed.placements[-1] == targets
-    assert validate_schedule(inst, fixed).ok
+    sched, _ = _finish_on_clique(12, starts, targets)
+    assert validate_schedule(Instance(complete_graph(12), starts, targets), sched).ok
 
 
 def test_repair_borrows_a_helper_for_a_single_pair() -> None:
-    g = complete_graph(70)
-    split = CliqueSplit(frozenset(), frozenset(range(70)))
-    idle = list(range(12, 65))
-    starts = tuple([0, 10] + idle)
+    # agents 0 and 1 exchange vertices 0 and 11, and 68 idle agents fill
+    # the rest of K70, so no vertex is spare: idle agents become helpers,
+    # and two of them join agent 1 in a three-cycle
+    idle = [v for v in range(70) if v not in (0, 11)]
+    starts = tuple([0, 11] + idle)
     targets = tuple([11, 0] + idle)
-    inst = Instance(g, starts, targets)
-    # agent 1 sidles to vertex 11 first; the final jump would then swap
-    # agents 0 and 1, so a bystander must be drawn in
-    mid = tuple([0, 11] + idle)
-    partial = Schedule((mid, targets))
-    assert detect_swaps(mid, targets) == [(0, 1)]
-    fixed = repair_final_swaps(inst, split, partial, frozenset())
-    assert fixed.makespan == 2
-    assert fixed.placements[-1] == targets
-    assert validate_schedule(inst, fixed).ok
-    assert fixed.placements[0] != mid
+    sched, x = _finish_on_clique(70, starts, targets)
+    assert validate_schedule(Instance(complete_graph(70), starts, targets), sched).ok
+    assert sum(x[a] != starts[a] for a in range(2, len(starts))) == 2
 
 
 def test_repair_steps_aside_to_a_spare_vertex_without_a_helper() -> None:
-    g = complete_graph(4)
-    split = CliqueSplit(frozenset(), frozenset(range(4)))
-    inst = Instance(g, (0, 1), (1, 0))
-    mid = (0, 1)
-    partial = Schedule((mid, (1, 0)))
-    fixed = repair_final_swaps(inst, split, partial, frozenset())
-    assert fixed.placements == ((0, 2), (1, 0))
-    assert validate_schedule(inst, fixed).ok
+    # agent 0 steps onto its target early; agent 1 steps aside to the
+    # spare vertex 2 and needs no helper
+    sched, _ = _finish_on_clique(4, (0, 1), (1, 0))
+    assert sched.placements == ((1, 2), (1, 0))
+    assert validate_schedule(Instance(complete_graph(4), (0, 1), (1, 0)), sched).ok
 
 
-def test_repair_fails_without_an_eligible_helper() -> None:
-    # the only bystander stood still, and K3 has no spare vertex
-    g = complete_graph(3)
-    split = CliqueSplit(frozenset(), frozenset(range(3)))
-    inst = Instance(g, (0, 1, 2), (1, 0, 2))
-    mid = (0, 1, 2)
-    partial = Schedule((mid, (1, 0, 2)))
-    with pytest.raises(MapfError):
-        repair_final_swaps(inst, split, partial, frozenset())
-
-
-def test_repair_rejects_core_only_offenders() -> None:
-    g = complete_graph(6)
-    split = CliqueSplit(frozenset(), frozenset(range(6)))
-    inst = Instance(g, (0, 1), (1, 0))
-    partial = Schedule(((0, 1), (1, 0)))
-    with pytest.raises(PreconditionError):
-        repair_final_swaps(inst, split, partial, frozenset({0, 1}))
+def test_finish_raises_when_no_placement_exists() -> None:
+    # K3 full of agents, two of which exchange: no two turns can do it
+    with pytest.raises(MapfError, match="no swap-free placement"):
+        _finish_on_clique(3, (0, 1, 2), (1, 0, 2))
 
 
 def test_repair_helper_avoids_an_exchange_with_a_dropped_agent() -> None:
     # clique 0..62, vertex 63 joined to 25, 27, 55, 58, 60 and 64, vertex 64
-    # joined to 18, 35 and 43. The lift leaves one offending pair, (25, 55),
-    # and no spare vertex; the first helper it used to borrow moved 15 -> 47
-    # while dropped agent 11 moved 47 -> 15 in the same turn. Only the lift
-    # runs here: solve_fpt keeps all 60 agents in the core, and that joint
+    # joined to 18, 35 and 43. Drifting every dropped agent up to turn
+    # m - 1 and then jumping to the targets makes agents 25 and 55 exchange
+    # on this input, and no clique vertex is spare. Only the lift runs here:
+    # solve_with_stats keeps all 60 agents in the core, and that joint
     # search is far too large.
     edges = [(u, v) for u in range(63) for v in range(u + 1, 63)]
     edges.extend((v, 63) for v in (25, 27, 55, 58, 60, 64))
@@ -369,25 +349,175 @@ def test_repair_helper_avoids_an_exchange_with_a_dropped_agent() -> None:
     kernel = _kernel(inst, split, frozenset({0, 1, 59}))
     found = config_shortest_schedule(kernel, kernel.k, 12)
     assert found is not None and found.makespan == 2
-    # The search may return any optimal schedule; this one leaves exactly
-    # the offending pair above for the repair.
     ksched = Schedule(((8, 9, 0), (13, 17, 1)))
     kinst = Instance(kernel.graph, kernel.starts, kernel.targets)
     assert kernel.k == 0 and validate_schedule(kinst, ksched).ok
-    offenders: List[List[Tuple[int, int]]] = []
-    repair = fpt.repair_final_swaps
-
-    def spied(inst_, split_, partial, core):
-        m = partial.makespan
-        offenders.append(detect_swaps(partial.placements[m - 2], partial.placements[m - 1]))
-        return repair(inst_, split_, partial, core)
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(fpt, "repair_final_swaps", spied)
-        lifted = lift_schedule(inst, split, kernel, ksched)
-    assert offenders == [[(25, 55)]]
+    lifted = lift_schedule(inst, split, kernel, ksched)
     assert lifted.makespan == 2
     assert validate_schedule(inst, lifted).ok
+
+
+def test_lift_finishes_two_exchanges_in_a_full_clique() -> None:
+    # clique 0..60 plus vertex 61 joined to 47; 56 agents, core {10, 15}.
+    # Dropped agents 5 and 14, and 18 and 37, exchange on a direct final
+    # jump, and no clique vertex stays free over the last three turns.
+    edges = [(u, v) for u in range(61) for v in range(u + 1, 61)]
+    edges.append((47, 61))
+    g = Graph(62, edges)
+    starts = (
+        59, 60, 33, 22, 47, 44, 50, 24, 52, 32, 38, 41, 57, 49, 54, 61, 23, 19,
+        0, 10, 48, 3, 5, 21, 13, 17, 25, 18, 12, 29, 36, 7, 46, 4, 45, 35, 15,
+        6, 2, 39, 31, 1, 43, 53, 27, 55, 11, 8, 37, 30, 34, 56, 42, 20, 51, 9,
+    )
+    targets = (
+        40, 36, 24, 50, 53, 54, 37, 46, 49, 9, 61, 27, 41, 38, 16, 1, 58, 45,
+        6, 30, 15, 25, 29, 19, 20, 13, 44, 2, 18, 31, 51, 8, 33, 17, 60, 35,
+        57, 0, 32, 21, 43, 47, 39, 26, 7, 52, 5, 56, 23, 34, 42, 55, 28, 3, 12,
+        48,
+    )
+    inst = Instance(g, starts, targets)
+    split = clique_split(g)
+    kernel = _kernel(inst, split, frozenset({10, 15}))
+    ksched = config_shortest_schedule(kernel, kernel.k, 12)
+    assert ksched is not None and ksched.makespan == 3
+    lifted = lift_schedule(inst, split, kernel, ksched)
+    assert lifted.makespan == 3
+    assert validate_schedule(inst, lifted).ok
+
+
+@functools.lru_cache(maxsize=None)
+def _near_clique(clique: int, attached: int) -> Graph:
+    edges = [(u, v) for u in range(clique) for v in range(u + 1, clique)]
+    edges.extend((v, clique) for v in range(clique - attached, clique))
+    return Graph(clique + 1, edges)
+
+
+def _tight_near_clique(rng: random.Random) -> Instance:
+    """dc = 1: clique 0..c-1 (c = 305..308) plus vertex c joined to the top
+    1-3 clique vertices. Agents 0..99 stand still on 0..99 and make the
+    core. The others start on all but 0-12 of the unattached vertices from
+    100 on; 1-3 pairs of them exchange vertices and no other pair does.
+    Raises ValueError when the last agent is left only a target that would
+    make one more exchange."""
+    clique, attached = rng.randint(305, 308), rng.randint(1, 3)
+    region = list(range(100, clique - attached))
+    starts = rng.sample(region, len(region) - rng.randint(0, 12))
+    pairs = rng.randint(1, 3)
+    targets: List[int] = []
+    for p in range(pairs):
+        targets += [starts[2 * p + 1], starts[2 * p]]
+    planted = set(targets)
+    pool = [v for v in region if v not in planted]
+    rng.shuffle(pool)
+    at = {v: i for i, v in enumerate(starts)}
+    for i in range(2 * pairs, len(starts)):
+        for j, v in enumerate(pool):
+            k = at.get(v)
+            if k is None or k >= i or targets[k] != starts[i]:
+                targets.append(pool.pop(j))
+                break
+        else:
+            raise ValueError(f"no free vertex left for agent {100 + i}")
+    core = tuple(range(100))
+    return Instance(
+        _near_clique(clique, attached), core + tuple(starts), core + tuple(targets)
+    )
+
+
+def test_solve_with_stats_finishes_tight_near_cliques() -> None:
+    rng = random.Random(909)
+    solved = 0
+    while solved < 100:
+        try:
+            inst = _tight_near_clique(rng)
+        except ValueError:
+            continue
+        pairs = len(detect_swaps(inst.starts, inst.targets))
+        assert 1 <= pairs <= 3
+        result, _ = solve_with_stats(inst)
+        assert result is not None
+        makespan, sched = result
+        assert makespan == 2
+        assert validate_schedule(inst, sched).ok
+        solved += 1
+
+
+def _moving_core_lift(
+    rng: random.Random,
+) -> Optional[Tuple[Instance, CliqueSplit, Kernel, Schedule]]:
+    """Lift inputs with moving core agents, or None when the draw leaves
+    too few dropped agents or starts too many core agents in the clique.
+    A clique of 53-64 vertices plus 1-3 modulator vertices, each joined to
+    1-8 clique vertices and perhaps to the next one. 1-4 core agents take a
+    random walk of 2-6 turns that keeps at most `room` of them in the
+    clique every turn; the dropped agents fill all but `room` + 0-5 clique
+    vertices, with 0-4 planted exchanging pairs and sometimes agents that
+    stay home. The kernel is the whole graph."""
+    dc, nq = rng.randint(1, 3), rng.randint(53, 64)
+    n = nq + dc
+    edges = [(u, v) for u in range(nq) for v in range(u + 1, nq)]
+    for w in range(nq, n):
+        edges.extend((v, w) for v in rng.sample(range(nq), rng.randint(1, 8)))
+        if w + 1 < n and rng.random() < 0.5:
+            edges.append((w, w + 1))
+    g = Graph(n, edges)
+    clique = frozenset(range(nq))
+    n_core = rng.randint(1, 4)
+    room = rng.randint(0, n_core)
+    n_drop = nq - room - rng.choice((0, 0, 0, 1, 2, 3, 5))
+    if n_drop <= 50:
+        return None
+    walk = [tuple(rng.sample(range(n), n_core))]
+    for _ in range(rng.randint(2, 6)):
+        pl = walk[-1]
+        step = tuple(rng.choice((v,) + g.neighbors(v)) for v in pl)
+        if (
+            len(set(step)) < n_core
+            or detect_swaps(pl, step)
+            or sum(v in clique for v in step) > room
+        ):
+            step = pl
+        walk.append(step)
+    if sum(v in clique for v in walk[0]) > room:
+        return None
+    core_starts, core_targets = walk[0], walk[-1]
+    starts = rng.sample([v for v in range(nq) if v not in core_starts], n_drop)
+    targets: List[Optional[int]] = [None] * n_drop
+    for p in range(rng.randint(0, 4)):
+        a, b = starts[2 * p], starts[2 * p + 1]
+        if a not in core_targets and b not in core_targets:
+            targets[2 * p], targets[2 * p + 1] = b, a
+    if rng.random() < 0.3:
+        for i, v in enumerate(starts):
+            if targets[i] is None and v not in core_targets and v not in targets:
+                if rng.random() < 0.2:
+                    targets[i] = v
+    pool = [v for v in range(nq) if v not in core_targets and v not in targets]
+    rng.shuffle(pool)
+    full = [t if t is not None else pool.pop() for t in targets]
+    inst = Instance(g, core_starts + tuple(starts), core_targets + tuple(full))
+    core = tuple(range(n_core))
+    kernel = Kernel(
+        g, core, core_starts, core_targets, 0, tuple(range(n)),
+        frozenset(range(nq, n)), (),
+    )
+    return inst, CliqueSplit(frozenset(range(nq, n)), clique), kernel, Schedule(
+        tuple(walk[1:])
+    )
+
+
+def test_lift_validates_on_random_moving_cores() -> None:
+    rng = random.Random(1717)
+    lifted_count = 0
+    while lifted_count < 300:
+        drawn = _moving_core_lift(rng)
+        if drawn is None:
+            continue
+        inst, split, kernel, ksched = drawn
+        lifted = lift_schedule(inst, split, kernel, ksched)
+        assert lifted.makespan == ksched.makespan
+        assert validate_schedule(inst, lifted).ok
+        lifted_count += 1
 
 
 def test_solve_fpt_repairs_one_exchange_among_idle_dropped_agents() -> None:
@@ -402,7 +532,7 @@ def test_solve_fpt_repairs_one_exchange_among_idle_dropped_agents() -> None:
     starts = tuple(range(250))
     targets = tuple(range(100)) + (101, 100) + tuple(range(103, 251))
     inst = Instance(g, starts, targets)
-    result = solve_fpt(inst)
+    result, _ = solve_with_stats(inst)
     assert result is not None
     makespan, sched = result
     assert makespan == 2
@@ -411,7 +541,7 @@ def test_solve_fpt_repairs_one_exchange_among_idle_dropped_agents() -> None:
 
 def test_solve_fpt_routes_complete_graphs_to_the_clique_solver() -> None:
     inst = Instance(complete_graph(5), (0, 1, 2), (1, 0, 2))
-    fpt_result = solve_fpt(inst)
+    fpt_result = solve_with_stats(inst)[0]
     clique_result = solve_clique(inst)
     assert fpt_result is not None and clique_result is not None
     assert fpt_result[0] == clique_result[0] == 2
@@ -420,7 +550,7 @@ def test_solve_fpt_routes_complete_graphs_to_the_clique_solver() -> None:
 def test_solve_fpt_star_leaf_exchange_costs_four() -> None:
     g = Graph(5, [(0, i) for i in range(1, 5)])
     inst = Instance(g, (1, 2), (2, 1))
-    result = solve_fpt(inst)
+    result = solve_with_stats(inst)[0]
     assert result is not None
     m, sched = result
     assert m == 4
@@ -431,7 +561,7 @@ def test_solve_fpt_star_leaf_exchange_costs_four() -> None:
 
 def test_solve_fpt_two_vertex_path_exchange_is_absent() -> None:
     inst = Instance(Graph(2, [(0, 1)]), (0, 1), (1, 0))
-    assert solve_fpt(inst) is None
+    assert solve_with_stats(inst)[0] is None
 
 
 def test_solve_fpt_agrees_with_the_oracle_on_sampled_instances() -> None:
@@ -458,7 +588,7 @@ def test_solve_fpt_agrees_with_the_oracle_on_sampled_instances() -> None:
             tuple(rng.sample(range(n), agents)),
             tuple(rng.sample(range(n), agents)),
         )
-        fpt_result = solve_fpt(inst)
+        fpt_result = solve_with_stats(inst)[0]
         oracle_result = optimal_schedule(inst, cap=110)
         if oracle_result is None:
             assert fpt_result is None
