@@ -139,7 +139,13 @@ def lift_schedule(
         right = free[i + 1][:width]
         # a dropped agent must not take the vertex a core agent leaves
         # while that core agent takes its own
-        match = _drift_matching(left, right, set(zip(core_rows[i + 1], core_rows[i])))
+        left_set, right_set = set(left), set(right)
+        forbidden = {
+            (w, y)
+            for w, y in zip(core_rows[i + 1], core_rows[i])
+            if w in left_set and y in right_set
+        }
+        match = _drift_matching(left, right, forbidden)
         _fix_mutual_exchanges(match)
         for a in noncore:
             cur[a] = match[cur[a]]

@@ -270,6 +270,24 @@ def test_lift_rejects_small_drop_pools() -> None:
         lift_schedule(inst, split, kernel, ksched)
 
 
+def test_lift_rejects_one_turn_kernel_schedules() -> None:
+    # clique 1..60 plus vertex 0 joined to 1; the core agent steps from 1
+    # to 0 in one turn while 51 dropped agents stay put, and the finish
+    # needs turns m - 2, m - 1 and m
+    clique = list(range(1, 61))
+    edges = [(u, v) for i, u in enumerate(clique) for v in clique[i + 1 :]]
+    edges.append((0, 1))
+    g = Graph(61, edges)
+    dwellers = clique[1:52]
+    inst = Instance(g, tuple([1] + dwellers), tuple([0] + dwellers))
+    split = clique_split(g)
+    kernel = _kernel(inst, split, frozenset({0}))
+    ksched = config_shortest_schedule(kernel, kernel.k, 12)
+    assert ksched is not None and ksched.makespan == 1
+    with pytest.raises(PreconditionError, match="at least two turns"):
+        lift_schedule(inst, split, kernel, ksched)
+
+
 def _finish_on_clique(
     n: int, starts: Tuple[int, ...], targets: Tuple[int, ...]
 ) -> Tuple[Schedule, Dict[int, int]]:
