@@ -510,24 +510,6 @@ def build_colored_pancake_instance(
     return inst, GadgetRegistry(dict(b.vertices), registry_groups)
 
 
-def _tree_path(graph: Graph, start: int, target: int) -> List[int]:
-    parent = {start: -1}
-    dq = deque([start])
-    while dq:
-        v = dq.popleft()
-        if v == target:
-            break
-        for w in graph.neighbors(v):
-            if w not in parent:
-                parent[w] = v
-                dq.append(w)
-    path = [target]
-    while path[-1] != start:
-        path.append(parent[path[-1]])
-    path.reverse()
-    return path
-
-
 def _slot_trajectories(
     reg: GadgetRegistry, lay: PancakeLayout, flip_seq: Sequence[int]
 ) -> List[List[int]]:
@@ -591,9 +573,33 @@ def _slot_trajectories(
 def _aux_trajectories(
     inst_graph: Graph, reg: GadgetRegistry, lay: PancakeLayout
 ) -> List[List[int]]:
+    """Route per auxiliary agent: its tree path from start to target. One
+    traversal rooted at vstar records parent and depth; each route climbs
+    from both ends to their meeting vertex, O(V + agents * L) in all."""
+    root = reg.vertex("vstar")
+    parent = [-1] * inst_graph.n
+    depth = [-1] * inst_graph.n
+    depth[root] = 0
+    dq = deque([root])
+    while dq:
+        v = dq.popleft()
+        for w in inst_graph.neighbors(v):
+            if depth[w] < 0:
+                depth[w] = depth[v] + 1
+                parent[w] = v
+                dq.append(w)
     rows: List[List[int]] = []
     for gname, s, t in _aux_plan(lay):
-        path = _tree_path(inst_graph, reg.vertex(s), reg.vertex(t))
+        u, v = reg.vertex(s), reg.vertex(t)
+        up, down = [u], [v]
+        while u != v:
+            if depth[u] >= depth[v]:
+                u = parent[u]
+                up.append(u)
+            else:
+                v = parent[v]
+                down.append(v)
+        path = up + down[-2::-1]
         if len(path) != lay.length + 1:
             raise AssertionError(
                 f"auxiliary route {s} -> {t} has {len(path) - 1} steps, "

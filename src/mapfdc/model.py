@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
+from operator import ne
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from .errors import ParseError, PreconditionError
@@ -116,19 +118,32 @@ class Verdict:
 
 
 def detect_swaps(prev: Sequence[int], nxt: Sequence[int]) -> List[Tuple[int, int]]:
-    """All unordered agent pairs {a, b} with nxt[a] = prev[b] and nxt[b] = prev[a].
+    """All unordered agent pairs {a, b} with nxt[a] = prev[b] and nxt[b] = prev[a],
+    as (a, b) with a < b, in increasing order of a.
 
-    Placements must cover the same agents (equal length).
+    Placements must cover the same agents (equal length), and prev must be
+    injective, as every placement of a valid schedule is.
     """
     if len(prev) != len(nxt):
         raise PreconditionError("placements cover different agent sets")
-    at_prev: Dict[int, int] = {v: a for a, v in enumerate(prev)}
+    return _swaps_among(prev, nxt, _movers(prev, nxt))
+
+
+def _movers(prev: Sequence[int], nxt: Sequence[int]) -> List[int]:
+    """Agents whose vertex changes, in increasing order (compared in C)."""
+    return list(compress(range(len(nxt)), map(ne, prev, nxt)))
+
+
+def _swaps_among(
+    prev: Sequence[int], nxt: Sequence[int], movers: Sequence[int]
+) -> List[Tuple[int, int]]:
+    # Both members of an exchange move, and with prev injective an agent
+    # that waits can be no member, so the movers are the only candidates.
+    at_prev = {prev[b]: b for b in movers}
     out: List[Tuple[int, int]] = []
-    for a, v in enumerate(nxt):
-        b = at_prev.get(v)
-        if b is None or b == a:
-            continue
-        if nxt[b] == prev[a] and a < b:
+    for a in movers:
+        b = at_prev.get(nxt[a])
+        if b is not None and a < b and nxt[b] == prev[a]:
             out.append((a, b))
     return out
 
@@ -136,15 +151,24 @@ def detect_swaps(prev: Sequence[int], nxt: Sequence[int]) -> List[Tuple[int, int
 def _validate_turns(
     graph: Graph, starts: Placement, placements: Sequence[Placement]
 ) -> Optional[Verdict]:
+    """First motion-rule breach, checking per turn the neighbourhood rule,
+    then injectivity, then swaps. Whole rows are compared in C; the Python
+    loops run over the agents that move. An agent that waits sits on a
+    vertex already checked, so it breaks neither the range nor the edge
+    rule, and no neighbour set holds a vertex out of range."""
     n = len(starts)
+    n_verts = graph.n
+    nbr = graph.neighbor_set
     prev = starts
     for turn, cur in enumerate(placements, start=1):
         if len(cur) != n:
             raise PreconditionError(f"turn {turn}: placement covers {len(cur)} agents, expected {n}")
-        for a, v in enumerate(cur):
-            if not (0 <= v < graph.n):
-                raise PreconditionError(f"turn {turn}: vertex {v} out of range")
-            if v != prev[a] and not graph.has_edge(prev[a], v):
+        movers = _movers(prev, cur)
+        for a in movers:
+            v = cur[a]
+            if v not in nbr(prev[a]):
+                if not (0 <= v < n_verts):
+                    raise PreconditionError(f"turn {turn}: vertex {v} out of range")
                 return Verdict(
                     False, "neighborhood", turn, (a,),
                     f"agent {a} moves {prev[a]} -> {v} without an edge",
@@ -161,7 +185,7 @@ def _validate_turns(
                 False, "injective", turn, clash,
                 f"agents {clash[0]} and {clash[1]} share vertex {cur[clash[1]]}",
             )
-        swaps = detect_swaps(prev, cur)
+        swaps = _swaps_among(prev, cur, movers)
         if swaps:
             a, b = swaps[0]
             return Verdict(
@@ -409,44 +433,56 @@ def serialize_colored_instance(inst: ColoredInstance) -> str:
 
 def parse_schedule(text: str, inst) -> Schedule:
     """Parse a schedule for the given instance (plain or colored): per-turn
-    vertex rows in agent order."""
+    vertex rows in agent order. Each row is converted as it is read; a
+    wrong turn count is reported ahead of the first bad row."""
     n_agents = inst.n_agents
     n_verts = inst.graph.n
-    lines = list(_content_lines(text))
-    if not lines:
+    lines = _content_lines(text)
+    first = next(lines, None)
+    if first is None:
         raise ParseError(1, "empty schedule file")
-    no, toks = lines[0]
+    no, toks = first
     if toks[0] != "schedule" or len(toks) != 2:
         raise ParseError(no, "expected header 'schedule <m>'")
     m = _int_tok(no, toks[1], "makespan")
     if m < 0:
         raise ParseError(no, "makespan must be non-negative")
-    rows = lines[1:]
-    if len(rows) != m:
-        raise ParseError(
-            rows[-1][0] if rows else no,
-            f"expected {m} turn lines, found {len(rows)}",
-        )
     placements: List[Placement] = []
-    for idx, (no, toks) in enumerate(rows, start=1):
-        if toks[0] != "turn":
-            raise ParseError(no, "expected turn line")
-        if len(toks) < 2 or not toks[1].endswith(":"):
-            raise ParseError(no, "expected 'turn <i>:'")
-        i = _int_tok(no, toks[1][:-1], "turn index")
-        if i != idx:
-            raise ParseError(no, f"turn index {i} out of order, expected {idx}")
-        try:
-            vs = tuple(map(int, toks[2:]))
-        except ValueError:  # rerun token by token to name the bad one
-            vs = tuple(_int_tok(no, x, "vertex") for x in toks[2:])
-        if len(vs) != n_agents:
-            raise ParseError(no, f"turn covers {len(vs)} agents, expected {n_agents}")
-        if vs and (min(vs) < 0 or max(vs) >= n_verts):
-            bad = next(v for v in vs if not (0 <= v < n_verts))
-            raise ParseError(no, f"unknown vertex id {bad}")
-        placements.append(vs)
+    bad_row: Optional[ParseError] = None
+    found = 0
+    for no, toks in lines:
+        found += 1
+        if bad_row is None and found <= m:
+            try:
+                placements.append(_parse_turn(no, toks, found, n_agents, n_verts))
+            except ParseError as exc:
+                bad_row = exc
+    if found != m:
+        raise ParseError(no, f"expected {m} turn lines, found {found}")
+    if bad_row is not None:
+        raise bad_row
     return Schedule(tuple(placements))
+
+
+def _parse_turn(no: int, toks: List[str], idx: int, n_agents: int, n_verts: int) -> Placement:
+    """Row `turn <idx>: v ...` read from line `no` as a placement."""
+    if toks[0] != "turn":
+        raise ParseError(no, "expected turn line")
+    if len(toks) < 2 or not toks[1].endswith(":"):
+        raise ParseError(no, "expected 'turn <i>:'")
+    i = _int_tok(no, toks[1][:-1], "turn index")
+    if i != idx:
+        raise ParseError(no, f"turn index {i} out of order, expected {idx}")
+    try:
+        vs = tuple(map(int, toks[2:]))
+    except ValueError:  # rerun token by token to name the bad one
+        vs = tuple(_int_tok(no, x, "vertex") for x in toks[2:])
+    if len(vs) != n_agents:
+        raise ParseError(no, f"turn covers {len(vs)} agents, expected {n_agents}")
+    if vs and (min(vs) < 0 or max(vs) >= n_verts):
+        bad = next(v for v in vs if not (0 <= v < n_verts))
+        raise ParseError(no, f"unknown vertex id {bad}")
+    return vs
 
 
 def serialize_schedule(sched: Schedule) -> str:

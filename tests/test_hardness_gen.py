@@ -9,6 +9,8 @@ import pytest
 from mapfdc.errors import ParseError, PreconditionError
 from mapfdc.gadgets import (
     GadgetRegistry,
+    _aux_trajectories,
+    _pancake_layout,
     _star_moves,
     build_colored_pancake_instance,
     build_pancake_instance,
@@ -45,6 +47,24 @@ def _distance(g: Graph, start: int) -> Dict[int, int]:
                 dist[w] = dist[v] + 1
                 dq.append(w)
     return dist
+
+
+def _bfs_path(g: Graph, start: int, target: int) -> List[int]:
+    parent = {start: -1}
+    dq = deque([start])
+    while dq:
+        v = dq.popleft()
+        if v == target:
+            break
+        for w in g.neighbors(v):
+            if w not in parent:
+                parent[w] = v
+                dq.append(w)
+    path = [target]
+    while path[-1] != start:
+        path.append(parent[path[-1]])
+    path.reverse()
+    return path
 
 
 def _components_without(g: Graph, removed: int) -> int:
@@ -301,6 +321,28 @@ def test_pancake_auxiliary_routes_have_length_exactly_the_limit() -> None:
     for a in aux:
         dist = _distance(inst.graph, inst.starts[a])
         assert dist[inst.targets[a]] == big_l
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_pancake_auxiliary_routes_match_a_search_per_agent(n: int) -> None:
+    # the routes read off one rooted traversal equal a separate search from
+    # each auxiliary agent's start, on the plain and the colored tree
+    alpha = [i % 2 for i in range(n)]
+    for flips in (1, 2, 3):
+        lay = _pancake_layout(n, flips)
+        plain, preg = build_pancake_instance(tuple(range(n, 0, -1)), flips)
+        colored, creg = build_colored_pancake_instance(alpha, alpha[::-1], flips)
+        aux = [
+            a
+            for name in ("agents.bb", "agents.bc", "agents.ba1", "agents.ba2")
+            for a in preg.agents(name)
+        ]
+        want = [_bfs_path(plain.graph, plain.starts[a], plain.targets[a]) for a in aux]
+        assert _aux_trajectories(plain.graph, preg, lay) == want
+        colored_starts = [v for g in colored.groups[2:] for v in g.starts]
+        colored_targets = [v for g in colored.groups[2:] for v in g.targets]
+        want = [_bfs_path(colored.graph, s, t) for s, t in zip(colored_starts, colored_targets)]
+        assert _aux_trajectories(colored.graph, creg, lay) == want
 
 
 def test_pancake_primary_agents_encode_the_permutation() -> None:

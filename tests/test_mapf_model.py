@@ -1,12 +1,14 @@
 from __future__ import annotations
 
 import random
-from typing import List, Tuple
+import tracemalloc
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mapfdc import model
 from mapfdc.errors import ParseError, PreconditionError
 from mapfdc.graphs import Graph, complete_graph
 from mapfdc.model import (
@@ -14,6 +16,7 @@ from mapfdc.model import (
     ColoredInstance,
     Instance,
     Schedule,
+    Verdict,
     detect_swaps,
     parse_colored_instance,
     parse_instance,
@@ -331,6 +334,44 @@ def test_parse_schedule_truncated_and_misordered() -> None:
         parse_schedule("schedule 2\nturn 1: 0\nturn 3: 1\n", inst)
 
 
+@pytest.mark.parametrize(
+    "text, line, message",
+    [
+        ("schedule 3\nturn 1: 1 x\nturn 2: 1 2\n", 3, "expected 3 turn lines, found 2"),
+        ("schedule 1\nturn 1: 9 2\nturn 2: 1 2\n", 3, "expected 1 turn lines, found 2"),
+        ("schedule 2\nturn 2: 1 2\n", 2, "expected 2 turn lines, found 1"),
+    ],
+)
+def test_parse_schedule_reports_the_turn_count_before_a_bad_row(
+    text: str, line: int, message: str
+) -> None:
+    inst = Instance(_path(3), (0, 2), (1, 2))
+    with pytest.raises(ParseError) as err:
+        parse_schedule(text, inst)
+    assert (err.value.line, str(err.value)) == (line, f"line {line}: {message}")
+
+
+def test_parse_schedule_peak_memory_stays_near_the_result() -> None:
+    # rows are converted as they are read, so the parse never holds every
+    # row's tokens at once: 2,000 agents over 300 turns
+    n_agents, turns = 2000, 300
+    inst = Instance(_path(4000), tuple(range(n_agents)), tuple(range(n_agents)))
+    rng = random.Random(3)
+    text = serialize_schedule(
+        Schedule(tuple(
+            tuple(rng.sample(range(256, 4000), n_agents)) for _ in range(turns)
+        ))
+    )
+    tracemalloc.start()
+    try:
+        sched = parse_schedule(text, inst)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sched.makespan == turns
+    assert peak <= 1.5 * retained
+
+
 def test_schedule_round_trip() -> None:
     inst = Instance(complete_graph(3), (0, 1), (1, 2))
     sched = Schedule(((1, 2),))
@@ -384,3 +425,211 @@ def test_motion_validity_is_prefix_monotone(seed: int, cut: int) -> None:
         Instance(g, inst.starts, prefix.final(inst.starts)), prefix
     )
     assert trimmed.ok
+
+
+# --- the mover-only validator against an all-agents reference -----------------
+
+
+def _reference_swaps(prev: Sequence[int], nxt: Sequence[int]) -> List[Tuple[int, int]]:
+    at_prev = {v: a for a, v in enumerate(prev)}
+    out: List[Tuple[int, int]] = []
+    for a, v in enumerate(nxt):
+        b = at_prev.get(v)
+        if b is None or b == a:
+            continue
+        if nxt[b] == prev[a] and a < b:
+            out.append((a, b))
+    return out
+
+
+def _reference_validate_turns(
+    graph: Graph, starts: Tuple[int, ...], placements: Sequence[Tuple[int, ...]]
+) -> Optional[Verdict]:
+    """The motion rules checked for every agent on every turn: the reference
+    for `model._validate_turns`, which visits only the agents that move."""
+    n = len(starts)
+    prev = starts
+    for turn, cur in enumerate(placements, start=1):
+        if len(cur) != n:
+            raise PreconditionError(f"turn {turn}: placement covers {len(cur)} agents, expected {n}")
+        for a, v in enumerate(cur):
+            if not (0 <= v < graph.n):
+                raise PreconditionError(f"turn {turn}: vertex {v} out of range")
+            if v != prev[a] and not graph.has_edge(prev[a], v):
+                return Verdict(
+                    False, "neighborhood", turn, (a,),
+                    f"agent {a} moves {prev[a]} -> {v} without an edge",
+                )
+        if len(set(cur)) != n:
+            seen: Dict[int, int] = {}
+            clash: Tuple[int, ...] = ()
+            for a, v in enumerate(cur):
+                if v in seen:
+                    clash = (seen[v], a)
+                    break
+                seen[v] = a
+            return Verdict(
+                False, "injective", turn, clash,
+                f"agents {clash[0]} and {clash[1]} share vertex {cur[clash[1]]}",
+            )
+        swaps = _reference_swaps(prev, cur)
+        if swaps:
+            a, b = swaps[0]
+            return Verdict(
+                False, "swap", turn, (a, b),
+                f"agents {a} and {b} exchange vertices {prev[a]} and {prev[b]}",
+            )
+        prev = cur
+    return None
+
+
+def _verdict_or_error(check: Callable[[], Verdict]) -> Union[Verdict, str]:
+    try:
+        return check()
+    except PreconditionError as exc:
+        return f"PreconditionError: {exc}"
+
+
+def _both_ways(
+    monkeypatch: pytest.MonkeyPatch, check: Callable[[], Verdict]
+) -> Union[Verdict, str]:
+    got = _verdict_or_error(check)
+    with monkeypatch.context() as mp:
+        mp.setattr(model, "_validate_turns", _reference_validate_turns)
+        want = _verdict_or_error(check)
+    assert got == want
+    return got
+
+
+def _random_row(
+    rng: random.Random, graph: Graph, prev: Tuple[int, ...], fault_rate: float
+) -> Tuple[int, ...]:
+    """A random walk step that keeps the motion rules, then up to three
+    planted faults: a vertex out of range, any vertex (often a non-edge),
+    a shared vertex, or an exchange of two agents."""
+    cur = list(prev)
+    taken = set(cur)
+    for a in rng.sample(range(len(cur)), len(cur)):
+        if not (0 <= cur[a] < graph.n):  # a fault planted on an earlier turn
+            continue
+        options = [v for v in graph.neighbors(cur[a]) if v not in taken]
+        if options and rng.random() < 0.6:
+            v = rng.choice(options)
+            taken.discard(cur[a])
+            taken.add(v)
+            cur[a] = v
+    for _ in range(3):
+        if cur and rng.random() < fault_rate:
+            a = rng.randrange(len(cur))
+            kind = rng.randrange(4)
+            if kind == 0:
+                cur[a] = rng.choice((-2, -1, graph.n, graph.n + 3))
+            elif kind == 1:
+                cur[a] = rng.randrange(graph.n)
+            elif kind == 2:
+                cur[a] = cur[rng.randrange(len(cur))]
+            else:
+                b = rng.randrange(len(cur))
+                cur[a], cur[b] = prev[b], prev[a]
+    return tuple(cur)
+
+
+def _outcome(result: Union[Verdict, str]) -> str:
+    if isinstance(result, str):
+        return "precondition"
+    return "ok" if result.ok else str(result.rule)
+
+
+def test_validator_matches_the_all_agents_reference(monkeypatch: pytest.MonkeyPatch) -> None:
+    seen = set()
+    for seed in range(600):
+        rng = random.Random(seed)
+        n_verts = rng.randint(1, 7)
+        density = rng.choice((0.3, 0.6, 1.0))
+        graph = Graph(n_verts, [
+            (u, v) for u in range(n_verts) for v in range(u + 1, n_verts)
+            if rng.random() < density
+        ])
+        n_agents = rng.randint(0, n_verts)
+        starts = tuple(rng.sample(range(n_verts), n_agents))
+        fault_rate = rng.choice((0.0, 0.05, 0.2, 0.5))
+        rows: List[Tuple[int, ...]] = []
+        prev = starts
+        for _ in range(rng.randint(0, 6)):
+            prev = starts if rng.random() < 0.1 else _random_row(rng, graph, prev, fault_rate)
+            rows.append(prev)
+        sched = Schedule(tuple(rows))
+        final = sched.final(starts)
+        if rng.random() < 0.6 and len(set(final)) == n_agents and all(
+            0 <= v < n_verts for v in final
+        ):
+            targets = final
+        else:
+            targets = tuple(rng.sample(range(n_verts), n_agents))
+        limit = rng.choice((None, len(rows), max(0, len(rows) - 1)))
+        inst = Instance(graph, starts, targets, limit)
+        seen.add(_outcome(_both_ways(monkeypatch, lambda: validate_schedule(inst, sched))))
+        cut = sorted(rng.sample(range(n_agents + 1), min(2, n_agents + 1)))
+        groups = [
+            (starts[i:j], tuple(rng.sample(targets[i:j], j - i)))
+            for i, j in zip([0] + cut, cut + [n_agents])
+            if j > i
+        ]
+        if groups:
+            cinst = ColoredInstance(graph, tuple(
+                ColoredGroup(gid, s, t) for gid, (s, t) in enumerate(groups, start=1)
+            ), limit)
+            seen.add(_outcome(_both_ways(
+                monkeypatch, lambda: validate_colored_schedule(cinst, sched)
+            )))
+    assert seen == {"ok", "neighborhood", "injective", "swap", "target", "limit", "precondition"}
+
+
+@pytest.mark.parametrize(
+    "graph, starts, rows, outcome",
+    [
+        # a non-edge move before a vertex out of range in the same turn
+        (_path(4), (0, 1), ((2, 9),), "neighborhood"),
+        # a non-edge move after a vertex out of range in the same turn
+        (_path(4), (0, 1), ((-1, 3),), "precondition"),
+        # a shared vertex and an exchange in one turn: injectivity first
+        (complete_graph(4), (0, 1, 2), ((1, 0, 0),), "injective"),
+        # two exchanges in one turn: the first by agent id is reported
+        (complete_graph(4), (0, 1, 2, 3), ((1, 0, 3, 2),), "swap"),
+        (complete_graph(4), (0, 1, 2, 3), ((3, 2, 1, 0),), "swap"),
+        # turns on which every agent waits
+        (_path(3), (0, 2), ((0, 2), (0, 2)), "ok"),
+        # no agents at all
+        (_path(3), (), ((), ()), "ok"),
+    ],
+)
+def test_validator_matches_the_reference_on_mixed_faults(
+    monkeypatch: pytest.MonkeyPatch,
+    graph: Graph,
+    starts: Tuple[int, ...],
+    rows: Tuple[Tuple[int, ...], ...],
+    outcome: str,
+) -> None:
+    sched = Schedule(rows)
+    inst = Instance(graph, starts, sched.final(starts) if outcome == "ok" else starts)
+    assert _outcome(_both_ways(monkeypatch, lambda: validate_schedule(inst, sched))) == outcome
+
+
+def test_detect_swaps_matches_a_pair_enumeration() -> None:
+    rng = random.Random(11)
+    for _ in range(500):
+        n_verts = rng.randint(1, 9)
+        prev = tuple(rng.sample(range(n_verts), rng.randint(0, n_verts)))
+        nxt = [rng.choice((v, rng.randrange(n_verts))) for v in prev]
+        for _ in range(rng.randint(0, 3)):
+            if len(prev) >= 2:
+                a, b = rng.sample(range(len(prev)), 2)
+                nxt[a], nxt[b] = prev[b], prev[a]
+        n = len(prev)
+        pairs = [
+            (a, b)
+            for a in range(n)
+            for b in range(a + 1, n)
+            if nxt[a] == prev[b] and nxt[b] == prev[a]
+        ]
+        assert detect_swaps(prev, nxt) == pairs

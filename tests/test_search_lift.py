@@ -298,14 +298,14 @@ def _finish_on_clique(
     return Schedule((tuple(x[a] for a in agents), targets)), x
 
 
-def test_repair_without_offenders_is_identity() -> None:
+def test_finish_sends_every_agent_home_when_nothing_exchanges() -> None:
     # nothing exchanges, so every agent is early and heads straight home
     targets = (1, 2)
     sched, _ = _finish_on_clique(5, (0, 1), targets)
     assert sched.placements == (targets, targets)
 
 
-def test_repair_rotates_four_offending_pairs() -> None:
+def test_finish_places_four_exchanging_pairs() -> None:
     starts = tuple(range(8))
     targets = (1, 0, 3, 2, 5, 4, 7, 6)
     assert len(detect_swaps(starts, targets)) == 4
@@ -313,7 +313,7 @@ def test_repair_rotates_four_offending_pairs() -> None:
     assert validate_schedule(Instance(complete_graph(12), starts, targets), sched).ok
 
 
-def test_repair_borrows_a_helper_for_a_single_pair() -> None:
+def test_finish_drafts_two_helpers_for_a_single_pair() -> None:
     # agents 0 and 1 exchange vertices 0 and 11, and 68 idle agents fill
     # the rest of K70, so no vertex is spare: idle agents become helpers,
     # and two of them join agent 1 in a three-cycle
@@ -325,7 +325,7 @@ def test_repair_borrows_a_helper_for_a_single_pair() -> None:
     assert sum(x[a] != starts[a] for a in range(2, len(starts))) == 2
 
 
-def test_repair_steps_aside_to_a_spare_vertex_without_a_helper() -> None:
+def test_finish_detours_to_a_spare_vertex_without_a_helper() -> None:
     # agent 0 steps onto its target early; agent 1 steps aside to the
     # spare vertex 2 and needs no helper
     sched, _ = _finish_on_clique(4, (0, 1), (1, 0))
