@@ -1,7 +1,7 @@
-from __future__ import annotations
-
 """Exact solvers and instance tooling for swap-free multiagent path finding
 on graphs that are a few vertex deletions away from a clique."""
+
+from __future__ import annotations
 
 from .errors import (
     MapfError,
@@ -26,7 +26,6 @@ from .model import (
     validate_colored_schedule,
     validate_schedule,
 )
-from .oracle import optimal_schedule
 
 __all__ = [
     "MapfError",
@@ -52,7 +51,6 @@ __all__ = [
     "serialize_schedule",
     "validate_colored_schedule",
     "validate_schedule",
-    "optimal_schedule",
 ]
 
 __version__ = "0.1.0"

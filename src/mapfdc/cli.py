@@ -3,12 +3,11 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from . import fpt, oracle
-from .cliques import solve_clique
 from .engine import DEFAULT_STATE_GUARD
 from .errors import ParseError, PreconditionError, ResourceLimitError
 from .gadgets import (
@@ -24,6 +23,8 @@ from .gadgets import (
     three_partition_forward_schedule,
 )
 from .model import (
+    Instance,
+    Schedule,
     parse_colored_instance,
     parse_instance,
     parse_schedule,
@@ -47,19 +48,18 @@ class RunReport:
 
     instance: str
     algo: str
-    feasible: bool
-    makespan: Optional[int]
+    makespan: Optional[int]  # None when infeasible or the guard tripped
     states: int
     millis: float
 
     def row(self) -> str:
-        mk = "-" if self.makespan is None else str(self.makespan)
+        feasible = self.makespan is not None
         return "\t".join(
             (
                 self.instance,
                 self.algo,
-                "yes" if self.feasible else "no",
-                mk,
+                "yes" if feasible else "no",
+                str(self.makespan) if feasible else "-",
                 str(self.states),
                 f"{self.millis:.1f}",
             )
@@ -107,37 +107,34 @@ def _bits(raw: str, what: str) -> Tuple[int, ...]:
 # --- solve --------------------------------------------------------------------
 
 
+def _run(
+    label: str, inst: Instance, algo: str, state_guard: int
+) -> Tuple[Optional[Tuple[int, Schedule]], RunReport]:
+    """Solve `inst` with the `algo` solver ("fpt" or "oracle") and report
+    the run. A tripped state guard is logged as an infeasible row on stderr
+    before its ResourceLimitError propagates."""
+    solver = fpt if algo == "fpt" else oracle
+    started = time.perf_counter()
+    try:
+        result, states = solver.solve_with_stats(inst, state_guard)
+    except ResourceLimitError:
+        millis = (time.perf_counter() - started) * 1000.0
+        _info(RunReport(label, algo, None, 0, millis).row())
+        raise
+    millis = (time.perf_counter() - started) * 1000.0
+    makespan = None if result is None else result[0]
+    return result, RunReport(label, algo, makespan, states, millis)
+
+
 def _cmd_solve(args: argparse.Namespace) -> int:
     text = _read_text(args.instance)
     if _first_token(text) == "cmapf":
         raise PreconditionError("solve handles plain instances only")
     inst = parse_instance(text)
-    algo = args.algo
-    if algo == "auto":
-        algo = "clique" if inst.graph.is_complete() and inst.graph.n >= 4 else "fpt"
-    started = time.perf_counter()
-    states = 0
-    try:
-        if algo == "oracle":
-            # the oracle folds the instance's makespan limit into the cap
-            result, states = oracle.solve_with_stats(inst, args.cap, args.state_guard)
-        elif algo == "clique":
-            result = solve_clique(inst)
-        else:
-            result, states = fpt.solve_with_stats(inst, args.state_guard)
-    except ResourceLimitError:
-        millis = (time.perf_counter() - started) * 1000.0
-        _info(RunReport(args.instance, algo, False, None, 0, millis).row())
-        raise
-    millis = (time.perf_counter() - started) * 1000.0
-    report = RunReport(
-        args.instance,
-        algo,
-        result is not None,
-        None if result is None else result[0],
-        states,
-        millis,
-    )
+    if args.cap is not None:
+        limit = inst.makespan_limit
+        inst = replace(inst, makespan_limit=args.cap if limit is None else min(args.cap, limit))
+    result, report = _run(args.instance, inst, args.algo, args.state_guard)
     _info(report.row())
     if result is None:
         _info(f"{args.instance}: infeasible")
@@ -269,33 +266,16 @@ def _bench_one(
     inst = parse_instance(path.read_text())
     reports: List[RunReport] = []
     problems: List[str] = []
-    outcomes = {}
     for algo in ("oracle", "fpt"):
-        started = time.perf_counter()
-        if algo == "oracle":
-            result, states = oracle.solve_with_stats(inst, state_guard=state_guard)
-        else:
-            result, states = fpt.solve_with_stats(inst, state_guard)
-        millis = (time.perf_counter() - started) * 1000.0
+        result, report = _run(path.name, inst, algo, state_guard)
         if result is not None:
             verdict = validate_schedule(inst, result[1])
             if not verdict.ok:
                 problems.append(f"{path.name}: {algo} schedule invalid ({verdict.message})")
-        outcomes[algo] = None if result is None else result[0]
-        reports.append(
-            RunReport(
-                path.name,
-                algo,
-                result is not None,
-                None if result is None else result[0],
-                states,
-                millis,
-            )
-        )
-    if outcomes["oracle"] != outcomes["fpt"]:
-        problems.append(
-            f"{path.name}: oracle says {outcomes['oracle']}, fpt says {outcomes['fpt']}"
-        )
+        reports.append(report)
+    by_oracle, by_fpt = (rep.makespan for rep in reports)
+    if by_oracle != by_fpt:
+        problems.append(f"{path.name}: oracle says {by_oracle}, fpt says {by_fpt}")
     return reports, problems
 
 
@@ -322,6 +302,30 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 # --- parser -------------------------------------------------------------------
 
 
+def _int_at_least(low: int) -> Callable[[str], int]:
+    """Argument type: an integer no smaller than `low`."""
+
+    def parse(raw: str) -> int:
+        try:
+            value = int(raw)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid integer {raw!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    return parse
+
+
+def _add_guard_opt(p: argparse.ArgumentParser) -> None:
+    p.add_argument(
+        "--state-guard",
+        type=_int_at_least(1),
+        default=DEFAULT_STATE_GUARD,
+        help="abort after discovering this many search states",
+    )
+
+
 def _add_output_opts(p: argparse.ArgumentParser, witness: bool = True) -> None:
     p.add_argument("-o", "--output", default="-", help="instance file, - for stdout")
     p.add_argument("--registry", help="write the vertex/agent name table here")
@@ -346,17 +350,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("instance", help="instance file, - for stdin")
     p_solve.add_argument(
         "--algo",
-        choices=("auto", "oracle", "clique", "fpt"),
-        default="auto",
-        help="auto picks clique on complete graphs, fpt otherwise",
+        choices=("fpt", "oracle"),
+        default="fpt",
+        help="fpt: parameterized by distance to clique; oracle: exhaustive search",
     )
-    p_solve.add_argument("--cap", type=int, help="search no deeper than this makespan")
     p_solve.add_argument(
-        "--state-guard",
-        type=int,
-        default=DEFAULT_STATE_GUARD,
-        help="abort after discovering this many search states",
+        "--cap",
+        type=_int_at_least(0),
+        help="lower the instance's makespan limit to this many turns",
     )
+    _add_guard_opt(p_solve)
     p_solve.add_argument("-o", "--output", default="-", help="schedule file, - for stdout")
     p_solve.set_defaults(func=_cmd_solve)
 
@@ -411,9 +414,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_bench = sub.add_parser("bench", help="run oracle and fpt over a directory")
     p_bench.add_argument("directory")
-    p_bench.add_argument(
-        "--state-guard", type=int, default=DEFAULT_STATE_GUARD
-    )
+    _add_guard_opt(p_bench)
     p_bench.set_defaults(func=_cmd_bench)
     return parser
 

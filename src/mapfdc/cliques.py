@@ -74,7 +74,7 @@ def solve_clique(inst: Instance) -> Optional[Tuple[int, Schedule]]:
     if inst.starts == inst.targets:
         return 0, Schedule(())
     if inst.graph.n < 4:
-        return oracle.optimal_schedule(inst)
+        return oracle.solve_with_stats(inst)[0]
     pairs = detect_swaps(inst.starts, inst.targets)
     if not pairs:
         result = _one_turn(inst.targets)

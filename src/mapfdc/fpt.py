@@ -6,44 +6,29 @@ from .cliques import solve_clique
 from .engine import DEFAULT_STATE_GUARD, joint_bfs
 from .errors import MapfError, PreconditionError
 from .graphs import CliqueSplit, clique_split
-from .kernelize import (
-    Kernel,
-    build_kernel,
-    classify_types,
-    kernel_search_bound,
-    select_core_agents,
-)
+from .kernelize import Kernel, build_kernel, classify_types, select_core_agents
 from .model import Instance, Placement, Schedule, detect_swaps, validate_schedule
 
 
 def _config_search(
-    kernel: Kernel, k: int, bound: int, state_guard: int
+    kernel: Kernel, depth_cap: Optional[int], state_guard: int
 ) -> Tuple[Optional[Schedule], int]:
+    """Shortest kernel schedule within `depth_cap` turns (no cap when None)
+    whose every placement besides start and target keeps at least kernel.k
+    core agents on the modulator, or None when no such schedule exists;
+    plus the number of states the search kept."""
     res = joint_bfs(
         kernel.graph,
         kernel.starts,
         kernel.targets,
         occupancy_vertices=sorted(kernel.modulator_kernel_ids),
-        min_occupancy=k,
-        depth_cap=bound,
+        min_occupancy=kernel.k,
+        depth_cap=depth_cap,
         state_guard=state_guard,
     )
     if res.path is None:
         return None, res.states
     return Schedule(res.path[1:]), res.states
-
-
-def config_shortest_schedule(
-    kernel: Kernel,
-    k: int,
-    bound: int,
-    state_guard: int = DEFAULT_STATE_GUARD,
-) -> Optional[Schedule]:
-    """Shortest kernel schedule within `bound` turns whose every placement
-    besides start and target keeps at least k core agents on the modulator,
-    or None when no such schedule exists."""
-    sched, _ = _config_search(kernel, k, bound, state_guard)
-    return sched
 
 
 def _drift_matching(
@@ -283,22 +268,23 @@ def solve_with_stats(
     state_guard: int = DEFAULT_STATE_GUARD,
 ) -> Tuple[Optional[Tuple[int, Schedule]], int]:
     """Exact optimal solve parameterized by distance to clique, plus the
-    kernel-search state count (0 when no search ran).
+    kernel-search state count (0 when no search ran). The answer is None
+    when no schedule meets the instance's makespan limit; the limit is also
+    the kernel search's only depth cap.
 
-    Splits off a minimum modulator, routes complete graphs to the
-    constant-makespan solver, and otherwise searches the kernel instance
-    under the occupancy constraint, lifting the kernel schedule back to all
-    agents when some were dropped."""
+    Routes complete graphs with at least four vertices to the
+    constant-makespan solver. Otherwise splits off a minimum modulator and
+    searches the kernel instance under the occupancy constraint, lifting
+    the kernel schedule back to all agents when some were dropped."""
     if inst.starts == inst.targets:
         return (0, Schedule(())), 0
-    split = clique_split(inst.graph)
-    if not split.modulator and inst.graph.n >= 4:
+    if inst.graph.n >= 4 and inst.graph.is_complete():
         return solve_clique(inst), 0
+    split = clique_split(inst.graph)
     types, agent_types = classify_types(inst, split)
     core = select_core_agents(inst, split, types, agent_types)
     kernel = build_kernel(inst, split, core, types)
-    bound = kernel_search_bound(inst, split)
-    ksched, states = _config_search(kernel, kernel.k, bound, state_guard)
+    ksched, states = _config_search(kernel, inst.makespan_limit, state_guard)
     if ksched is None:
         return None, states
     if len(core) < inst.n_agents and ksched.makespan < 2:

@@ -437,8 +437,11 @@ def _aux_plan(lay: PancakeLayout) -> List[Tuple[str, str, str]]:
 def build_pancake_instance(
     perm: Sequence[int], flips: int
 ) -> Tuple[Instance, GadgetRegistry]:
-    """Tree instance solvable within the limit exactly when the permutation
-    can be sorted with the given number of prefix reversals.
+    """Tree instance whose makespan limit a schedule meets when the
+    permutation sorts with the given number of prefix reversals:
+    `pancake_forward_schedule` builds that witness. The converse does not
+    hold yet: some unsortable permutations, such as (2, 3, 1) at flips 1,
+    also have schedules within the limit (ROADMAP.md lists those found).
 
     Pancake agents sit on a short path; timer agents stream along four long
     paths and across three junction vertices, leaving each junction usable

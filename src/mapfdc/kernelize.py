@@ -12,7 +12,10 @@ _PARAM_CEILING = 12
 
 def makespan_bound(dc: int) -> int:
     """Upper bound on optimal makespan of any feasible instance whose graph
-    is dc vertex deletions from a clique: 3(2 dc + 2)^dc + 2."""
+    is dc vertex deletions from a clique: 3(2 dc + 2)^dc + 2.
+
+    The paper's lemma, kept for the acceptance check; no search is capped
+    by it, since the instance's makespan limit is the only search cap."""
     if dc < 0:
         raise PreconditionError("distance to clique cannot be negative")
     if dc > _PARAM_CEILING:
@@ -30,23 +33,6 @@ def kappa(dc: int) -> int:
     if dc == 0:
         return 0
     return (10 * dc) ** (dc + 1)
-
-
-def kernel_search_bound(inst: Instance, split: CliqueSplit) -> int:
-    """Makespan cap for the kernel search: max(makespan_bound(dc),
-    3 (named + 2)^dc + a). Agents with an endpoint on the modulator are
-    named and the rest anonymous, unless fewer than four would be anonymous
-    (then everyone is named); a is 2 when some agent is anonymous and 0
-    otherwise."""
-    m = split.modulator
-    named = sum(
-        1 for a in inst.agents if inst.starts[a] in m or inst.targets[a] in m
-    )
-    anon = inst.n_agents - named
-    if anon < 4:
-        named, anon = inst.n_agents, 0
-    named_bound = 3 * (named + 2) ** split.dc + (2 if anon else 0)
-    return max(makespan_bound(split.dc), named_bound)
 
 
 # --- vertex and agent types -------------------------------------------------

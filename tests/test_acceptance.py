@@ -3,6 +3,7 @@ from __future__ import annotations
 import random
 import time
 from collections import deque
+from dataclasses import replace
 from itertools import permutations
 from typing import Dict, List, Optional, Set, Tuple
 
@@ -66,7 +67,7 @@ def suite2():
         dc = rng.randint(0, 2)
         a = rng.randint(1, min(4, v))
         inst = random_instance(v, dc, a, seed=1000 + i)
-        out.append((inst, dc, oracle.optimal_schedule(inst)))
+        out.append((inst, dc, oracle.solve_with_stats(inst)[0]))
     return out
 
 
@@ -83,7 +84,7 @@ def test_clique_solver_is_exact_on_small_complete_graphs() -> None:
                 for targets in permutations(range(n), a):
                     inst = Instance(g, starts, targets)
                     got = solve_clique(inst)
-                    ref = oracle.optimal_schedule(inst, cap=2)
+                    ref = oracle.solve_with_stats(replace(inst, makespan_limit=2))[0]
                     assert got is not None, (starts, targets)
                     assert ref is not None, (starts, targets)
                     assert got[0] == ref[0], (starts, targets)
@@ -101,7 +102,7 @@ def test_clique_solver_is_exact_on_small_complete_graphs() -> None:
         targets = tuple(rng.sample(range(6), a))
         inst = Instance(g6, starts, targets)
         got = solve_clique(inst)
-        ref = oracle.optimal_schedule(inst, cap=2)
+        ref = oracle.solve_with_stats(replace(inst, makespan_limit=2))[0]
         assert got is not None and ref is not None
         assert got[0] == ref[0] and got[0] <= 2
         assert validate_schedule(inst, got[1]).ok
@@ -123,6 +124,30 @@ def test_parameterized_solver_matches_the_oracle(suite2) -> None:
             assert got[0] == ref[0]
             assert validate_schedule(inst, got[1]).ok
     assert time.monotonic() - started < 300.0
+
+
+def test_parameterized_solver_matches_the_oracle_under_limits(suite2) -> None:
+    # the limit is the only search cap: one turn below the optimum leaves
+    # nothing, the optimum and one turn above it leave the optimum
+    checked = 0
+    for inst, _, ref in suite2:
+        if ref is None:
+            continue
+        opt = ref[0]
+        for limit in (opt - 1, opt, opt + 1):
+            if limit < 0:
+                continue
+            capped = replace(inst, makespan_limit=limit)
+            got = fpt.solve_with_stats(capped)[0]
+            want = oracle.solve_with_stats(capped)[0]
+            if limit < opt:
+                assert got is None and want is None
+            else:
+                assert got is not None and want is not None
+                assert got[0] == want[0] == opt
+                assert validate_schedule(capped, got[1]).ok
+            checked += 1
+    assert checked >= 250
 
 
 # --- criterion 3: the structural makespan bound holds ----------------------------

@@ -3,6 +3,7 @@ from __future__ import annotations
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -61,15 +62,20 @@ def test_solve_then_validate_round_trip(tmp_path, capsys) -> None:
     assert "valid, makespan" in err
 
 
-def test_solve_auto_uses_the_clique_algorithm_on_complete_graphs(
-    tmp_path, capsys
+def test_solve_routes_complete_graphs_to_the_clique_solver(
+    tmp_path, capsys, monkeypatch
 ) -> None:
+    def no_split(*args, **kwargs):
+        raise AssertionError("a complete graph needs no clique split")
+
+    monkeypatch.setattr(cli.fpt, "clique_split", no_split)
     ipath = tmp_path / "k5.mapf"
     _write_instance(ipath, Instance(complete_graph(5), (0, 1, 2), (1, 0, 2)))
     spath = tmp_path / "k5.sched"
     assert cli.main(["solve", str(ipath), "-o", str(spath)]) == 0
     err = capsys.readouterr().err
-    assert "\tclique\t" in err
+    # the default solver is fpt, and the clique solver searches nothing
+    assert "\tfpt\tyes\t2\t0\t" in err
     inst = parse_instance(ipath.read_text())
     sched = parse_schedule(spath.read_text(), inst)
     assert validate_schedule(inst, sched).ok
@@ -110,9 +116,71 @@ def test_solve_honors_the_instance_makespan_limit(tmp_path, capsys) -> None:
     _write_instance(
         ipath, Instance(complete_graph(4), (0, 1), (1, 0), makespan_limit=1)
     )
-    for algo in ("oracle", "clique", "fpt"):
+    for algo in ("oracle", "fpt"):
         assert cli.main(["solve", str(ipath), "--algo", algo]) == 1
     capsys.readouterr()
+
+
+def _star_leaf_exchange() -> Instance:
+    # two leaves of a 5-vertex star trade places: 4 turns at best
+    return Instance(Graph(5, [(0, i) for i in range(1, 5)]), (1, 2), (2, 1))
+
+
+@pytest.mark.parametrize("algo", ["fpt", "oracle"])
+def test_solve_cap_lowers_the_limit_for_every_solver(tmp_path, capsys, algo) -> None:
+    ipath = tmp_path / "star.mapf"
+    _write_instance(ipath, _star_leaf_exchange())
+    assert cli.main(["solve", str(ipath), "--algo", algo, "--cap", "1"]) == 1
+    assert "infeasible" in capsys.readouterr().err
+    assert cli.main(["solve", str(ipath), "--algo", algo, "--cap", "4"]) == 0
+    assert f"\t{algo}\tyes\t4\t" in capsys.readouterr().err
+
+
+def test_solve_cap_never_raises_the_instance_limit(tmp_path, capsys) -> None:
+    ipath = tmp_path / "star.mapf"
+    _write_instance(ipath, replace(_star_leaf_exchange(), makespan_limit=3))
+    assert cli.main(["solve", str(ipath), "--cap", "9"]) == 1
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--algo", "fpt", "--cap", "-1"],
+        ["--algo", "oracle", "--cap", "-1"],
+        ["--algo", "fpt", "--state-guard", "0"],
+        ["--algo", "oracle", "--state-guard", "0"],
+    ],
+)
+def test_solve_rejects_out_of_range_options(tmp_path, capsys, argv) -> None:
+    # fpt answers K4 with one exchanging pair without a search, so only the
+    # parser can refuse a guard of 0 there
+    k4 = Instance(complete_graph(4), (0, 1), (1, 0))
+    for name, inst in (("k4", k4), ("star", _star_leaf_exchange())):
+        path = tmp_path / f"{name}.mapf"
+        _write_instance(path, inst)
+        with pytest.raises(SystemExit) as err:
+            cli.main(["solve", str(path)] + argv)
+        assert err.value.code == 2
+    capsys.readouterr()
+
+
+def test_bench_rejects_a_guard_below_one(tmp_path, capsys) -> None:
+    _write_instance(tmp_path / "k4.mapf", Instance(complete_graph(4), (0, 1), (1, 0)))
+    with pytest.raises(SystemExit) as err:
+        cli.main(["bench", str(tmp_path), "--state-guard", "0"])
+    assert err.value.code == 2
+    capsys.readouterr()
+
+
+def test_solve_exits_three_beyond_the_distance_ceiling(tmp_path, capsys) -> None:
+    # K4 plus 13 pendant vertices is 13 deletions from a clique
+    edges = [(u, v) for u in range(4) for v in range(u + 1, 4)]
+    edges.extend((v, v % 4) for v in range(4, 17))
+    ipath = tmp_path / "far.mapf"
+    _write_instance(ipath, Instance(Graph(17, edges), (4,), (0,)))
+    assert cli.main(["solve", str(ipath)]) == 3
+    assert "exceeds supported ceiling 12" in capsys.readouterr().err
 
 
 def test_solve_state_guard_exit_code(tmp_path, capsys) -> None:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+from dataclasses import replace
 from typing import Tuple
 
 import pytest
@@ -9,7 +10,7 @@ from mapfdc.cliques import solve_clique
 from mapfdc.errors import PreconditionError
 from mapfdc.graphs import Graph, complete_graph
 from mapfdc.model import Instance, validate_schedule
-from mapfdc.oracle import optimal_schedule
+from mapfdc.oracle import solve_with_stats
 
 
 def test_settled_agents_are_makespan_zero() -> None:
@@ -51,7 +52,7 @@ def test_two_swapping_pairs_resolve_in_two_turns() -> None:
     assert result is not None
     assert result[0] == 2
     assert validate_schedule(inst, result[1]).ok
-    oracle_result = optimal_schedule(inst, cap=4)
+    oracle_result = solve_with_stats(replace(inst, makespan_limit=4))[0]
     assert oracle_result is not None and oracle_result[0] == 2
 
 
@@ -91,7 +92,7 @@ def test_every_k4_assignment_matches_the_oracle() -> None:
         m, sched = result
         assert m <= 2
         assert validate_schedule(inst, sched).ok
-        oracle_result = optimal_schedule(inst, cap=2)
+        oracle_result = solve_with_stats(replace(inst, makespan_limit=2))[0]
         assert oracle_result is not None
         assert oracle_result[0] == m
         count += 1

@@ -11,7 +11,6 @@ from mapfdc.kernelize import (
     Kernel,
     build_kernel,
     classify_types,
-    kernel_search_bound,
     kappa,
     makespan_bound,
     select_core_agents,
@@ -54,28 +53,6 @@ def test_kappa_guards() -> None:
         kappa(-1)
     with pytest.raises(ResourceLimitError):
         kappa(13)
-
-
-@pytest.mark.parametrize(
-    "clique_size, starts, targets, bound",
-    [
-        # both agents touch the modulator: makespan_bound(1) wins
-        (4, (0, 1), (1, 0), 14),
-        # three clique-only agents are too few to be anonymous, so all four
-        # are named: 3 (4 + 2) = 18
-        (6, (0, 1, 2, 3), (6, 2, 3, 4), 18),
-        # one named agent and five anonymous: 3 (1 + 2) + 2 < 14
-        (8, (0, 1, 2, 3, 4, 5), (8, 2, 3, 4, 5, 6), 14),
-    ],
-    ids=["all-touch-modulator", "too-few-anonymous", "five-anonymous"],
-)
-def test_kernel_search_bound_counts_named_agents(
-    clique_size: int, starts: Tuple[int, ...], targets: Tuple[int, ...], bound: int
-) -> None:
-    g = _hub_and_clique(clique_size, 2)
-    split = clique_split(g)
-    assert split.modulator == frozenset({0})
-    assert kernel_search_bound(Instance(g, starts, targets), split) == bound
 
 
 def test_classify_types_on_a_complete_graph() -> None:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 from typing import List, Optional, Sequence, Set, Tuple
 
 import pytest
@@ -9,7 +10,7 @@ from mapfdc import engine, fpt
 from mapfdc.errors import PreconditionError, ResourceLimitError
 from mapfdc.graphs import Graph, complete_graph
 from mapfdc.model import Instance, Schedule, detect_swaps, parse_instance, validate_schedule
-from mapfdc.oracle import optimal_schedule, solve_with_stats
+from mapfdc.oracle import solve_with_stats
 
 
 def _path(n: int) -> Graph:
@@ -18,6 +19,14 @@ def _path(n: int) -> Graph:
 
 def _cycle(n: int) -> Graph:
     return Graph(n, [(i, (i + 1) % n) for i in range(n)])
+
+
+def _optimum(inst: Instance, limit: Optional[int] = None) -> Optional[Tuple[int, Schedule]]:
+    """The oracle's answer on `inst`, with its makespan limit set to `limit`
+    when one is given."""
+    if limit is not None:
+        inst = replace(inst, makespan_limit=limit)
+    return solve_with_stats(inst)[0]
 
 
 def _moves(g: Graph, cur: Tuple[int, ...]) -> List[Tuple[int, ...]]:
@@ -80,7 +89,7 @@ def _reference_optimum(
 
 def test_already_home_is_makespan_zero() -> None:
     inst = Instance(_path(3), (0, 2), (0, 2))
-    result = optimal_schedule(inst)
+    result = _optimum(inst)
     assert result is not None
     m, sched = result
     assert m == 0
@@ -90,12 +99,12 @@ def test_already_home_is_makespan_zero() -> None:
 
 def test_two_agents_on_an_edge_cannot_trade() -> None:
     inst = Instance(_path(2), (0, 1), (1, 0))
-    assert optimal_schedule(inst, cap=10) is None
+    assert _optimum(inst, limit=10) is None
 
 
 def test_swap_on_k4_costs_two_turns() -> None:
     inst = Instance(complete_graph(4), (0, 1), (1, 0))
-    result = optimal_schedule(inst, cap=5)
+    result = _optimum(inst, limit=5)
     assert result is not None
     m, sched = result
     assert m == 2
@@ -104,26 +113,26 @@ def test_swap_on_k4_costs_two_turns() -> None:
 
 def test_single_agent_shortest_path() -> None:
     inst = Instance(_path(5), (0,), (4,))
-    result = optimal_schedule(inst)
+    result = _optimum(inst)
     assert result is not None
     assert result[0] == 4
 
 
 def test_cap_semantics() -> None:
     inst = Instance(_path(5), (0,), (4,))
-    assert optimal_schedule(inst, cap=3) is None
-    result = optimal_schedule(inst, cap=4)
+    assert _optimum(inst, limit=3) is None
+    result = _optimum(inst, limit=4)
     assert result is not None and result[0] == 4
-    # cap 0 admits exactly the already-solved case
-    assert optimal_schedule(inst, cap=0) is None
+    # limit 0 admits exactly the already-solved case
+    assert _optimum(inst, limit=0) is None
     home = Instance(_path(5), (0,), (0,))
-    zero = optimal_schedule(home, cap=0)
+    zero = _optimum(home, limit=0)
     assert zero is not None and zero[0] == 0
 
 
 def test_makespan_limit_on_instance_acts_as_cap() -> None:
     inst = Instance(_path(5), (0,), (4,), makespan_limit=3)
-    assert optimal_schedule(inst) is None
+    assert _optimum(inst) is None
 
 
 def _random_small_instance(rng: random.Random) -> Instance:
@@ -146,7 +155,7 @@ def test_optimum_matches_reference_enumeration() -> None:
     for _ in range(120):
         inst = _random_small_instance(rng)
         expected = _reference_optimum(inst, cap=12)
-        got = optimal_schedule(inst, cap=12)
+        got = _optimum(inst, limit=12)
         if expected is None:
             assert got is None
         else:
@@ -158,8 +167,8 @@ def test_optimum_matches_reference_enumeration() -> None:
 
 def test_solver_is_deterministic() -> None:
     inst = Instance(complete_graph(5), (0, 1, 2), (2, 0, 1))
-    first = optimal_schedule(inst)
-    second = optimal_schedule(inst)
+    first = _optimum(inst)
+    second = _optimum(inst)
     assert first is not None and second is not None
     assert first[0] == second[0]
     assert first[1] == second[1]
@@ -172,16 +181,16 @@ def test_state_guard_trips_on_tiny_budget() -> None:
     result, states = solve_with_stats(inst)
     assert result is not None and result[0] == 4 and states > 3
     with pytest.raises(ResourceLimitError):
-        optimal_schedule(inst, state_guard=3)
+        solve_with_stats(inst, state_guard=3)
 
 
 def test_solve_with_stats_counts_states() -> None:
     inst = Instance(complete_graph(4), (0, 1), (1, 0))
-    result, states = solve_with_stats(inst, cap=5)
+    result, states = solve_with_stats(replace(inst, makespan_limit=5))
     assert result is not None and result[0] == 2
     assert states > 0
     absent, states2 = solve_with_stats(
-        Instance(_path(2), (0, 1), (1, 0)), cap=6
+        Instance(_path(2), (0, 1), (1, 0), makespan_limit=6)
     )
     assert absent is None and states2 > 0
 

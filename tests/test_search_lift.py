@@ -3,16 +3,18 @@ from __future__ import annotations
 import functools
 import random
 import sys
+from dataclasses import replace
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 import pytest
 
-from mapfdc import fpt
-from mapfdc.errors import MapfError, PreconditionError
+from mapfdc import fpt, oracle
+from mapfdc.engine import DEFAULT_STATE_GUARD
+from mapfdc.errors import MapfError, PreconditionError, ResourceLimitError
 from mapfdc.fpt import (
+    _config_search,
     _fix_mutual_exchanges,
     _drift_matching,
-    config_shortest_schedule,
     lift_schedule,
     solve_with_stats,
 )
@@ -20,7 +22,6 @@ from mapfdc.cliques import solve_clique
 from mapfdc.graphs import CliqueSplit, Graph, clique_split, complete_graph
 from mapfdc.kernelize import Kernel, build_kernel, classify_types, select_core_agents
 from mapfdc.model import Instance, Schedule, detect_swaps, validate_schedule
-from mapfdc.oracle import optimal_schedule
 
 
 def _k4_kernel(starts: Tuple[int, ...], targets: Tuple[int, ...], k: int = 0) -> Kernel:
@@ -42,29 +43,35 @@ def _kernel(inst: Instance, split: CliqueSplit, core: FrozenSet[int]) -> Kernel:
     return build_kernel(inst, split, core, types)
 
 
+def _kernel_schedule(kernel: Kernel, cap: Optional[int] = None) -> Optional[Schedule]:
+    """Shortest kernel schedule within `cap` turns under the kernel's own
+    occupancy floor, as the solver searches it."""
+    return _config_search(kernel, cap, DEFAULT_STATE_GUARD)[0]
+
+
 def test_config_search_settled_agents_cost_nothing() -> None:
     kernel = _k4_kernel((0, 1), (0, 1))
-    sched = config_shortest_schedule(kernel, 0, 10)
+    sched = _kernel_schedule(kernel, 10)
     assert sched is not None
     assert sched.makespan == 0
 
 
 def test_config_search_matches_clique_and_oracle_on_a_swap() -> None:
     kernel = _k4_kernel((0, 1), (1, 0))
-    sched = config_shortest_schedule(kernel, 0, 10)
+    sched = _kernel_schedule(kernel, 10)
     assert sched is not None
     assert sched.makespan == 2
     inst = Instance(complete_graph(4), (0, 1), (1, 0))
     assert validate_schedule(inst, sched).ok
     clique_result = solve_clique(inst)
-    oracle_result = optimal_schedule(inst, cap=5)
+    oracle_result = oracle.solve_with_stats(inst)[0]
     assert clique_result is not None and oracle_result is not None
     assert sched.makespan == clique_result[0] == oracle_result[0]
 
 
 def test_config_search_absence_within_bound() -> None:
     kernel = _k4_kernel((0, 1), (1, 0))
-    assert config_shortest_schedule(kernel, 0, 1) is None
+    assert _kernel_schedule(kernel, 1) is None
 
 
 def test_config_search_keeps_agents_on_the_modulator() -> None:
@@ -79,14 +86,14 @@ def test_config_search_keeps_agents_on_the_modulator() -> None:
         frozenset({4}),
         ((0, (0, 1, 2, 3)),),
     )
-    sched = config_shortest_schedule(kernel, 1, 10)
+    sched = _kernel_schedule(kernel, 10)
     assert sched is not None
     assert sched.makespan == 2
     for placement in sched.placements[:-1]:
         assert any(v == 4 for v in placement)
     # the same exchange with the occupancy constraint switched off may
     # resolve through the spare clique vertices instead
-    free = config_shortest_schedule(kernel, 0, 10)
+    free = _kernel_schedule(replace(kernel, k=0), 10)
     assert free is not None and free.makespan == 2
 
 
@@ -186,7 +193,7 @@ def test_lift_with_full_core_is_a_relabeling() -> None:
     assert split.modulator == frozenset({0})
     inst = Instance(g, (0, 2), (2, 3), makespan_limit=None)
     kernel = _kernel(inst, split, frozenset(inst.agents))
-    ksched = config_shortest_schedule(kernel, kernel.k, 14)
+    ksched = _kernel_schedule(kernel)
     assert ksched is not None
     lifted = lift_schedule(inst, split, kernel, ksched)
     assert lifted.makespan == ksched.makespan
@@ -211,7 +218,7 @@ def test_lift_extends_a_kernel_schedule_to_dropped_agents() -> None:
     core = frozenset({0})
     kernel = _kernel(inst, split, core)
     assert len(kernel.u_vertices) < inst.graph.n
-    ksched = config_shortest_schedule(kernel, kernel.k, 14)
+    ksched = _kernel_schedule(kernel)
     assert ksched is not None
     assert ksched.makespan == 2
     lifted = lift_schedule(inst, split, kernel, ksched)
@@ -237,7 +244,7 @@ def test_lift_drifts_around_a_forbidden_core_move() -> None:
     inst = Instance(g, starts, targets)
     split = clique_split(g)
     kernel = _kernel(inst, split, frozenset({0, 1, 2}))
-    found = config_shortest_schedule(kernel, kernel.k, 12)
+    found = _kernel_schedule(kernel)
     assert found is not None and found.makespan == 3
     # The search may return any optimal schedule; this one makes the first
     # drift frame forbid a core move.
@@ -264,7 +271,7 @@ def test_lift_rejects_small_drop_pools() -> None:
     split = clique_split(g)
     inst = Instance(g, (0, 2, 3, 4), (5, 2, 3, 4))
     kernel = _kernel(inst, split, frozenset({0}))
-    ksched = config_shortest_schedule(kernel, kernel.k, 14)
+    ksched = _kernel_schedule(kernel)
     assert ksched is not None
     with pytest.raises(PreconditionError):
         lift_schedule(inst, split, kernel, ksched)
@@ -282,7 +289,7 @@ def test_lift_rejects_one_turn_kernel_schedules() -> None:
     inst = Instance(g, tuple([1] + dwellers), tuple([0] + dwellers))
     split = clique_split(g)
     kernel = _kernel(inst, split, frozenset({0}))
-    ksched = config_shortest_schedule(kernel, kernel.k, 12)
+    ksched = _kernel_schedule(kernel)
     assert ksched is not None and ksched.makespan == 1
     with pytest.raises(PreconditionError, match="at least two turns"):
         lift_schedule(inst, split, kernel, ksched)
@@ -365,7 +372,7 @@ def test_repair_helper_avoids_an_exchange_with_a_dropped_agent() -> None:
     inst = Instance(g, starts, targets)
     split = clique_split(g)
     kernel = _kernel(inst, split, frozenset({0, 1, 59}))
-    found = config_shortest_schedule(kernel, kernel.k, 12)
+    found = _kernel_schedule(kernel)
     assert found is not None and found.makespan == 2
     ksched = Schedule(((8, 9, 0), (13, 17, 1)))
     kinst = Instance(kernel.graph, kernel.starts, kernel.targets)
@@ -396,7 +403,7 @@ def test_lift_finishes_two_exchanges_in_a_full_clique() -> None:
     inst = Instance(g, starts, targets)
     split = clique_split(g)
     kernel = _kernel(inst, split, frozenset({10, 15}))
-    ksched = config_shortest_schedule(kernel, kernel.k, 12)
+    ksched = _kernel_schedule(kernel)
     assert ksched is not None and ksched.makespan == 3
     lifted = lift_schedule(inst, split, kernel, ksched)
     assert lifted.makespan == 3
@@ -410,17 +417,18 @@ def _near_clique(clique: int, attached: int) -> Graph:
     return Graph(clique + 1, edges)
 
 
-def _tight_near_clique(rng: random.Random) -> Instance:
+def _tight_near_clique(rng: random.Random, pairs: Optional[int] = None) -> Instance:
     """dc = 1: clique 0..c-1 (c = 305..308) plus vertex c joined to the top
     1-3 clique vertices. Agents 0..99 stand still on 0..99 and make the
     core. The others start on all but 0-12 of the unattached vertices from
-    100 on; 1-3 pairs of them exchange vertices and no other pair does.
-    Raises ValueError when the last agent is left only a target that would
-    make one more exchange."""
+    100 on; `pairs` of them (1-3 at random when None) exchange vertices and
+    no other pair does. Raises ValueError when the last agent is left only
+    a target that would make one more exchange."""
     clique, attached = rng.randint(305, 308), rng.randint(1, 3)
     region = list(range(100, clique - attached))
     starts = rng.sample(region, len(region) - rng.randint(0, 12))
-    pairs = rng.randint(1, 3)
+    if pairs is None:
+        pairs = rng.randint(1, 3)
     targets: List[int] = []
     for p in range(pairs):
         targets += [starts[2 * p + 1], starts[2 * p]]
@@ -538,6 +546,38 @@ def test_lift_validates_on_random_moving_cores() -> None:
         lifted_count += 1
 
 
+def test_solve_with_stats_meets_the_limit_on_tight_near_cliques() -> None:
+    # one exchanging pair needs two turns: limit 1 leaves nothing even
+    # though the kernel search succeeds, limit 2 leaves the optimum
+    rng = random.Random(911)
+    solved = 0
+    while solved < 5:
+        try:
+            inst = _tight_near_clique(rng, pairs=1)
+        except ValueError:
+            continue
+        assert inst.n_agents >= 100 and len(detect_swaps(inst.starts, inst.targets)) == 1
+        assert solve_with_stats(replace(inst, makespan_limit=1))[0] is None
+        limited = replace(inst, makespan_limit=2)
+        result, _ = solve_with_stats(limited)
+        assert result is not None
+        makespan, sched = result
+        assert makespan == 2
+        assert validate_schedule(limited, sched).ok
+        solved += 1
+
+
+def test_solve_with_stats_rejects_distance_to_clique_beyond_the_ceiling() -> None:
+    # K4 plus 13 pendant vertices: deleting the pendants is the cheapest
+    # way to a clique, so dc = 13
+    edges = [(u, v) for u in range(4) for v in range(u + 1, 4)]
+    edges.extend((v, v % 4) for v in range(4, 17))
+    g = Graph(17, edges)
+    assert clique_split(g).dc == 13
+    with pytest.raises(ResourceLimitError, match="exceeds supported ceiling 12"):
+        solve_with_stats(Instance(g, (4,), (0,)))
+
+
 def test_solve_fpt_repairs_one_exchange_among_idle_dropped_agents() -> None:
     # dc = 1: clique 0..309, vertex 310 joined to 302..309. Agents 0..99 stand
     # still and become the core, so the kernel schedule is empty and gets
@@ -573,7 +613,7 @@ def test_solve_fpt_star_leaf_exchange_costs_four() -> None:
     m, sched = result
     assert m == 4
     assert validate_schedule(inst, sched).ok
-    oracle_result = optimal_schedule(inst, cap=6)
+    oracle_result = oracle.solve_with_stats(inst)[0]
     assert oracle_result is not None and oracle_result[0] == 4
 
 
@@ -607,7 +647,7 @@ def test_solve_fpt_agrees_with_the_oracle_on_sampled_instances() -> None:
             tuple(rng.sample(range(n), agents)),
         )
         fpt_result = solve_with_stats(inst)[0]
-        oracle_result = optimal_schedule(inst, cap=110)
+        oracle_result = oracle.solve_with_stats(inst)[0]
         if oracle_result is None:
             assert fpt_result is None
         else:
