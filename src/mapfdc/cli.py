@@ -48,17 +48,19 @@ class RunReport:
 
     instance: str
     algo: str
-    makespan: Optional[int]  # None when infeasible or the guard tripped
+    makespan: Optional[int]  # None when infeasible or aborted
     states: int
     millis: float
+    aborted: Optional[str] = None  # message of the ResourceLimitError that ended the run
 
     def row(self) -> str:
         feasible = self.makespan is not None
+        verdict = "aborted" if self.aborted is not None else "yes" if feasible else "no"
         return "\t".join(
             (
                 self.instance,
                 self.algo,
-                "yes" if feasible else "no",
+                verdict,
                 str(self.makespan) if feasible else "-",
                 str(self.states),
                 f"{self.millis:.1f}",
@@ -111,16 +113,15 @@ def _run(
     label: str, inst: Instance, algo: str, state_guard: int
 ) -> Tuple[Optional[Tuple[int, Schedule]], RunReport]:
     """Solve `inst` with the `algo` solver ("fpt" or "oracle") and report
-    the run. A tripped state guard is logged as an infeasible row on stderr
-    before its ResourceLimitError propagates."""
+    the run. A ResourceLimitError, such as a tripped state guard, ends the
+    run with no result and an aborted report."""
     solver = fpt if algo == "fpt" else oracle
     started = time.perf_counter()
     try:
         result, states = solver.solve_with_stats(inst, state_guard)
-    except ResourceLimitError:
+    except ResourceLimitError as exc:
         millis = (time.perf_counter() - started) * 1000.0
-        _info(RunReport(label, algo, None, 0, millis).row())
-        raise
+        return None, RunReport(label, algo, None, 0, millis, aborted=str(exc))
     millis = (time.perf_counter() - started) * 1000.0
     makespan = None if result is None else result[0]
     return result, RunReport(label, algo, makespan, states, millis)
@@ -136,6 +137,8 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         inst = replace(inst, makespan_limit=args.cap if limit is None else min(args.cap, limit))
     result, report = _run(args.instance, inst, args.algo, args.state_guard)
     _info(report.row())
+    if report.aborted is not None:
+        raise ResourceLimitError(report.aborted)
     if result is None:
         _info(f"{args.instance}: infeasible")
         return EXIT_NEGATIVE
@@ -273,6 +276,8 @@ def _bench_one(
             if not verdict.ok:
                 problems.append(f"{path.name}: {algo} schedule invalid ({verdict.message})")
         reports.append(report)
+    if any(rep.aborted is not None for rep in reports):
+        return reports, problems
     by_oracle, by_fpt = (rep.makespan for rep in reports)
     if by_oracle != by_fpt:
         problems.append(f"{path.name}: oracle says {by_oracle}, fpt says {by_fpt}")
@@ -286,15 +291,22 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         _info(f"no .mapf instances under {args.directory}")
         return EXIT_OK
     problems: List[str] = []
+    aborted: List[RunReport] = []
     for path in paths:
         reports, bad = _bench_one(path, args.state_guard)
         problems.extend(bad)
         for rep in reports:
             print(rep.row())
+            if rep.aborted is not None:
+                aborted.append(rep)
     for message in problems:
         _info(f"mismatch: {message}")
+    for rep in aborted:
+        _info(f"resource limit: {rep.instance} {rep.algo}: {rep.aborted}")
     if problems:
         return EXIT_NEGATIVE
+    if aborted:
+        return EXIT_RESOURCE
     _info(f"{len(paths)} instances, oracle and fpt agree everywhere")
     return EXIT_OK
 

@@ -31,39 +31,6 @@ def _config_search(
     return Schedule(res.path[1:]), res.states
 
 
-def _drift_matching(
-    left: Sequence[int], right: Sequence[int], forbidden: Set[Tuple[int, int]]
-) -> Dict[int, int]:
-    """Perfect matching of `left` onto `right` (equal lengths) that avoids
-    every `forbidden` (left vertex, right vertex) pair.
-
-    Pairs `left[j]` with `right[-1 - j]`; where that pair is forbidden,
-    `left[j]` trades partners with position j + 1, or with j - 1 at the last
-    position. The trade is safe when there are at least two positions and no
-    vertex is the left or the right end of two forbidden pairs (a lift frame
-    forbids one move per core agent): `left[j]` gets a vertex other than its
-    one forbidden partner, and the neighbour gets a vertex whose one
-    forbidden partner is `left[j]`."""
-    pick = list(reversed(right))
-    last = len(pick) - 1
-    for j, w in enumerate(left):
-        if (w, pick[j]) in forbidden:
-            o = j + 1 if j < last else j - 1
-            pick[j], pick[o] = pick[o], pick[j]
-    return dict(zip(left, pick))
-
-
-def _fix_mutual_exchanges(match: Dict[int, int]) -> None:
-    """Rewire pairs w1 -> y1, w2 -> y2 with y1 = w2 and y2 = w1 into the two
-    stationary assignments. Such pairs are disjoint 2-cycles and rewiring one
-    creates no other, so one pass removes them all."""
-    for w in list(match):
-        y = match[w]
-        if y != w and match.get(y) == w:
-            match[w] = w
-            match[y] = y
-
-
 def lift_schedule(
     inst: Instance,
     split: CliqueSplit,
@@ -72,10 +39,30 @@ def lift_schedule(
 ) -> Schedule:
     """Extend a kernel schedule to every agent of the original instance.
 
-    Core agents replay the kernel schedule. The dropped agents drift inside
-    the clique part through per-turn assignments onto vertices the core
-    leaves free up to turn m - 2; `_finish` then places them at turn m - 1
-    so that they reach their targets at turn m without a swap."""
+    Core agents replay the kernel schedule. Up to turn m - 2 the D dropped
+    agents move by eviction only. From turn i to i + 1, a dropped agent
+    stays put unless a core agent enters its vertex w. Such an evicted
+    agent moves to a spare: a clique vertex free of core row i + 1 and held
+    by no dropped agent, other than its bar, the vertex the entering core
+    agent leaves (moving there would be a swap).
+
+    Every intermediate turn must leave at least D clique vertices free of
+    the core, which the kernel floor k guarantees; PreconditionError
+    otherwise. Then there are at least as many spares as evicted agents,
+    and distinct core agents leave distinct bars, so the evicted agents
+    take spares in turn, each the first that is not its bar. Two corner
+    cases remain:
+
+    - trade: the last evicted agent finds only its own bar left. It takes
+      the vertex of the evicted agent placed before it, which takes the bar.
+    - rotation: a lone evicted agent's only spare is its bar. The first
+      other dropped agent, a stayer, moves onto the bar, and the evicted
+      agent takes its vertex.
+
+    Evicted agents enter only spares, and a rotated stayer enters a bar,
+    so no two dropped agents swap. `_finish` then places the dropped agents
+    at turn m - 1 so that they reach their targets at turn m without a
+    swap."""
     core = set(kernel.core_agents)
     m = ksched.makespan
     back = kernel.u_vertices
@@ -98,10 +85,11 @@ def lift_schedule(
             )
 
     core_rows: List[Placement] = [tuple(back[v] for v in kernel.starts)] + core_pl
-    free: List[List[int]] = []
-    for row in core_rows[:m]:
-        used = set(row)
-        free.append(sorted(v for v in q if v not in used))
+    for turn in range(1, m):
+        if len(q) - sum(v in q for v in core_rows[turn]) < len(noncore):
+            raise PreconditionError(
+                f"turn {turn} leaves fewer free clique vertices than dropped agents"
+            )
 
     cur: Dict[int, int] = {a: inst.starts[a] for a in noncore}
     core_sorted = kernel.core_agents
@@ -116,29 +104,28 @@ def lift_schedule(
 
     out: List[Placement] = []
     for i in range(m - 2):
-        occupied = sorted(cur.values())
-        width = min(len(free[i]), len(free[i + 1]))
-        occ_set = set(occupied)
-        pad = [v for v in free[i] if v not in occ_set]
-        left = sorted(occupied + pad[: width - len(occupied)])
-        right = free[i + 1][:width]
-        # a dropped agent must not take the vertex a core agent leaves
-        # while that core agent takes its own
-        left_set, right_set = set(left), set(right)
-        forbidden = {
-            (w, y)
-            for w, y in zip(core_rows[i + 1], core_rows[i])
-            if w in left_set and y in right_set
-        }
-        match = _drift_matching(left, right, forbidden)
-        _fix_mutual_exchanges(match)
-        for a in noncore:
-            cur[a] = match[cur[a]]
+        came_from = dict(zip(core_rows[i + 1], core_rows[i]))
+        evicted = [a for a in noncore if cur[a] in came_from]
+        if evicted:
+            held = set(cur.values())
+            spares = [v for v in sorted(q) if v not in came_from and v not in held]
+            for j, a in enumerate(evicted):
+                bar = came_from[cur[a]]
+                if spares[0] != bar:
+                    cur[a] = spares.pop(0)
+                elif len(spares) > 1:
+                    cur[a] = spares.pop(1)
+                elif j:  # trade
+                    prev = evicted[j - 1]
+                    cur[a], cur[prev] = cur[prev], bar
+                else:  # rotation
+                    stayer = next(b for b in noncore if b != a)
+                    cur[a], cur[stayer] = cur[stayer], bar
         out.append(placement(i + 1, cur))
     before = out[-1] if out else inst.starts
-    last = placement(
-        m - 1, _finish(noncore, cur, inst.targets, core_rows[m - 2 :], free[m - 1])
-    )
+    used = set(core_rows[m - 1])
+    free = sorted(v for v in q if v not in used)
+    last = placement(m - 1, _finish(noncore, cur, inst.targets, core_rows[m - 2 :], free))
     if detect_swaps(before, last) or detect_swaps(last, inst.targets):
         raise MapfError("the lift's last two turns left an exchange in place")
     out.append(last)
@@ -256,13 +243,6 @@ def _finish(
     return x
 
 
-def _within_limit(inst: Instance, sched: Schedule) -> Optional[Tuple[int, Schedule]]:
-    """Optimal schedule, or None when even the optimum breaks the limit."""
-    if inst.makespan_limit is not None and sched.makespan > inst.makespan_limit:
-        return None
-    return sched.makespan, sched
-
-
 def solve_with_stats(
     inst: Instance,
     state_guard: int = DEFAULT_STATE_GUARD,
@@ -290,9 +270,11 @@ def solve_with_stats(
     if len(core) < inst.n_agents and ksched.makespan < 2:
         direct = Schedule((inst.targets,))
         if validate_schedule(inst, direct).ok:
-            return _within_limit(inst, direct), states
+            return (1, direct), states
+        if inst.makespan_limit is not None and inst.makespan_limit < 2:
+            return None, states
         ksched = Schedule(
             ksched.placements + (kernel.targets,) * (2 - ksched.makespan)
         )
     lifted = lift_schedule(inst, split, kernel, ksched)
-    return _within_limit(inst, lifted), states
+    return (lifted.makespan, lifted), states

@@ -84,6 +84,8 @@ class ColoredInstance:
                 )
         _check_placement(self.graph, self.all_starts, "start")
         _check_placement(self.graph, self.all_targets, "target")
+        if self.makespan_limit is not None and self.makespan_limit < 0:
+            raise PreconditionError("makespan limit must be non-negative")
 
     @property
     def all_starts(self) -> Placement:
@@ -386,6 +388,8 @@ def parse_colored_instance(text: str) -> ColoredInstance:
             if len(toks) != 2:
                 raise ParseError(no, "limit takes one value")
             limit = _int_tok(no, toks[1], "limit")
+            if limit < 0:
+                raise ParseError(no, "limit must be non-negative")
             i += 1
             continue
         if key != "group":

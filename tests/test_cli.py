@@ -231,6 +231,23 @@ def cli_colored_text(tmp_path: Path) -> str:
 # --- validate -----------------------------------------------------------------
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "mapf 1\nvertices 2\nedge 0 1\nagent 0 1\nlimit -1\n",
+        "cmapf 1\nvertices 2\nedge 0 1\ngroup 1\nstarts 0\ntargets 1\nlimit -1\n",
+    ],
+    ids=["plain", "colored"],
+)
+def test_validate_rejects_a_negative_limit(tmp_path, capsys, text) -> None:
+    ipath = tmp_path / "neg.mapf"
+    spath = tmp_path / "step.sched"
+    ipath.write_text(text)
+    spath.write_text(serialize_schedule(Schedule(((1,),))))
+    assert cli.main(["validate", str(ipath), str(spath)]) == 2
+    assert "limit must be non-negative" in capsys.readouterr().err
+
+
 def test_validate_flags_a_swap(tmp_path, capsys) -> None:
     ipath = tmp_path / "inst.mapf"
     spath = tmp_path / "swap.sched"
@@ -416,6 +433,25 @@ def test_bench_reports_agreement(tmp_path, capsys) -> None:
     algos = [line.split("\t")[1] for line in lines[1:]]
     assert algos == ["oracle", "fpt", "oracle", "fpt"]
     assert "agree everywhere" in captured.err
+
+
+def test_bench_records_an_aborted_run_and_goes_on(tmp_path, capsys) -> None:
+    # a.mapf is K4 plus 13 pendant vertices, dc = 13: fpt aborts, the
+    # oracle answers; b.mapf must still run
+    edges = [(u, v) for u in range(4) for v in range(u + 1, 4)]
+    edges.extend((v, v % 4) for v in range(4, 17))
+    _write_instance(tmp_path / "a.mapf", Instance(Graph(17, edges), (4,), (0,)))
+    _write_instance(tmp_path / "b.mapf", cli_random(6, 1, 2, 3))
+    assert cli.main(["bench", str(tmp_path)]) == 3
+    captured = capsys.readouterr()
+    rows = [line.split("\t") for line in captured.out.strip().splitlines()[1:]]
+    assert [row[:2] for row in rows] == [
+        ["a.mapf", "oracle"], ["a.mapf", "fpt"], ["b.mapf", "oracle"], ["b.mapf", "fpt"]
+    ]
+    assert [row[2] for row in rows] == ["yes", "aborted", "yes", "yes"]
+    assert rows[2][3] == rows[3][3]
+    assert "exceeds supported ceiling 12" in captured.err
+    assert "mismatch" not in captured.err
 
 
 def cli_random(vertices: int, dc: int, agents: int, seed: int):

@@ -294,6 +294,19 @@ def test_parse_colored_rejects_non_sequential_groups() -> None:
         parse_colored_instance(text)
 
 
+def test_both_instance_forms_reject_a_negative_limit() -> None:
+    with pytest.raises(ParseError, match="line 5: limit must be non-negative"):
+        parse_instance("mapf 1\nvertices 2\nedge 0 1\nagent 0 1\nlimit -1\n")
+    with pytest.raises(ParseError, match="line 7: limit must be non-negative"):
+        parse_colored_instance(
+            "cmapf 1\nvertices 2\nedge 0 1\ngroup 1\nstarts 0\ntargets 1\nlimit -1\n"
+        )
+    with pytest.raises(PreconditionError, match="makespan limit must be non-negative"):
+        Instance(_path(2), (0,), (1,), makespan_limit=-1)
+    with pytest.raises(PreconditionError, match="makespan limit must be non-negative"):
+        ColoredInstance(_path(2), (ColoredGroup(1, (0,), (1,)),), makespan_limit=-1)
+
+
 def test_parse_schedule_zero_makespan() -> None:
     inst = Instance(_path(2), (0,), (0,))
     sched = parse_schedule("schedule 0\n", inst)

@@ -2,22 +2,15 @@ from __future__ import annotations
 
 import functools
 import random
-import sys
 from dataclasses import replace
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
 import pytest
 
 from mapfdc import fpt, oracle
 from mapfdc.engine import DEFAULT_STATE_GUARD
 from mapfdc.errors import MapfError, PreconditionError, ResourceLimitError
-from mapfdc.fpt import (
-    _config_search,
-    _fix_mutual_exchanges,
-    _drift_matching,
-    lift_schedule,
-    solve_with_stats,
-)
+from mapfdc.fpt import _config_search, lift_schedule, solve_with_stats
 from mapfdc.cliques import solve_clique
 from mapfdc.graphs import CliqueSplit, Graph, clique_split, complete_graph
 from mapfdc.kernelize import Kernel, build_kernel, classify_types, select_core_agents
@@ -97,96 +90,6 @@ def test_config_search_keeps_agents_on_the_modulator() -> None:
     assert free is not None and free.makespan == 2
 
 
-def test_drift_matching_avoids_forbidden_pairs() -> None:
-    left = [0, 1, 2, 3, 4]
-    right = [5, 6, 7, 8, 9]
-    match = _drift_matching(left, right, {(0, 5)})
-    assert sorted(match) == left
-    assert sorted(match.values()) == right
-    assert match[0] != 5
-
-
-def test_drift_matching_threads_a_tight_diagonal() -> None:
-    # forbid the identity-like assignment everywhere except one column
-    left = [0, 1, 2]
-    right = [0, 1, 2]
-    forbidden: Set[Tuple[int, int]] = {(0, 0), (1, 1)}
-    match = _drift_matching(left, right, forbidden)
-    assert sorted(match.values()) == right
-    assert all((w, y) not in forbidden for w, y in match.items())
-
-
-def _stack_depth() -> int:
-    depth, frame = 0, sys._getframe()
-    while frame is not None:
-        depth += 1
-        frame = frame.f_back
-    return depth
-
-
-def test_drift_matching_does_not_recurse_per_agent() -> None:
-    side = list(range(300))
-    limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(_stack_depth() + 100)
-    try:
-        match = _drift_matching(side, side, set())
-    finally:
-        sys.setrecursionlimit(limit)
-    assert sorted(match) == side
-    assert sorted(match.values()) == side
-
-
-def _random_frame(rng: random.Random, width: int) -> Tuple[List[int], List[int]]:
-    vertices = range(3 * width)
-    return sorted(rng.sample(vertices, width)), sorted(rng.sample(vertices, width))
-
-
-def test_drift_matching_reverses_frames_without_forbidden_pairs() -> None:
-    rng = random.Random(404)
-    for _ in range(200):
-        left, right = _random_frame(rng, rng.randint(1, 60))
-        match = _drift_matching(left, right, set())
-        assert match == {w: right[-1 - j] for j, w in enumerate(left)}
-
-
-def test_drift_matching_avoids_sparse_forbidden_pairs() -> None:
-    # as in a lift frame, no vertex is the left or the right end of two
-    # forbidden pairs
-    rng = random.Random(405)
-    for _ in range(200):
-        width = rng.randint(2, 60)
-        left, right = _random_frame(rng, width)
-        count = rng.randint(1, width)
-        forbidden = set(zip(rng.sample(left, count), rng.sample(right, count)))
-        match = _drift_matching(left, right, forbidden)
-        assert sorted(match) == left
-        assert sorted(match.values()) == right
-        assert all((w, y) not in forbidden for w, y in match.items())
-
-
-def test_drift_matching_trades_partners_with_a_neighbour() -> None:
-    left, right = [0, 1, 2, 3], [4, 5, 6, 7]
-    # the next position, or the previous one at the end
-    assert _drift_matching(left, right, {(1, 6)}) == {0: 7, 1: 5, 2: 6, 3: 4}
-    assert _drift_matching(left, right, {(3, 4)}) == {0: 7, 1: 6, 2: 4, 3: 5}
-
-
-def test_fix_mutual_exchanges_rewires_to_stationary() -> None:
-    match = {1: 2, 2: 1, 3: 4}
-    _fix_mutual_exchanges(match)
-    assert match == {1: 1, 2: 2, 3: 4}
-    agents = sorted(match)
-    prev = tuple(agents)
-    nxt = tuple(match[a] for a in agents)
-    assert detect_swaps(prev, nxt) == []
-
-
-def test_fix_mutual_exchanges_handles_chained_pairs() -> None:
-    match = {1: 2, 2: 1, 5: 6, 6: 5, 7: 8}
-    _fix_mutual_exchanges(match)
-    assert match == {1: 1, 2: 2, 5: 5, 6: 6, 7: 8}
-
-
 def test_lift_with_full_core_is_a_relabeling() -> None:
     g = Graph(5, [(0, 1)] + [(u, v) for u in range(1, 5) for v in range(u + 1, 5)])
     split = clique_split(g)
@@ -233,12 +136,14 @@ def test_lift_extends_a_kernel_schedule_to_dropped_agents() -> None:
 def test_lift_drifts_around_a_forbidden_core_move() -> None:
     # clique 1..60 plus vertex 0 joined to 1 only; three core agents move
     # inside the clique while 51 dropped agents stay on the lowest other
-    # clique vertices, so a drift turn must avoid a core agent's move
+    # clique vertices. At turn 1 core agents enter 2 and 3, and the one
+    # entering 3 leaves 10, the lowest spare: the dropped agent on 3,
+    # evicted first, must not take 10, which would be a swap.
     clique = list(range(1, 61))
     edges = [(u, v) for i, u in enumerate(clique) for v in clique[i + 1 :]]
     edges.append((0, 1))
     g = Graph(61, edges)
-    dwellers = [v for v in clique if v not in (1, 10, 11, 30)][:51]
+    dwellers = [3, 2] + [v for v in clique if v not in (1, 2, 3, 10, 11, 30)][:49]
     starts = tuple([1, 0, 10] + dwellers)
     targets = tuple([0, 30, 11] + dwellers)
     inst = Instance(g, starts, targets)
@@ -246,24 +151,79 @@ def test_lift_drifts_around_a_forbidden_core_move() -> None:
     kernel = _kernel(inst, split, frozenset({0, 1, 2}))
     found = _kernel_schedule(kernel)
     assert found is not None and found.makespan == 3
-    # The search may return any optimal schedule; this one makes the first
-    # drift frame forbid a core move.
+    # The search may return any optimal schedule; in this one the core
+    # agent entering 3 at turn 1 leaves 10.
     ksched = Schedule(((2, 1, 3), (1, 3, 2), (0, 10, 9)))
     kinst = Instance(kernel.graph, kernel.starts, kernel.targets)
     assert kernel.k == 0 and validate_schedule(kinst, ksched).ok
-    frames: List[Set[Tuple[int, int]]] = []
-    drift = fpt._drift_matching
-
-    def recorded(left, right, forbidden):
-        frames.append(set(forbidden))
-        return drift(left, right, forbidden)
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(fpt, "_drift_matching", recorded)
-        lifted = lift_schedule(inst, split, kernel, ksched)
-    assert (3, 10) in frames[0]
+    lifted = lift_schedule(inst, split, kernel, ksched)
     assert lifted.makespan == 3
     assert validate_schedule(inst, lifted).ok
+    turn1 = lifted.placements[0]
+    assert turn1[:3] == (2, 1, 3)
+    # the agent on 3 skips its bar 10 for 11; the agent on 2 takes 10
+    assert (turn1[3], turn1[4]) == (11, 10)
+    assert turn1[5:] == starts[5:]
+
+
+def _eviction_lift(
+    clique: int,
+    hub: int,
+    core_starts: Tuple[int, ...],
+    core_rows: Tuple[Tuple[int, ...], ...],
+    dropped: Tuple[int, ...],
+    moves: Dict[int, int],
+) -> Tuple[Instance, Schedule]:
+    """Clique 0..clique-1 plus vertex `clique` joined to `hub`. Core agents
+    start on `core_starts` and follow the kernel schedule `core_rows`;
+    dropped agents start on `dropped`, and those at the keys of `moves`
+    end on its values, the others at home. Returns the instance and the
+    lift; the kernel is the whole graph."""
+    edges = [(u, v) for u in range(clique) for v in range(u + 1, clique)]
+    edges.append((hub, clique))
+    g = Graph(clique + 1, edges)
+    nc = len(core_starts)
+    targets = tuple(moves.get(v, v) for v in dropped)
+    inst = Instance(g, core_starts + dropped, core_rows[-1] + targets)
+    kernel = Kernel(
+        g, tuple(range(nc)), core_starts, core_rows[-1], 0,
+        tuple(range(clique + 1)), frozenset({clique}), (),
+    )
+    split = CliqueSplit(frozenset({clique}), frozenset(range(clique)))
+    return inst, lift_schedule(inst, split, kernel, Schedule(core_rows))
+
+
+def test_lift_trades_when_the_last_evicted_agent_meets_its_bar() -> None:
+    # clique 0..52 plus vertex 53 joined to 1. At turn 1 core agent 0 enters
+    # 1 from 53 and core agent 1 enters 2 from 3; the dropped agents fill
+    # every clique vertex but 0 and 3. The agent on 1 takes spare 0, so the
+    # agent on 2 finds only its bar 3 left: they trade, 1 -> 3 and 2 -> 0.
+    dropped = (1, 2) + tuple(range(4, 53))
+    inst, lifted = _eviction_lift(53, 1, (53, 3), ((1, 2),) * 3, dropped, {1: 3, 2: 0})
+    assert lifted.makespan == 3
+    assert validate_schedule(inst, lifted).ok
+    assert lifted.placements[0] == (1, 2, 3, 0) + dropped[2:]
+
+
+def test_lift_rotates_a_stayer_onto_a_lone_bar() -> None:
+    # clique 0..51 plus vertex 52 joined to 0. At turn 1 the core agent
+    # enters 1 from 0, and the dropped agents fill 1..51, so the evicted
+    # agent's only spare is its bar 0: the stayer on 2 moves onto 0 and the
+    # evicted agent takes 2.
+    dropped = tuple(range(1, 52))
+    inst, lifted = _eviction_lift(52, 0, (0,), ((1,),) * 3, dropped, {1: 2, 2: 0})
+    assert lifted.makespan == 3
+    assert validate_schedule(inst, lifted).ok
+    assert lifted.placements[0] == (1, 2, 0) + dropped[2:]
+
+
+def test_lift_rejects_a_turn_with_too_few_free_clique_vertices() -> None:
+    # clique 0..59 plus vertex 60 joined to 0. Core agents 60 -> 0 -> 60
+    # and 0 -> 1 -> 0 hold two clique vertices at turn 1, leaving 58 for
+    # the 59 dropped agents on 1..59.
+    rows = ((0, 1), (60, 0), (60, 0))
+    with pytest.raises(PreconditionError, match="turn 1 leaves fewer free"):
+        _eviction_lift(60, 0, (60, 0), rows, tuple(range(1, 60)), {})
 
 
 def test_lift_rejects_small_drop_pools() -> None:
@@ -543,12 +503,28 @@ def test_lift_validates_on_random_moving_cores() -> None:
         lifted = lift_schedule(inst, split, kernel, ksched)
         assert lifted.makespan == ksched.makespan
         assert validate_schedule(inst, lifted).ok
+        # up to turn m - 2 only agents whose vertex a core agent enters
+        # move, plus at most one stayer rotated onto a bar
+        rows = (inst.starts,) + lifted.placements
+        n_core = len(kernel.core_agents)
+        for prev, row in zip(rows, rows[1 : ksched.makespan - 1]):
+            entered = set(row[:n_core])
+            stayers_moved = sum(
+                row[a] != prev[a] and prev[a] not in entered
+                for a in range(n_core, inst.n_agents)
+            )
+            assert stayers_moved <= 1
         lifted_count += 1
 
 
+def _no_lift(*args: object) -> Schedule:
+    raise AssertionError("lift_schedule ran")
+
+
 def test_solve_with_stats_meets_the_limit_on_tight_near_cliques() -> None:
-    # one exchanging pair needs two turns: limit 1 leaves nothing even
-    # though the kernel search succeeds, limit 2 leaves the optimum
+    # one exchanging pair needs two turns: limit 1 leaves nothing, without
+    # a lift, even though the kernel search succeeds; limit 2 leaves the
+    # optimum
     rng = random.Random(911)
     solved = 0
     while solved < 5:
@@ -557,7 +533,9 @@ def test_solve_with_stats_meets_the_limit_on_tight_near_cliques() -> None:
         except ValueError:
             continue
         assert inst.n_agents >= 100 and len(detect_swaps(inst.starts, inst.targets)) == 1
-        assert solve_with_stats(replace(inst, makespan_limit=1))[0] is None
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(fpt, "lift_schedule", _no_lift)
+            assert solve_with_stats(replace(inst, makespan_limit=1))[0] is None
         limited = replace(inst, makespan_limit=2)
         result, _ = solve_with_stats(limited)
         assert result is not None
