@@ -114,14 +114,14 @@ def _run(
 ) -> Tuple[Optional[Tuple[int, Schedule]], RunReport]:
     """Solve `inst` with the `algo` solver ("fpt" or "oracle") and report
     the run. A ResourceLimitError, such as a tripped state guard, ends the
-    run with no result and an aborted report."""
+    run with no result and an aborted report of the states kept."""
     solver = fpt if algo == "fpt" else oracle
     started = time.perf_counter()
     try:
         result, states = solver.solve_with_stats(inst, state_guard)
     except ResourceLimitError as exc:
         millis = (time.perf_counter() - started) * 1000.0
-        return None, RunReport(label, algo, None, 0, millis, aborted=str(exc))
+        return None, RunReport(label, algo, None, exc.states, millis, aborted=str(exc))
     millis = (time.perf_counter() - started) * 1000.0
     makespan = None if result is None else result[0]
     return result, RunReport(label, algo, makespan, states, millis)

@@ -265,7 +265,9 @@ def joint_bfs(
 
     def keep(key: Tuple[int, ...], parent: int) -> int:
         if len(states) >= state_guard:
-            raise ResourceLimitError(f"state guard of {state_guard} states exhausted")
+            raise ResourceLimitError(
+                f"state guard of {state_guard} states exhausted", len(states)
+            )
         visited.add(key)
         states.append(key)
         parents.append(parent)

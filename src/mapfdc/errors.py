@@ -18,4 +18,9 @@ class PreconditionError(MapfError):
 
 
 class ResourceLimitError(MapfError):
-    """A search or computation exceeded its configured guard."""
+    """A search or computation exceeded its configured guard. Carries the
+    number of states the search had kept (0 when no search ran)."""
+
+    def __init__(self, message: str, states: int = 0) -> None:
+        super().__init__(message)
+        self.states = states

@@ -2,7 +2,6 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from .cliques import solve_clique
 from .engine import DEFAULT_STATE_GUARD, joint_bfs
 from .errors import MapfError, PreconditionError
 from .graphs import CliqueSplit, clique_split
@@ -147,6 +146,10 @@ def _finish(
 ) -> Dict[int, int]:
     """Vertices X of the `dropped` agents at turn m - 1 of a lift, between
     their vertices P (`pos`) at turn m - 2 and their `targets` T at turn m.
+    Two callers: `lift_schedule` for its last two turns, and
+    `solve_with_stats` for the middle row of a two-turn answer with every
+    agent in the clique part, where every agent is dropped, m = 2 and the
+    core rows are empty.
 
     `core_window` holds the core rows C0, C1, C2 of turns m - 2, m - 1 and
     m, and `free` the clique vertices F outside C1, with |F| >=
@@ -177,8 +180,8 @@ def _finish(
     detour agent (a helper), adding its target to R, and the search runs
     again. So a lone detour agent takes a spare vertex when there is one,
     and a lone exchanging pair in a full clique ends in a three-cycle with
-    two helpers, as in `cliques._case_one_pair`. MapfError is raised when
-    no early agent is left or after _FINISH_BACKTRACKS backtracking steps."""
+    two helpers. MapfError is raised when no early agent is left or after
+    _FINISH_BACKTRACKS backtracking steps."""
     c0, c1, c2 = core_window
     came_from = dict(zip(c1, c0))
     goes_to = dict(zip(c1, c2))
@@ -252,15 +255,28 @@ def solve_with_stats(
     when no schedule meets the instance's makespan limit; the limit is also
     the kernel search's only depth cap.
 
-    Routes complete graphs with at least four vertices to the
-    constant-makespan solver. Otherwise splits off a minimum modulator and
-    searches the kernel instance under the occupancy constraint, lifting
-    the kernel schedule back to all agents when some were dropped."""
+    Splits off a minimum modulator. When every start and target lies in a
+    clique part of at least four vertices, the answer is the lower bound
+    with no search: one turn, or two when some pair of agents must exchange
+    vertices, which takes two turns in any graph; `_finish` with no core
+    plans the middle row. Otherwise searches the kernel instance under the
+    occupancy constraint, lifting the kernel schedule back to all agents
+    when some were dropped."""
     if inst.starts == inst.targets:
         return (0, Schedule(())), 0
-    if inst.graph.n >= 4 and inst.graph.is_complete():
-        return solve_clique(inst), 0
     split = clique_split(inst.graph)
+    q = split.clique
+    if len(q) >= 4 and q.issuperset(inst.starts) and q.issuperset(inst.targets):
+        m = 2 if detect_swaps(inst.starts, inst.targets) else 1
+        if inst.makespan_limit is not None and inst.makespan_limit < m:
+            return None, 0
+        if m == 1:
+            return (1, Schedule((inst.targets,))), 0
+        x = _finish(
+            list(inst.agents), dict(enumerate(inst.starts)), inst.targets,
+            ((), (), ()), sorted(q),
+        )
+        return (2, Schedule((tuple(x[a] for a in inst.agents), inst.targets))), 0
     types, agent_types = classify_types(inst, split)
     core = select_core_agents(inst, split, types, agent_types)
     kernel = build_kernel(inst, split, core, types)

@@ -5,7 +5,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from .errors import MapfError, ParseError, PreconditionError
+from .errors import ParseError, PreconditionError
 from .graphs import Graph, clique_split
 from .model import (
     ColoredGroup,
@@ -730,4 +730,4 @@ def random_instance(
         starts = tuple(rng.sample(range(vertices), agents))
         targets = tuple(rng.sample(range(vertices), agents))
         return Instance(g, starts, targets)
-    raise MapfError("could not hit the requested distance to clique")
+    raise PreconditionError("could not hit the requested distance to clique")

@@ -10,7 +10,6 @@ from typing import Dict, List, Optional, Set, Tuple
 import pytest
 
 from mapfdc import engine, fpt, oracle
-from mapfdc.cliques import solve_clique
 from mapfdc.gadgets import (
     build_colored_pancake_instance,
     build_pancake_instance,
@@ -71,7 +70,7 @@ def suite2():
     return out
 
 
-# --- criterion 1: the constant-time clique solver is exact ----------------------
+# --- criterion 1: complete graphs are answered exactly without search ---------
 
 
 def test_clique_solver_is_exact_on_small_complete_graphs() -> None:
@@ -83,7 +82,8 @@ def test_clique_solver_is_exact_on_small_complete_graphs() -> None:
             for starts in permutations(range(n), a):
                 for targets in permutations(range(n), a):
                     inst = Instance(g, starts, targets)
-                    got = solve_clique(inst)
+                    got, states = fpt.solve_with_stats(inst)
+                    assert states == 0
                     ref = oracle.solve_with_stats(replace(inst, makespan_limit=2))[0]
                     assert got is not None, (starts, targets)
                     assert ref is not None, (starts, targets)
@@ -101,7 +101,8 @@ def test_clique_solver_is_exact_on_small_complete_graphs() -> None:
         starts = tuple(rng.sample(range(6), a))
         targets = tuple(rng.sample(range(6), a))
         inst = Instance(g6, starts, targets)
-        got = solve_clique(inst)
+        got, states = fpt.solve_with_stats(inst)
+        assert states == 0
         ref = oracle.solve_with_stats(replace(inst, makespan_limit=2))[0]
         assert got is not None and ref is not None
         assert got[0] == ref[0] and got[0] <= 2

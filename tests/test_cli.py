@@ -62,19 +62,24 @@ def test_solve_then_validate_round_trip(tmp_path, capsys) -> None:
     assert "valid, makespan" in err
 
 
+def _no_search(*args, **kwargs):
+    raise AssertionError("joint_bfs ran")
+
+
+def _no_lift(*args):
+    raise AssertionError("lift_schedule ran")
+
+
 def test_solve_routes_complete_graphs_to_the_clique_solver(
     tmp_path, capsys, monkeypatch
 ) -> None:
-    def no_split(*args, **kwargs):
-        raise AssertionError("a complete graph needs no clique split")
-
-    monkeypatch.setattr(cli.fpt, "clique_split", no_split)
+    monkeypatch.setattr(cli.fpt, "joint_bfs", _no_search)
     ipath = tmp_path / "k5.mapf"
     _write_instance(ipath, Instance(complete_graph(5), (0, 1, 2), (1, 0, 2)))
     spath = tmp_path / "k5.sched"
     assert cli.main(["solve", str(ipath), "-o", str(spath)]) == 0
     err = capsys.readouterr().err
-    # the default solver is fpt, and the clique solver searches nothing
+    # the default solver is fpt, and a complete graph needs no search
     assert "\tfpt\tyes\t2\t0\t" in err
     inst = parse_instance(ipath.read_text())
     sched = parse_schedule(spath.read_text(), inst)
@@ -82,10 +87,13 @@ def test_solve_routes_complete_graphs_to_the_clique_solver(
     assert sched.makespan == 2
 
 
-def test_solve_finishes_a_full_near_clique(tmp_path, capsys) -> None:
+def test_solve_finishes_a_full_near_clique(tmp_path, capsys, monkeypatch) -> None:
     # dc = 1: clique 0..304 plus vertex 305 joined to 304. Agents 0..99 stand
     # still; the others fill 100..303, two pairs of them exchange vertices
-    # and the rest shift one place along a cycle, so no vertex is spare
+    # and the rest shift one place along a cycle, so no vertex is spare.
+    # Every agent lies in the clique part: no search and no lift.
+    monkeypatch.setattr(cli.fpt, "joint_bfs", _no_search)
+    monkeypatch.setattr(cli.fpt, "lift_schedule", _no_lift)
     clique = 305
     edges = [(u, v) for u in range(clique) for v in range(u + 1, clique)]
     edges.append((clique - 1, clique))
@@ -293,6 +301,16 @@ def test_generate_random_is_deterministic(tmp_path) -> None:
     assert a.read_bytes() != c.read_bytes()
 
 
+def test_generate_random_reports_an_unmet_distance_as_a_usage_error(capsys) -> None:
+    # six vertices with five of them extra: no draw of coin-flip attachments
+    # keeps the graph five deletions from a clique
+    argv = ["generate", "random", "--vertices", "6", "--dc", "5", "--agents", "2"]
+    assert cli.main(argv + ["--seed", "1"]) == 2
+    err = capsys.readouterr().err
+    assert "could not hit the requested distance to clique" in err
+    assert "internal error" not in err
+
+
 def test_generate_pancake_with_witness(tmp_path, capsys) -> None:
     ipath = tmp_path / "pan.mapf"
     wpath = tmp_path / "pan.wit"
@@ -452,6 +470,22 @@ def test_bench_records_an_aborted_run_and_goes_on(tmp_path, capsys) -> None:
     assert rows[2][3] == rows[3][3]
     assert "exceeds supported ceiling 12" in captured.err
     assert "mismatch" not in captured.err
+
+
+def test_bench_reports_the_states_of_an_aborted_run(tmp_path, capsys) -> None:
+    # some agent of this instance touches the modulator, so both solvers
+    # search and use up the 2-state guard
+    assert cli.main(
+        [
+            "generate", "random", "--vertices", "8", "--dc", "2", "--agents", "4",
+            "--seed", "7", "-o", str(tmp_path / "r.mapf"),
+        ]
+    ) == 0
+    assert cli.main(["bench", str(tmp_path), "--state-guard", "2"]) == 3
+    rows = [line.split("\t") for line in capsys.readouterr().out.strip().splitlines()[1:]]
+    assert [row[1:5] for row in rows] == [
+        ["oracle", "aborted", "-", "2"], ["fpt", "aborted", "-", "2"]
+    ]
 
 
 def cli_random(vertices: int, dc: int, agents: int, seed: int):

@@ -1,21 +1,27 @@
 from __future__ import annotations
 
 import itertools
+import random
 from dataclasses import replace
-from typing import Tuple
+from typing import Optional, Tuple
 
-import pytest
+from mapfdc import fpt, oracle
+from mapfdc.graphs import Graph, clique_split, complete_graph
+from mapfdc.model import Instance, Schedule, validate_schedule
 
-from mapfdc.cliques import solve_clique
-from mapfdc.errors import PreconditionError
-from mapfdc.graphs import Graph, complete_graph
-from mapfdc.model import Instance, validate_schedule
-from mapfdc.oracle import solve_with_stats
+
+def _solve_complete(inst: Instance) -> Optional[Tuple[int, Schedule]]:
+    """fpt's answer on a complete graph, which needs no search from four
+    vertices on."""
+    result, states = fpt.solve_with_stats(inst)
+    if inst.graph.n >= 4:
+        assert states == 0
+    return result
 
 
 def test_settled_agents_are_makespan_zero() -> None:
     inst = Instance(complete_graph(5), (0, 1, 2), (0, 1, 2))
-    result = solve_clique(inst)
+    result = _solve_complete(inst)
     assert result is not None
     assert result[0] == 0
     assert result[1].placements == ()
@@ -23,7 +29,7 @@ def test_settled_agents_are_makespan_zero() -> None:
 
 def test_displaced_without_exchange_is_one_turn() -> None:
     inst = Instance(complete_graph(4), (0, 1, 2), (1, 2, 3))
-    result = solve_clique(inst)
+    result = _solve_complete(inst)
     assert result is not None
     assert result[0] == 1
     assert validate_schedule(inst, result[1]).ok
@@ -31,7 +37,7 @@ def test_displaced_without_exchange_is_one_turn() -> None:
 
 def test_single_swapping_pair_uses_a_spare_vertex() -> None:
     inst = Instance(complete_graph(4), (0, 1), (1, 0))
-    result = solve_clique(inst)
+    result = _solve_complete(inst)
     assert result is not None
     assert result[0] == 2
     assert validate_schedule(inst, result[1]).ok
@@ -40,7 +46,7 @@ def test_single_swapping_pair_uses_a_spare_vertex() -> None:
 def test_single_swapping_pair_fully_occupied_clique() -> None:
     # no spare vertex: the two unpaired agents chaperone the exchange
     inst = Instance(complete_graph(4), (0, 1, 2, 3), (1, 0, 2, 3))
-    result = solve_clique(inst)
+    result = _solve_complete(inst)
     assert result is not None
     assert result[0] == 2
     assert validate_schedule(inst, result[1]).ok
@@ -48,31 +54,25 @@ def test_single_swapping_pair_fully_occupied_clique() -> None:
 
 def test_two_swapping_pairs_resolve_in_two_turns() -> None:
     inst = Instance(complete_graph(5), (0, 1, 2, 3), (1, 0, 3, 2))
-    result = solve_clique(inst)
+    result = _solve_complete(inst)
     assert result is not None
     assert result[0] == 2
     assert validate_schedule(inst, result[1]).ok
-    oracle_result = solve_with_stats(replace(inst, makespan_limit=4))[0]
+    oracle_result = oracle.solve_with_stats(replace(inst, makespan_limit=4))[0]
     assert oracle_result is not None and oracle_result[0] == 2
 
 
 def test_small_cliques_fall_back_to_exhaustive_search() -> None:
     lone = Instance(complete_graph(1), (0,), (0,))
-    result = solve_clique(lone)
+    result = _solve_complete(lone)
     assert result is not None and result[0] == 0
     rotate3 = Instance(complete_graph(3), (0, 1, 2), (1, 2, 0))
-    result = solve_clique(rotate3)
+    result = _solve_complete(rotate3)
     assert result is not None
     assert result[0] == 1
     assert validate_schedule(rotate3, result[1]).ok
     # two agents on K2 can never trade places
-    assert solve_clique(Instance(complete_graph(2), (0, 1), (1, 0))) is None
-
-
-def test_rejects_incomplete_graphs() -> None:
-    inst = Instance(Graph(3, [(0, 1), (1, 2)]), (0,), (2,))
-    with pytest.raises(PreconditionError):
-        solve_clique(inst)
+    assert _solve_complete(Instance(complete_graph(2), (0, 1), (1, 0))) is None
 
 
 def _injective_assignments(n: int, max_agents: int):
@@ -87,12 +87,12 @@ def test_every_k4_assignment_matches_the_oracle() -> None:
     count = 0
     for starts, targets in _injective_assignments(4, 4):
         inst = Instance(g, starts, targets)
-        result = solve_clique(inst)
+        result = _solve_complete(inst)
         assert result is not None
         m, sched = result
         assert m <= 2
         assert validate_schedule(inst, sched).ok
-        oracle_result = solve_with_stats(replace(inst, makespan_limit=2))[0]
+        oracle_result = oracle.solve_with_stats(replace(inst, makespan_limit=2))[0]
         assert oracle_result is not None
         assert oracle_result[0] == m
         count += 1
@@ -107,8 +107,75 @@ def test_constant_makespan_on_larger_cliques() -> None:
         ((0, 1, 2, 3, 4, 5), (5, 4, 3, 2, 1, 0)),
     ):
         inst = Instance(g, starts, targets)
-        result = solve_clique(inst)
+        result = _solve_complete(inst)
         assert result is not None
         assert result[0] in (0, 1, 2)
         assert validate_schedule(inst, result[1]).ok
 
+
+
+def test_all_clique_agents_on_a_near_clique_need_no_search() -> None:
+    # dc = 1: clique 0..299 plus vertex 300 joined to 298 and 299. Agents
+    # 0..99 stand still; 198 more fill 100..297, two pairs of them exchange
+    # vertices and the rest shift one place along a cycle. The type closure
+    # keeps every agent as core, so a joint search would hold 298 agents.
+    clique = 300
+    edges = [(u, v) for u in range(clique) for v in range(u + 1, clique)]
+    edges += [(298, clique), (299, clique)]
+    region = list(range(100, 298))
+    rest = region[4:]
+    core = list(range(100))
+    inst = Instance(
+        Graph(clique + 1, edges),
+        tuple(core + region),
+        tuple(core + [101, 100, 103, 102] + rest[1:] + rest[:1]),
+    )
+    result, states = fpt.solve_with_stats(inst)
+    assert result is not None and result[0] == 2 and states == 0
+    assert validate_schedule(inst, result[1]).ok
+
+
+def test_agents_inside_k4_ignore_the_distance_ceiling() -> None:
+    # K4 plus 13 pendant vertices is 13 deletions from a clique, beyond the
+    # kernel's ceiling of 12, but no agent leaves the K4
+    edges = [(u, v) for u in range(4) for v in range(u + 1, 4)]
+    edges.extend((v, v % 4) for v in range(4, 17))
+    inst = Instance(Graph(17, edges), (0, 1, 2), (1, 0, 3))
+    result, states = fpt.solve_with_stats(inst)
+    assert result is not None and result[0] == 2 and states == 0
+    assert validate_schedule(inst, result[1]).ok
+
+
+def test_clique_part_answers_match_the_oracle_on_near_cliques() -> None:
+    # a clique on n - dc vertices plus dc vertices with coin-flip edges;
+    # every agent starts and ends in the clique part the split finds, and
+    # some draws plant an exchanging pair
+    rng = random.Random(2412)
+    checked = 0
+    while checked < 2000:
+        n, dc = rng.randint(5, 8), rng.randint(1, 2)
+        edges = [(u, v) for u in range(n - dc) for v in range(u + 1, n - dc)]
+        edges += [
+            (u, w) for w in range(n - dc, n) for u in range(w) if rng.random() < 0.5
+        ]
+        g = Graph(n, edges)
+        q = sorted(clique_split(g).clique)
+        if len(q) < 4:
+            continue
+        a = rng.randint(1, len(q))
+        starts = rng.sample(q, a)
+        if a >= 2 and rng.random() < 0.5:
+            rest = [v for v in q if v not in starts[:2]]
+            targets = [starts[1], starts[0]] + rng.sample(rest, a - 2)
+        else:
+            targets = rng.sample(q, a)
+        for limit in (None, 1, 2):
+            inst = Instance(g, tuple(starts), tuple(targets), makespan_limit=limit)
+            got, states = fpt.solve_with_stats(inst)
+            ref = oracle.solve_with_stats(inst)[0]
+            assert states == 0
+            assert (got is None) == (ref is None), inst
+            if got is not None:
+                assert got[0] == ref[0]
+                assert validate_schedule(inst, got[1]).ok
+        checked += 1

@@ -11,7 +11,6 @@ from mapfdc import fpt, oracle
 from mapfdc.engine import DEFAULT_STATE_GUARD
 from mapfdc.errors import MapfError, PreconditionError, ResourceLimitError
 from mapfdc.fpt import _config_search, lift_schedule, solve_with_stats
-from mapfdc.cliques import solve_clique
 from mapfdc.graphs import CliqueSplit, Graph, clique_split, complete_graph
 from mapfdc.kernelize import Kernel, build_kernel, classify_types, select_core_agents
 from mapfdc.model import Instance, Schedule, detect_swaps, validate_schedule
@@ -56,10 +55,11 @@ def test_config_search_matches_clique_and_oracle_on_a_swap() -> None:
     assert sched.makespan == 2
     inst = Instance(complete_graph(4), (0, 1), (1, 0))
     assert validate_schedule(inst, sched).ok
-    clique_result = solve_clique(inst)
+    fpt_result, fpt_states = solve_with_stats(inst)
     oracle_result = oracle.solve_with_stats(inst)[0]
-    assert clique_result is not None and oracle_result is not None
-    assert sched.makespan == clique_result[0] == oracle_result[0]
+    assert fpt_result is not None and oracle_result is not None
+    assert fpt_states == 0
+    assert sched.makespan == fpt_result[0] == oracle_result[0]
 
 
 def test_config_search_absence_within_bound() -> None:
@@ -377,13 +377,17 @@ def _near_clique(clique: int, attached: int) -> Graph:
     return Graph(clique + 1, edges)
 
 
-def _tight_near_clique(rng: random.Random, pairs: Optional[int] = None) -> Instance:
+def _tight_near_clique(
+    rng: random.Random, pairs: Optional[int] = None, on_modulator: bool = False
+) -> Instance:
     """dc = 1: clique 0..c-1 (c = 305..308) plus vertex c joined to the top
     1-3 clique vertices. Agents 0..99 stand still on 0..99 and make the
-    core. The others start on all but 0-12 of the unattached vertices from
-    100 on; `pairs` of them (1-3 at random when None) exchange vertices and
-    no other pair does. Raises ValueError when the last agent is left only
-    a target that would make one more exchange."""
+    core; with `on_modulator`, agent 0 starts on c instead, so the instance
+    touches the modulator and the lift runs. The others start on all but
+    0-12 of the unattached vertices from 100 on; `pairs` of them (1-3 at
+    random when None) exchange vertices and no other pair does. Raises
+    ValueError when the last agent is left only a target that would make
+    one more exchange."""
     clique, attached = rng.randint(305, 308), rng.randint(1, 3)
     region = list(range(100, clique - attached))
     starts = rng.sample(region, len(region) - rng.randint(0, 12))
@@ -405,12 +409,25 @@ def _tight_near_clique(rng: random.Random, pairs: Optional[int] = None) -> Insta
         else:
             raise ValueError(f"no free vertex left for agent {100 + i}")
     core = tuple(range(100))
+    core_starts = (clique,) + core[1:] if on_modulator else core
     return Instance(
-        _near_clique(clique, attached), core + tuple(starts), core + tuple(targets)
+        _near_clique(clique, attached), core_starts + tuple(starts), core + tuple(targets)
     )
 
 
-def test_solve_with_stats_finishes_tight_near_cliques() -> None:
+def _no_lift(*args: object) -> Schedule:
+    raise AssertionError("lift_schedule ran")
+
+
+def _no_search(*args: object, **kwargs: object) -> object:
+    raise AssertionError("joint_bfs ran")
+
+
+def test_solve_with_stats_finishes_tight_near_cliques(monkeypatch) -> None:
+    # every agent lies in the clique part, so the answer needs neither the
+    # kernel search nor the lift
+    monkeypatch.setattr(fpt, "joint_bfs", _no_search)
+    monkeypatch.setattr(fpt, "lift_schedule", _no_lift)
     rng = random.Random(909)
     solved = 0
     while solved < 100:
@@ -420,12 +437,46 @@ def test_solve_with_stats_finishes_tight_near_cliques() -> None:
             continue
         pairs = len(detect_swaps(inst.starts, inst.targets))
         assert 1 <= pairs <= 3
-        result, _ = solve_with_stats(inst)
+        result, states = solve_with_stats(inst)
         assert result is not None
         makespan, sched = result
-        assert makespan == 2
+        assert makespan == 2 and states == 0
         assert validate_schedule(inst, sched).ok
         solved += 1
+
+
+def test_solve_with_stats_lifts_tight_near_cliques_with_a_core_agent_on_the_modulator(
+    monkeypatch,
+) -> None:
+    # agent 0 starts on the modulator vertex, two hops from its target, so
+    # the kernel is searched and the lift runs. Draws whose unattached type
+    # has at most 3 x 101 vertices are skipped: there the type closure keeps
+    # every agent as core, no lift runs, and the joint search gets the whole
+    # instance, which can exhaust memory.
+    lifts = []
+
+    def spy(*args: object) -> Schedule:
+        lifts.append(1)
+        return lift_schedule(*args)
+
+    monkeypatch.setattr(fpt, "lift_schedule", spy)
+    rng = random.Random(913)
+    solved = 0
+    while solved < 5:
+        try:
+            inst = _tight_near_clique(rng, on_modulator=True)
+        except ValueError:
+            continue
+        hub = inst.graph.n - 1
+        if hub - len(inst.graph.neighbors(hub)) <= 3 * 101:
+            continue
+        result, states = solve_with_stats(inst)
+        assert result is not None
+        makespan, sched = result
+        assert makespan == 2 and states > 0
+        assert validate_schedule(inst, sched).ok
+        solved += 1
+        assert len(lifts) == solved
 
 
 def _moving_core_lift(
@@ -517,14 +568,11 @@ def test_lift_validates_on_random_moving_cores() -> None:
         lifted_count += 1
 
 
-def _no_lift(*args: object) -> Schedule:
-    raise AssertionError("lift_schedule ran")
-
-
-def test_solve_with_stats_meets_the_limit_on_tight_near_cliques() -> None:
-    # one exchanging pair needs two turns: limit 1 leaves nothing, without
-    # a lift, even though the kernel search succeeds; limit 2 leaves the
-    # optimum
+def test_solve_with_stats_meets_the_limit_on_tight_near_cliques(monkeypatch) -> None:
+    # one exchanging pair needs two turns: limit 1 leaves nothing and limit
+    # 2 leaves the optimum, with no search and no lift either way
+    monkeypatch.setattr(fpt, "joint_bfs", _no_search)
+    monkeypatch.setattr(fpt, "lift_schedule", _no_lift)
     rng = random.Random(911)
     solved = 0
     while solved < 5:
@@ -533,9 +581,7 @@ def test_solve_with_stats_meets_the_limit_on_tight_near_cliques() -> None:
         except ValueError:
             continue
         assert inst.n_agents >= 100 and len(detect_swaps(inst.starts, inst.targets)) == 1
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(fpt, "lift_schedule", _no_lift)
-            assert solve_with_stats(replace(inst, makespan_limit=1))[0] is None
+        assert solve_with_stats(replace(inst, makespan_limit=1)) == (None, 0)
         limited = replace(inst, makespan_limit=2)
         result, _ = solve_with_stats(limited)
         assert result is not None
@@ -556,11 +602,13 @@ def test_solve_with_stats_rejects_distance_to_clique_beyond_the_ceiling() -> Non
         solve_with_stats(Instance(g, (4,), (0,)))
 
 
-def test_solve_fpt_repairs_one_exchange_among_idle_dropped_agents() -> None:
+def test_solve_fpt_repairs_one_exchange_among_idle_dropped_agents(monkeypatch) -> None:
     # dc = 1: clique 0..309, vertex 310 joined to 302..309. Agents 0..99 stand
-    # still and become the core, so the kernel schedule is empty and gets
-    # padded to two turns. Dropped agents 100 and 101 exchange vertices; the
-    # rest shift one place along a chain.
+    # still; agents 100 and 101 exchange vertices, and the rest shift one
+    # place along a chain. Every agent lies in the clique part, so the
+    # two-turn plan comes without a search or a lift.
+    monkeypatch.setattr(fpt, "joint_bfs", _no_search)
+    monkeypatch.setattr(fpt, "lift_schedule", _no_lift)
     clique, attached = 310, 8
     edges = [(u, v) for u in range(clique) for v in range(u + 1, clique)]
     edges.extend((v, clique) for v in range(clique - attached, clique))
@@ -575,12 +623,15 @@ def test_solve_fpt_repairs_one_exchange_among_idle_dropped_agents() -> None:
     assert validate_schedule(inst, sched).ok
 
 
-def test_solve_fpt_routes_complete_graphs_to_the_clique_solver() -> None:
+def test_solve_fpt_routes_complete_graphs_to_the_clique_solver(monkeypatch) -> None:
     inst = Instance(complete_graph(5), (0, 1, 2), (1, 0, 2))
-    fpt_result = solve_with_stats(inst)[0]
-    clique_result = solve_clique(inst)
-    assert fpt_result is not None and clique_result is not None
-    assert fpt_result[0] == clique_result[0] == 2
+    oracle_result = oracle.solve_with_stats(inst)[0]
+    monkeypatch.setattr(fpt, "joint_bfs", _no_search)
+    fpt_result, states = solve_with_stats(inst)
+    assert fpt_result is not None and oracle_result is not None
+    assert fpt_result[0] == oracle_result[0] == 2
+    assert states == 0
+    assert validate_schedule(inst, fpt_result[1]).ok
 
 
 def test_solve_fpt_star_leaf_exchange_costs_four() -> None:
