@@ -25,6 +25,7 @@ from .gadgets import (
 from .model import (
     Instance,
     Schedule,
+    _content_lines,
     parse_colored_instance,
     parse_instance,
     parse_schedule,
@@ -86,10 +87,12 @@ def _write_text(path: str, text: str) -> None:
 
 
 def _first_token(text: str) -> str:
-    for raw in text.splitlines():
-        body = raw.split("#", 1)[0].strip()
-        if body:
-            return body.split()[0]
+    start = 0  # split one "\n"-ended stretch at a time, never the whole file
+    while start < len(text):
+        stop = text.find("\n", start) + 1 or len(text)
+        for _, toks in _content_lines(text[start:stop]):
+            return toks[0]
+        start = stop
     return ""
 
 

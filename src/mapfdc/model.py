@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from itertools import compress
 from operator import ne
@@ -249,11 +250,18 @@ def validate_colored_schedule(inst: ColoredInstance, sched: Schedule) -> Verdict
 
 # --- file formats ---------------------------------------------------------
 
+_OTHER_BREAKS = "\r\v\f\x1c\x1d\x1e"  # the ASCII line breaks of splitlines but "\n"
+# Texts shorter than _BULK_MIN are read line by line: the bulk reader's
+# fixed cost in cold caches (fresh process) exceeds what it saves there.
+_BULK_MIN = 1 << 11
+_EDGE_BLOCK = 1 << 16  # characters per bulk step; its token list stays small
+_EDGE_RUN_END = re.compile(r"\n(?!edge )")
 
-def _content_lines(text: str) -> Iterator[Tuple[int, List[str]]]:
+
+def _content_lines(text: str, start: int = 1) -> Iterator[Tuple[int, List[str]]]:
     """(line number, tokens) of every line that has tokens once a `#`
-    comment is cut off."""
-    for no, raw in enumerate(text.splitlines(), start=1):
+    comment is cut off; the first line of `text` is line `start`."""
+    for no, raw in enumerate(text.splitlines(), start=start):
         if "#" in raw:
             raw = raw.split("#", 1)[0]
         toks = raw.split()
@@ -268,54 +276,119 @@ def _int_tok(no: int, tok: str, what: str) -> int:
         raise ParseError(no, f"expected integer {what}, got {tok!r}") from None
 
 
+def _edge_runs(text: str) -> Iterator[Tuple[bool, str]]:
+    """Cut `text`, with "\\n" its only line break, at line starts into blocks
+    of lines that begin `edge ` (True), each within _EDGE_BLOCK characters
+    unless one line is longer, and the text between them (False)."""
+    p, end = 0, len(text)
+    while p < end:
+        run = text.startswith("edge ", p)
+        if run:
+            m = _EDGE_RUN_END.search(text, p, p + _EDGE_BLOCK)
+            q = m.start() + 1 if m else (
+                text.rfind("\n", p, p + _EDGE_BLOCK) + 1 or text.find("\n", p) + 1 or end
+            )
+        else:
+            q = text.find("\nedge ", p) + 1 or end
+        yield run, text[p:q]
+        p = q
+
+
+def _read_edge_block(block: str, ids: Dict[str, int], nbr: List[Set[int]]) -> int:
+    """Add the k lines of `block` to `nbr` and return k; return 0, changing
+    nothing, unless each line is proved to be `edge u v`, and -1 (block
+    added) on a loop or an edge added before, as the degree sum then grows
+    by less than 2k. Proof: each line begins `edge ` and ends in "\\n", the
+    only line break. Demand 3k tokens with an id (never `edge`, never
+    holding `#`) at every place but the multiples of three. Each line's first
+    token, `edge`, then sits at a multiple of three, so each line holds a
+    positive multiple of three tokens, and k of them sharing 3k hold three."""
+    k = block.count("\n")
+    toks = block.split()
+    if len(toks) != 3 * k:
+        return 0
+    try:
+        us = list(map(ids.__getitem__, toks[1::3]))
+        vs = list(map(ids.__getitem__, toks[2::3]))
+    except KeyError:
+        return 0
+    del toks
+    # on a graph with more vertices than the block has endpoints, sum only
+    # the sets it touches, so that a block costs O(k)
+    sets = nbr if len(nbr) <= 2 * k else list(map(nbr.__getitem__, {*us, *vs}))
+    degrees = sum(map(len, sets))
+    for u, v in zip(us, vs):
+        nbr[u].add(v)
+        nbr[v].add(u)
+    return k if sum(map(len, sets)) == degrees + 2 * k else -1
+
+
 def _parse_graph_lines(
-    text: str, header: str
+    text: str, header: str, bulk: bool = True
 ) -> Tuple[Graph, List[Tuple[int, List[str]]], int]:
     """Common head of both instance formats, read in one pass: header,
-    vertices, edges. Edge lines go straight into per-vertex neighbour sets.
+    vertices, edges. Edge lines go straight into per-vertex neighbour sets,
+    runs of them in blocks (`_read_edge_block`); whatever a block cannot
+    prove is read line by line, so errors name the same line either way.
     Returns (graph, remaining directive lines, last content line number)."""
-    lines = _content_lines(text)
-    first = next(lines, None)
-    if first is None:
-        raise ParseError(1, "empty file")
-    no, toks = first
-    if toks != [header, "1"]:
-        raise ParseError(no, f"expected header '{header} 1'")
+    bulk = bulk and len(text) >= _BULK_MIN and text.isascii()
+    bulk = bulk and not any(c in text for c in _OTHER_BREAKS)
+    pieces = _edge_runs(text) if bulk else [(False, text)]
+    head = False
     n: Optional[int] = None
     nbr: List[Set[int]] = []
+    ids: Dict[str, int] = {}
     rest: List[Tuple[int, List[str]]] = []
-    for no, toks in lines:
-        key = toks[0]
-        if key == "edge":
-            if n is None:
-                raise ParseError(no, "edge before vertices line")
-            if len(toks) != 3:
-                raise ParseError(no, "edge takes two endpoints")
-            try:
-                u, v = int(toks[1]), int(toks[2])
-            except ValueError:
-                u = _int_tok(no, toks[1], "endpoint")
-                v = _int_tok(no, toks[2], "endpoint")
-            if u == v:
-                raise ParseError(no, f"self-loop at vertex {u}")
-            if not (0 <= u < n and 0 <= v < n):
-                raise ParseError(no, f"unknown vertex id in edge {u} {v}")
-            nu = nbr[u]
-            if v in nu:
-                raise ParseError(no, f"duplicate edge {u} {v}")
-            nu.add(v)
-            nbr[v].add(u)
-        elif key == "vertices":
-            if n is not None:
-                raise ParseError(no, "duplicate vertices line")
-            if len(toks) != 2:
-                raise ParseError(no, "vertices takes one count")
-            n = _int_tok(no, toks[1], "vertex count")
-            if n < 0:
-                raise ParseError(no, "vertex count must be non-negative")
-            nbr = [set() for _ in range(n)]
-        else:
-            rest.append((no, toks))
+    no = done = 0  # last content line, lines before the piece
+    for run, piece in pieces:
+        if run and n is not None:
+            ids = ids or {str(v): v for v in range(n)}
+            k = _read_edge_block(piece, ids, nbr)
+            if k < 0:  # a loop or repeated edge: reread line by line to name it
+                return _parse_graph_lines(text, header, bulk=False)
+            if k:
+                done = no = done + k
+                continue
+        for no, toks in _content_lines(piece, done + 1):
+            if not head:
+                if toks != [header, "1"]:
+                    raise ParseError(no, f"expected header '{header} 1'")
+                head = True
+                continue
+            key = toks[0]
+            if key == "edge":
+                if n is None:
+                    raise ParseError(no, "edge before vertices line")
+                if len(toks) != 3:
+                    raise ParseError(no, "edge takes two endpoints")
+                try:
+                    u, v = int(toks[1]), int(toks[2])
+                except ValueError:
+                    u = _int_tok(no, toks[1], "endpoint")
+                    v = _int_tok(no, toks[2], "endpoint")
+                if u == v:
+                    raise ParseError(no, f"self-loop at vertex {u}")
+                if not (0 <= u < n and 0 <= v < n):
+                    raise ParseError(no, f"unknown vertex id in edge {u} {v}")
+                nu = nbr[u]
+                if v in nu:
+                    raise ParseError(no, f"duplicate edge {u} {v}")
+                nu.add(v)
+                nbr[v].add(u)
+            elif key == "vertices":
+                if n is not None:
+                    raise ParseError(no, "duplicate vertices line")
+                if len(toks) != 2:
+                    raise ParseError(no, "vertices takes one count")
+                n = _int_tok(no, toks[1], "vertex count")
+                if n < 0:
+                    raise ParseError(no, "vertex count must be non-negative")
+                nbr = [set() for _ in range(n)]
+            else:
+                rest.append((no, toks))
+        done += piece.count("\n")
+    if not head:
+        raise ParseError(1, "empty file")
     if n is None:
         raise ParseError(no, "missing vertices line")
     return Graph._from_neighbor_sets(n, nbr), rest, no

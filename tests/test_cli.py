@@ -228,6 +228,30 @@ def test_solve_rejects_colored_instances(tmp_path, capsys) -> None:
     assert "plain instances only" in capsys.readouterr().err
 
 
+class _SplitOnlyInPieces(str):
+    def splitlines(self, keepends: bool = False):
+        raise AssertionError("the whole file was split into lines")
+
+
+def test_first_token_reads_only_up_to_the_first_content_line() -> None:
+    def whole_file_reference(text: str) -> str:
+        for raw in text.splitlines():
+            body = raw.split("#", 1)[0].strip()
+            if body:
+                return body.split()[0]
+        return ""
+
+    edges = "".join(f"edge 0 {v}\n" for v in range(1, 500))
+    for head in (
+        "", "\n", "\n\n  \t\n", "# intro\n", "\n# a\n  # b\n\n", "   ",
+        "\r\n# crlf\r\n", "#c\rx", "# c\x0c", "\x0c\n", "  #\x85",
+    ):
+        for rest in ("mapf 1\nvertices 500\n" + edges, "  cmapf 1 # colored\n", "x", ""):
+            text = head + rest
+            assert cli._first_token(_SplitOnlyInPieces(text)) == whole_file_reference(text), repr(text[:40])
+    assert cli._first_token("# only\n\n#comments\n") == ""
+
+
 def cli_colored_text(tmp_path: Path) -> str:
     from mapfdc.gadgets import build_colored_pancake_instance
     from mapfdc.model import serialize_colored_instance

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import sys
 import tracemalloc
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
@@ -266,6 +267,180 @@ def test_parse_instance_rejects_edge_problems() -> None:
 
 def test_parse_colored_instance_rejects_edge_problems() -> None:
     _check_graph_line_errors(parse_colored_instance, "cmapf", "group 1\nstarts 0\ntargets 1\n")
+
+
+# Faults and unusual spellings planted in a long run of edge lines. Most sit
+# in the last quarter of the run, far past the first 64 KB block.
+HEAD_MUTATIONS = [
+    "clean", "bad token deep", "out of range deep", "loop deep",
+    "reverse in a later block", "repeat in the block", "edge before vertices",
+    "vertices twice", "crlf", "tabs", "comments", "leading zero", "plus sign",
+    "agents interleaved", "blank lines", "long line", "form feed",
+    "non-ascii digit", "no final newline", "one endpoint last",
+    "three endpoints last",
+]
+# mutations that leave no block for the bulk reader to accept
+NO_BULK = {"edge before vertices", "crlf", "form feed", "non-ascii digit"}
+# mutations that a block can only catch after adding its edges, so that the
+# whole text is read again line by line
+REREAD = {"loop deep", "reverse in a later block", "repeat in the block"}
+
+
+def _graph_head(n: int, pairs: Sequence[Tuple[int, int]]) -> List[str]:
+    return [f"vertices {n}"] + [f"edge {u} {v}" for u, v in pairs]
+
+
+def _dense_pairs(n: int, rng: random.Random) -> List[Tuple[int, int]]:
+    """About 60% of all pairs in serialized order, one in twenty reversed."""
+    return [
+        (v, u) if rng.random() < 0.05 else (u, v)
+        for u in range(n)
+        for v in range(u + 1, n)
+        if rng.random() < 0.6
+    ]
+
+
+def _mutated_head(kind: str, lines: List[str], n: int, rng: random.Random) -> str:
+    out = list(lines)
+    deep = rng.randrange(len(out) * 3 // 4, len(out))
+    u, v = out[deep].split()[1:]
+    if kind == "bad token deep":
+        out[deep] = f"edge {u} x"
+    elif kind == "out of range deep":
+        out[deep] = f"edge {u} {n}"
+    elif kind == "loop deep":
+        out[deep] = f"edge {u} {u}"
+    elif kind == "reverse in a later block":
+        a, b = out[1 + rng.randrange(100)].split()[1:]
+        out.insert(deep, f"edge {b} {a}")
+    elif kind == "repeat in the block":
+        out.insert(deep, out[deep])
+    elif kind == "edge before vertices":
+        out.insert(6, out.pop(0))
+    elif kind == "vertices twice":
+        out.insert(deep, out[0])
+    elif kind == "tabs":  # a line that begins `edge\t` ends the run, one inside it does not
+        out[deep] = f"edge\t{u} \t{v}"
+        out[deep - 1] = out[deep - 1].replace(" ", "\t").replace("\t", " ", 1)
+    elif kind == "comments":
+        out[deep] += "  # trailing note"
+        out.insert(deep, "# a comment line")
+    elif kind == "leading zero":
+        out[deep] = f"edge 0{u} {v}"
+    elif kind == "plus sign":
+        out[deep] = f"edge +{u} {v}"
+    elif kind == "agents interleaved":
+        for i, at in enumerate(sorted(rng.sample(range(1, len(out)), 3), reverse=True)):
+            out.insert(at, f"agent {2 * i + 4} {2 * i + 5}")
+    elif kind == "blank lines":
+        out[deep:deep] = ["", "   "]
+    elif kind == "long line":
+        out[deep] = f"edge {u}{' ' * 70_000}{v}"
+    elif kind == "form feed":
+        out[deep] = f"edge {u}\f{v}"
+    elif kind == "non-ascii digit":
+        out[deep] = f"edge {u} {v}٣"
+    elif kind == "one endpoint last":
+        out[-1] = " ".join(out[-1].split()[:2])
+    elif kind == "three endpoints last":
+        out[-1] += " " + out[-1].split()[1]
+    text = "\n".join(out) + "\n"
+    if kind == "crlf":
+        text = text.replace("\n", "\r\n")
+    return text
+
+
+def _read_both_ways(monkeypatch: pytest.MonkeyPatch, parse, text: str):
+    """Parse `text` with the block reader and with the per-line reader;
+    assert equal outcomes and return the block reader's, with the number of
+    edge lines it read in blocks and whether it read the text again."""
+    parse_head, read_block = model._parse_graph_lines, model._read_edge_block
+    outcomes = []
+    for bulk in (True, False):
+        heads: list = []
+        modes: List[bool] = []
+        block_lines: List[int] = []
+
+        def head(text: str, header: str, bulk: bool = bulk):
+            modes.append(bulk)
+            heads.append(parse_head(text, header, bulk))
+            return heads[-1]
+
+        def counted_block(block: str, ids, nbr) -> int:
+            k = read_block(block, ids, nbr)
+            block_lines.append(max(k, 0))
+            return k
+
+        with monkeypatch.context() as mp:
+            mp.setattr(model, "_parse_graph_lines", head)
+            mp.setattr(model, "_read_edge_block", counted_block)
+            try:
+                got = (parse(text), *heads[-1])
+            except ParseError as exc:
+                got = (exc.line, str(exc))
+        outcomes.append((got, sum(block_lines), modes))
+    (got, bulk_lines, modes), (want, line_by_line, _) = outcomes
+    assert got == want
+    assert line_by_line == 0
+    return got, bulk_lines, modes == [True, False]
+
+
+@pytest.mark.parametrize(
+    "parse, header, tail",
+    [
+        (parse_instance, "mapf", "agent 0 1\nagent 2 3\n"),
+        (parse_colored_instance, "cmapf", "group 1\nstarts 0 2\ntargets 1 3\n"),
+    ],
+    ids=["plain", "colored"],
+)
+def test_block_reader_matches_the_line_reader(monkeypatch, parse, header, tail) -> None:
+    n = 300
+    rng = random.Random(17)
+    lines = _graph_head(n, _dense_pairs(n, rng))
+    assert len("\n".join(lines)) > 3 * (1 << 16)
+    for kind in HEAD_MUTATIONS:
+        head = _mutated_head(kind, lines, n, rng)
+        text = f"{header} 1\n{head}{tail}"
+        if kind == "no final newline":
+            text = f"{header} 1\n{head}".rstrip("\n")
+        got, bulk_lines, reread = _read_both_ways(monkeypatch, parse, text)
+        if kind == "clean":
+            assert got[1] == Graph(n, [map(int, ln.split()[1:]) for ln in lines[1:]])
+            assert bulk_lines == len(lines) - 1
+        assert (bulk_lines > 0) == (kind not in NO_BULK), kind
+        assert reread == (kind in REREAD), kind
+
+
+def test_block_reader_matches_the_line_reader_on_many_vertices(monkeypatch) -> None:
+    # more vertices than a block has endpoints: the repeat check sums the
+    # degrees of the touched vertices only
+    n = 20_000
+    rng = random.Random(23)
+    pairs = sorted({tuple(sorted(rng.sample(range(n), 2))) for _ in range(15_000)})
+    lines = _graph_head(n, pairs)
+    for kind in ("clean", "reverse in a later block", "repeat in the block", "loop deep"):
+        text = "mapf 1\n" + _mutated_head(kind, lines, n, rng) + "agent 0 1\n"
+        got, bulk_lines, reread = _read_both_ways(monkeypatch, parse_instance, text)
+        assert bulk_lines > 0
+        assert isinstance(got[0], Instance) == (kind == "clean") == (not reread)
+
+
+def test_parse_instance_peak_memory_stays_near_the_graph() -> None:
+    # edge lines are read a block at a time, so the parse never holds a
+    # token per edge of a dense file, and neighbour sets are frozen from sets
+    n = 310
+    edges = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    text = serialize_instance(Instance(Graph(n, edges), tuple(range(100)), tuple(range(100))))
+    tracemalloc.start()
+    try:
+        inst = parse_instance(text)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    built = Graph(n, edges)
+    for v in range(n):
+        assert sys.getsizeof(inst.graph.neighbor_set(v)) <= sys.getsizeof(built.neighbor_set(v))
+    assert peak <= 3 * retained
 
 
 def test_colored_instance_round_trip() -> None:
