@@ -4,7 +4,7 @@ import re
 from dataclasses import dataclass
 from itertools import compress
 from operator import ne
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import ParseError, PreconditionError
 from .graphs import Graph
@@ -294,15 +294,15 @@ def _edge_runs(text: str) -> Iterator[Tuple[bool, str]]:
         p = q
 
 
-def _read_edge_block(block: str, ids: Dict[str, int], nbr: List[Set[int]]) -> int:
-    """Add the k lines of `block` to `nbr` and return k; return 0, changing
-    nothing, unless each line is proved to be `edge u v`, and -1 (block
-    added) on a loop or an edge added before, as the degree sum then grows
-    by less than 2k. Proof: each line begins `edge ` and ends in "\\n", the
-    only line break. Demand 3k tokens with an id (never `edge`, never
-    holding `#`) at every place but the multiples of three. Each line's first
-    token, `edge`, then sits at a multiple of three, so each line holds a
-    positive multiple of three tokens, and k of them sharing 3k hold three."""
+def _read_edge_block(block: str, ids: Dict[str, int], adj: List[List[int]]) -> int:
+    """Append the k lines of `block` to the neighbour lists `adj` and return
+    k; return 0, changing nothing, unless each line is proved to be
+    `edge u v`. Loops and repeated edges are left to the caller. Proof: each
+    line begins `edge ` and ends in "\\n", the only line break. Demand 3k
+    tokens with an id (never `edge`, never holding `#`) at every place but
+    the multiples of three. Each line's first token, `edge`, then sits at a
+    multiple of three, so each line holds a positive multiple of three
+    tokens, and k of them sharing 3k hold three."""
     k = block.count("\n")
     toks = block.split()
     if len(toks) != 3 * k:
@@ -313,30 +313,47 @@ def _read_edge_block(block: str, ids: Dict[str, int], nbr: List[Set[int]]) -> in
     except KeyError:
         return 0
     del toks
-    # on a graph with more vertices than the block has endpoints, sum only
-    # the sets it touches, so that a block costs O(k)
-    sets = nbr if len(nbr) <= 2 * k else list(map(nbr.__getitem__, {*us, *vs}))
-    degrees = sum(map(len, sets))
     for u, v in zip(us, vs):
-        nbr[u].add(v)
-        nbr[v].add(u)
-    return k if sum(map(len, sets)) == degrees + 2 * k else -1
+        adj[u].append(v)
+        adj[v].append(u)
+    return k
 
 
 def _parse_graph_lines(
     text: str, header: str, bulk: bool = True
 ) -> Tuple[Graph, List[Tuple[int, List[str]]], int]:
     """Common head of both instance formats, read in one pass: header,
-    vertices, edges. Edge lines go straight into per-vertex neighbour sets,
-    runs of them in blocks (`_read_edge_block`); whatever a block cannot
-    prove is read line by line, so errors name the same line either way.
-    Returns (graph, remaining directive lines, last content line number)."""
+    vertices, edges. Returns (graph, remaining directive lines, last content
+    line number).
+
+    Read line by line, each edge goes straight into per-vertex neighbour
+    sets. The bulk reader, for texts where "\\n" is the only line break,
+    reads runs of edge lines in blocks (`_read_edge_block`) and the rest
+    line by line, appending to per-vertex neighbour lists: a list append
+    stays in cache where a set add lands anywhere in a table of twice the
+    final size. The lists are checked for loops and repeats once, as they
+    are frozen. On any fault the text is read again line by line, so errors
+    name the same line and rule either way."""
     bulk = bulk and len(text) >= _BULK_MIN and text.isascii()
     bulk = bulk and not any(c in text for c in _OTHER_BREAKS)
+    if not bulk:
+        return _read_graph_lines(text, header, False)  # never None line by line
+    try:
+        got = _read_graph_lines(text, header, True)
+    except ParseError:
+        got = None
+    return got or _parse_graph_lines(text, header, bulk=False)
+
+
+def _read_graph_lines(
+    text: str, header: str, bulk: bool
+) -> Optional[Tuple[Graph, List[Tuple[int, List[str]]], int]]:
+    """`_parse_graph_lines` in one mode; None when the bulk reader finds a
+    loop or a repeated edge, which only the line reader can name."""
     pieces = _edge_runs(text) if bulk else [(False, text)]
     head = False
     n: Optional[int] = None
-    nbr: List[Set[int]] = []
+    nbr: list = []  # of lists when bulk, else of sets
     ids: Dict[str, int] = {}
     rest: List[Tuple[int, List[str]]] = []
     no = done = 0  # last content line, lines before the piece
@@ -344,8 +361,6 @@ def _parse_graph_lines(
         if run and n is not None:
             ids = ids or {str(v): v for v in range(n)}
             k = _read_edge_block(piece, ids, nbr)
-            if k < 0:  # a loop or repeated edge: reread line by line to name it
-                return _parse_graph_lines(text, header, bulk=False)
             if k:
                 done = no = done + k
                 continue
@@ -370,11 +385,15 @@ def _parse_graph_lines(
                     raise ParseError(no, f"self-loop at vertex {u}")
                 if not (0 <= u < n and 0 <= v < n):
                     raise ParseError(no, f"unknown vertex id in edge {u} {v}")
-                nu = nbr[u]
-                if v in nu:
+                nu, nv = nbr[u], nbr[v]
+                if bulk:
+                    nu.append(v)
+                    nv.append(u)
+                elif v in nu:
                     raise ParseError(no, f"duplicate edge {u} {v}")
-                nu.add(v)
-                nbr[v].add(u)
+                else:
+                    nu.add(v)
+                    nv.add(u)
             elif key == "vertices":
                 if n is not None:
                     raise ParseError(no, "duplicate vertices line")
@@ -383,7 +402,7 @@ def _parse_graph_lines(
                 n = _int_tok(no, toks[1], "vertex count")
                 if n < 0:
                     raise ParseError(no, "vertex count must be non-negative")
-                nbr = [set() for _ in range(n)]
+                nbr = [[] for _ in range(n)] if bulk else [set() for _ in range(n)]
             else:
                 rest.append((no, toks))
         done += piece.count("\n")
@@ -391,6 +410,10 @@ def _parse_graph_lines(
         raise ParseError(1, "empty file")
     if n is None:
         raise ParseError(no, "missing vertices line")
+    if bulk:  # frozen through a set, each table is sized as Graph sizes it
+        lists, nbr = nbr, [frozenset(set(a)) for a in nbr]
+        if sum(map(len, nbr)) != sum(map(len, lists)):
+            return None
     return Graph._from_neighbor_sets(n, nbr), rest, no
 
 

@@ -279,11 +279,17 @@ HEAD_MUTATIONS = [
     "non-ascii digit", "no final newline", "one endpoint last",
     "three endpoints last",
 ]
+# mutations whose text is read line by line from the start
+LINE_ONLY = {"crlf", "form feed", "non-ascii digit"}
 # mutations that leave no block for the bulk reader to accept
-NO_BULK = {"edge before vertices", "crlf", "form feed", "non-ascii digit"}
-# mutations that a block can only catch after adding its edges, so that the
-# whole text is read again line by line
-REREAD = {"loop deep", "reverse in a later block", "repeat in the block"}
+NO_BULK = LINE_ONLY | {"edge before vertices"}
+# mutations that break the graph head; where the bulk reader is on, it hands
+# the whole text to the line reader to name the fault
+HEAD_FAULTS = {
+    "bad token deep", "out of range deep", "loop deep", "reverse in a later block",
+    "repeat in the block", "edge before vertices", "vertices twice", "form feed",
+    "non-ascii digit", "one endpoint last", "three endpoints last",
+}
 
 
 def _graph_head(n: int, pairs: Sequence[Tuple[int, int]]) -> List[str]:
@@ -408,12 +414,12 @@ def test_block_reader_matches_the_line_reader(monkeypatch, parse, header, tail) 
             assert got[1] == Graph(n, [map(int, ln.split()[1:]) for ln in lines[1:]])
             assert bulk_lines == len(lines) - 1
         assert (bulk_lines > 0) == (kind not in NO_BULK), kind
-        assert reread == (kind in REREAD), kind
+        assert reread == (kind in HEAD_FAULTS - LINE_ONLY), kind
 
 
 def test_block_reader_matches_the_line_reader_on_many_vertices(monkeypatch) -> None:
-    # more vertices than a block has endpoints: the repeat check sums the
-    # degrees of the touched vertices only
+    # more vertices than a block has endpoints: loops and repeats are still
+    # found, once, when the neighbour lists are frozen
     n = 20_000
     rng = random.Random(23)
     pairs = sorted({tuple(sorted(rng.sample(range(n), 2))) for _ in range(15_000)})
@@ -427,7 +433,8 @@ def test_block_reader_matches_the_line_reader_on_many_vertices(monkeypatch) -> N
 
 def test_parse_instance_peak_memory_stays_near_the_graph() -> None:
     # edge lines are read a block at a time, so the parse never holds a
-    # token per edge of a dense file, and neighbour sets are frozen from sets
+    # token per edge of a dense file, and neighbour lists are frozen
+    # through sets, never straight from lists
     n = 310
     edges = [(u, v) for u in range(n) for v in range(u + 1, n)]
     text = serialize_instance(Instance(Graph(n, edges), tuple(range(100)), tuple(range(100))))
@@ -440,7 +447,7 @@ def test_parse_instance_peak_memory_stays_near_the_graph() -> None:
     built = Graph(n, edges)
     for v in range(n):
         assert sys.getsizeof(inst.graph.neighbor_set(v)) <= sys.getsizeof(built.neighbor_set(v))
-    assert peak <= 3 * retained
+    assert peak <= 1.5 * retained  # 1.16x; sets filled edge by edge peak at 2.7x
 
 
 def test_colored_instance_round_trip() -> None:
