@@ -26,6 +26,7 @@ from .model import (
     Instance,
     Schedule,
     _content_lines,
+    _lines,
     parse_colored_instance,
     parse_instance,
     parse_schedule,
@@ -87,12 +88,8 @@ def _write_text(path: str, text: str) -> None:
 
 
 def _first_token(text: str) -> str:
-    start = 0  # split one "\n"-ended stretch at a time, never the whole file
-    while start < len(text):
-        stop = text.find("\n", start) + 1 or len(text)
-        for _, toks in _content_lines(text[start:stop]):
-            return toks[0]
-        start = stop
+    for _, toks in _content_lines(_lines(text)):  # lazily: never the whole file
+        return toks[0]
     return ""
 
 

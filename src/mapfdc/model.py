@@ -4,7 +4,7 @@ import re
 from dataclasses import dataclass
 from itertools import compress
 from operator import ne
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import ParseError, PreconditionError
 from .graphs import Graph
@@ -258,10 +258,22 @@ _EDGE_BLOCK = 1 << 16  # characters per bulk step; its token list stays small
 _EDGE_RUN_END = re.compile(r"\n(?!edge )")
 
 
-def _content_lines(text: str, start: int = 1) -> Iterator[Tuple[int, List[str]]]:
+def _lines(text: str) -> Iterator[str]:
+    """`text.splitlines()` one line at a time, never a copy of the whole
+    text. Every "\\n" ends a line break ("\\r\\n" included), so cutting
+    after each one cuts no break, and splitting the stretches between the
+    cuts gives the lines of the whole text."""
+    p, end = 0, len(text)
+    while p < end:
+        q = text.find("\n", p) + 1 or end
+        yield from text[p:q].splitlines()
+        p = q
+
+
+def _content_lines(lines: Iterable[str], start: int = 1) -> Iterator[Tuple[int, List[str]]]:
     """(line number, tokens) of every line that has tokens once a `#`
-    comment is cut off; the first line of `text` is line `start`."""
-    for no, raw in enumerate(text.splitlines(), start=start):
+    comment is cut off; the first of `lines` is line `start`."""
+    for no, raw in enumerate(lines, start=start):
         if "#" in raw:
             raw = raw.split("#", 1)[0]
         toks = raw.split()
@@ -274,6 +286,12 @@ def _int_tok(no: int, tok: str, what: str) -> int:
         return int(tok)
     except ValueError:
         raise ParseError(no, f"expected integer {what}, got {tok!r}") from None
+
+
+def _vertex_ids(n: int) -> Dict[str, int]:
+    """Vertex id by its canonical decimal, for ids 0..n-1: a hit is a token
+    proved to be an id in range, and equal ids share one int object."""
+    return {str(v): v for v in range(n)}
 
 
 def _edge_runs(text: str) -> Iterator[Tuple[bool, str]]:
@@ -359,12 +377,12 @@ def _read_graph_lines(
     no = done = 0  # last content line, lines before the piece
     for run, piece in pieces:
         if run and n is not None:
-            ids = ids or {str(v): v for v in range(n)}
+            ids = ids or _vertex_ids(n)
             k = _read_edge_block(piece, ids, nbr)
             if k:
                 done = no = done + k
                 continue
-        for no, toks in _content_lines(piece, done + 1):
+        for no, toks in _content_lines(piece.splitlines(), done + 1):
             if not head:
                 if toks != [header, "1"]:
                     raise ParseError(no, f"expected header '{header} 1'")
@@ -533,11 +551,13 @@ def serialize_colored_instance(inst: ColoredInstance) -> str:
 
 def parse_schedule(text: str, inst) -> Schedule:
     """Parse a schedule for the given instance (plain or colored): per-turn
-    vertex rows in agent order. Each row is converted as it is read; a
-    wrong turn count is reported ahead of the first bad row."""
+    vertex rows in agent order. Rows are read lazily and each is converted
+    as it is read; a wrong turn count is reported ahead of the first bad
+    row. Vertex ids come from one table per call (`_vertex_ids`), so the
+    rows share their int objects."""
     n_agents = inst.n_agents
     n_verts = inst.graph.n
-    lines = _content_lines(text)
+    lines = _content_lines(_lines(text))
     first = next(lines, None)
     if first is None:
         raise ParseError(1, "empty schedule file")
@@ -547,6 +567,7 @@ def parse_schedule(text: str, inst) -> Schedule:
     m = _int_tok(no, toks[1], "makespan")
     if m < 0:
         raise ParseError(no, "makespan must be non-negative")
+    ids = _vertex_ids(n_verts).__getitem__
     placements: List[Placement] = []
     bad_row: Optional[ParseError] = None
     found = 0
@@ -554,7 +575,7 @@ def parse_schedule(text: str, inst) -> Schedule:
         found += 1
         if bad_row is None and found <= m:
             try:
-                placements.append(_parse_turn(no, toks, found, n_agents, n_verts))
+                placements.append(_parse_turn(no, toks, found, n_agents, n_verts, ids))
             except ParseError as exc:
                 bad_row = exc
     if found != m:
@@ -564,8 +585,12 @@ def parse_schedule(text: str, inst) -> Schedule:
     return Schedule(tuple(placements))
 
 
-def _parse_turn(no: int, toks: List[str], idx: int, n_agents: int, n_verts: int) -> Placement:
-    """Row `turn <idx>: v ...` read from line `no` as a placement."""
+def _parse_turn(
+    no: int, toks: List[str], idx: int, n_agents: int, n_verts: int,
+    ids: Callable[[str], int],
+) -> Placement:
+    """Row `turn <idx>: v ...` read from line `no` as a placement; `ids`
+    maps the canonical decimal of each vertex id in range to the id."""
     if toks[0] != "turn":
         raise ParseError(no, "expected turn line")
     if len(toks) < 2 or not toks[1].endswith(":"):
@@ -574,19 +599,33 @@ def _parse_turn(no: int, toks: List[str], idx: int, n_agents: int, n_verts: int)
     if i != idx:
         raise ParseError(no, f"turn index {i} out of order, expected {idx}")
     try:
-        vs = tuple(map(int, toks[2:]))
-    except ValueError:  # rerun token by token to name the bad one
-        vs = tuple(_int_tok(no, x, "vertex") for x in toks[2:])
+        vs = tuple(map(ids, toks[2:]))
+        in_range = True  # every token hit the table
+    except KeyError:  # any other token: read it as int() does
+        in_range = False
+        try:
+            vs = tuple(map(int, toks[2:]))
+        except ValueError:  # rerun token by token to name the bad one
+            vs = tuple(_int_tok(no, x, "vertex") for x in toks[2:])
     if len(vs) != n_agents:
         raise ParseError(no, f"turn covers {len(vs)} agents, expected {n_agents}")
-    if vs and (min(vs) < 0 or max(vs) >= n_verts):
+    if not in_range and vs and (min(vs) < 0 or max(vs) >= n_verts):
         bad = next(v for v in vs if not (0 <= v < n_verts))
         raise ParseError(no, f"unknown vertex id {bad}")
     return vs
 
 
+class _Names(dict):
+    """str(v) of each int vertex id, made on its first use."""
+
+    def __missing__(self, v: int) -> str:
+        name = self[v] = str(v)
+        return name
+
+
 def serialize_schedule(sched: Schedule) -> str:
+    name = _Names().__getitem__  # one str() per distinct id, not per token
     out = [f"schedule {sched.makespan}"]
     for i, pl in enumerate(sched.placements, start=1):
-        out.append(f"turn {i}: " + " ".join(map(str, pl)))
+        out.append(f"turn {i}: " + " ".join(map(name, pl)))
     return "\n".join(out) + "\n"

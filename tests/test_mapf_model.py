@@ -575,6 +575,156 @@ def test_schedule_round_trip() -> None:
     assert validate_schedule(inst, again).ok
 
 
+def test_lines_match_splitlines() -> None:
+    # every line break of str.splitlines, "\r\n" and doubled breaks included
+    alphabet = ["a", "7", " ", "#", "\n", "\r", "\r\n", "\v", "\f", "\x1c",
+                "\x1d", "\x1e", "\x85", "\u2028", "\u2029", "\t", "\u0663"]
+    rng = random.Random(11)
+    for _ in range(20000):
+        text = "".join(rng.choices(alphabet, k=rng.randrange(12)))
+        assert list(model._lines(text)) == text.splitlines(), repr(text)
+
+
+def _reference_parse_schedule(text: str, inst) -> Schedule:
+    """The schedule reader without the id table: `str.splitlines` and
+    `int()` on every token, then a range check of every row."""
+
+    def int_tok(no: int, tok: str, what: str) -> int:
+        try:
+            return int(tok)
+        except ValueError:
+            raise ParseError(no, f"expected integer {what}, got {tok!r}") from None
+
+    def content_lines():
+        for no, raw in enumerate(text.splitlines(), start=1):
+            toks = raw.split("#", 1)[0].split()
+            if toks:
+                yield no, toks
+
+    def turn(no: int, toks: List[str], idx: int) -> Tuple[int, ...]:
+        if toks[0] != "turn":
+            raise ParseError(no, "expected turn line")
+        if len(toks) < 2 or not toks[1].endswith(":"):
+            raise ParseError(no, "expected 'turn <i>:'")
+        i = int_tok(no, toks[1][:-1], "turn index")
+        if i != idx:
+            raise ParseError(no, f"turn index {i} out of order, expected {idx}")
+        vs = tuple(int_tok(no, x, "vertex") for x in toks[2:])
+        if len(vs) != inst.n_agents:
+            raise ParseError(no, f"turn covers {len(vs)} agents, expected {inst.n_agents}")
+        for v in vs:
+            if not (0 <= v < inst.graph.n):
+                raise ParseError(no, f"unknown vertex id {v}")
+        return vs
+
+    lines = content_lines()
+    first = next(lines, None)
+    if first is None:
+        raise ParseError(1, "empty schedule file")
+    no, toks = first
+    if toks[0] != "schedule" or len(toks) != 2:
+        raise ParseError(no, "expected header 'schedule <m>'")
+    m = int_tok(no, toks[1], "makespan")
+    if m < 0:
+        raise ParseError(no, "makespan must be non-negative")
+    rows: List[Tuple[int, ...]] = []
+    bad: Optional[ParseError] = None
+    found = 0
+    for no, toks in lines:
+        found += 1
+        if bad is None and found <= m:
+            try:
+                rows.append(turn(no, toks, found))
+            except ParseError as exc:
+                bad = exc
+    if found != m:
+        raise ParseError(no, f"expected {m} turn lines, found {found}")
+    if bad is not None:
+        raise bad
+    return Schedule(tuple(rows))
+
+
+def _parse_or_error(parse, text: str, inst) -> Union[Schedule, Tuple[int, str]]:
+    try:
+        return parse(text, inst)
+    except ParseError as exc:
+        return exc.line, str(exc)
+
+
+# Tokens int() reads as a vertex of a 12-vertex path but the id table misses
+_NON_CANONICAL = ["007", "03", "+3", "-0", "1_0", "\u0663", "\uff13", "0_3"]
+# Tokens that are no integer, or name no vertex of a 12-vertex path
+_BAD_TOKENS = ["12", "40", "-1", "-07", "x", "3.0", "1e1", "0x3", "3:", "_3"]
+
+
+def test_schedule_reader_matches_the_int_reader_on_non_canonical_tokens() -> None:
+    inst = Instance(_path(12), (0, 5), (1, 6))
+    for tok in _NON_CANONICAL:
+        for row in (f"{tok} 6", f"1 {tok}", f" {tok}  {tok} ", f"{tok}\t2"):
+            text = f"schedule 2\nturn 1: 1 6\r\nturn 2: {row}\n"
+            got = _parse_or_error(parse_schedule, text, inst)
+            assert got == _parse_or_error(_reference_parse_schedule, text, inst), repr(text)
+
+
+def test_schedule_reader_matches_the_int_reader_on_random_rows() -> None:
+    rng = random.Random(5)
+    n, agents = 12, 3
+    inst = Instance(_path(n), tuple(range(agents)), tuple(range(agents)))
+
+    def token() -> str:
+        r = rng.random()
+        if r < 0.8:
+            return str(rng.randrange(n))
+        return rng.choice(_NON_CANONICAL if r < 0.9 else _BAD_TOKENS)
+
+    outcomes = {"rows": 0, "errors": 0}
+    for _ in range(3000):
+        m = rng.randrange(4)
+        lines = [f"schedule {m + rng.choice((0, 0, 0, 1, -1))}"]
+        for i in range(1, m + 1):
+            width = agents + rng.choice((0, 0, 0, 0, 1, -1))
+            lines.append(f"turn {i}: " + " ".join(token() for _ in range(width)))
+            if rng.random() < 0.1:
+                lines.append("# a comment")
+        text = rng.choice(("\n", "\r\n")).join(lines) + "\n"
+        got = _parse_or_error(parse_schedule, text, inst)
+        assert got == _parse_or_error(_reference_parse_schedule, text, inst), repr(text)
+        outcomes["rows" if isinstance(got, Schedule) else "errors"] += 1
+    assert min(outcomes.values()) > 300, outcomes
+
+
+def test_serialize_schedule_writes_str_of_every_id() -> None:
+    rng = random.Random(9)
+    for _ in range(500):
+        agents, turns = rng.randrange(5), rng.randrange(5)
+        sched = Schedule(tuple(
+            tuple(rng.choice((rng.randrange(-3, 300), rng.randrange(10**6, 10**20)))
+                  for _ in range(agents))
+            for _ in range(turns)
+        ))
+        want = "\n".join(
+            [f"schedule {turns}"]
+            + [f"turn {i}: " + " ".join(map(str, pl)) for i, pl in enumerate(sched.placements, 1)]
+        ) + "\n"
+        assert serialize_schedule(sched) == want
+
+
+def test_schedule_round_trip_shares_one_int_per_vertex() -> None:
+    rng = random.Random(4)
+    n = 2000
+    for agents, turns in ((0, 0), (0, 3), (5, 0), (40, 30)):
+        inst = Instance(_path(n), tuple(range(agents)), tuple(range(agents)))
+        sched = Schedule(tuple(
+            tuple(rng.sample(range(n), agents)) for _ in range(turns)
+        ))
+        again = parse_schedule(serialize_schedule(sched), inst)
+        assert again == sched
+        seen: Dict[int, int] = {}
+        for pl in again.placements:
+            for v in pl:
+                assert seen.setdefault(v, v) is v
+
+
 def _random_walk_schedule(
     rng: random.Random, inst: Instance, turns: int
 ) -> Schedule:
