@@ -32,7 +32,7 @@ def _distances(graph: Graph, source: int) -> List[int]:
     queue = deque((source,))
     while queue:
         u = queue.popleft()
-        for v in graph.neighbors(u):
+        for v in graph.neighbor_set(u):
             if dist[v] == graph.n:
                 dist[v] = dist[u] + 1
                 queue.append(v)
@@ -61,7 +61,7 @@ def _two_edge_components(graph: Graph) -> List[int]:
         order[root] = low[root] = clock
         clock += 1
         open_.append(root)
-        work = [(root, -1, iter(graph.neighbors(root)))]
+        work = [(root, -1, iter(graph.neighbor_set(root)))]
         while work:
             u, parent, rest = work[-1]
             for v in rest:
@@ -69,7 +69,7 @@ def _two_edge_components(graph: Graph) -> List[int]:
                     order[v] = low[v] = clock
                     clock += 1
                     open_.append(v)
-                    work.append((v, u, iter(graph.neighbors(v))))
+                    work.append((v, u, iter(graph.neighbor_set(v))))
                     break
                 if v != parent and order[v] < low[u]:
                     low[u] = order[v]
@@ -92,10 +92,10 @@ class _Options:
 
     row(slack, u) is (kept, near, rim, cut): `kept` is the part of N[u] at
     distance at most `slack` from the target, `near` and `rim` split it
-    into the vertices closer than `slack` and those exactly at it (each
-    ascending by vertex id), and `cut` tells whether some vertex of N[u]
-    that can still reach the target was left out. Rows are built on first
-    use.
+    into the vertices closer than `slack` and those exactly at it (all
+    three ascending by vertex id), and `cut` tells whether some vertex of
+    N[u] that can still reach the target was left out. Rows are built on
+    first use.
     """
 
     __slots__ = ("graph", "dist", "rows")
@@ -112,8 +112,9 @@ class _Options:
         entry = by_vertex[u]
         if entry is None:
             dist = self.dist
-            closed = self.graph.closed_neighbors(u)
-            kept = tuple(v for v in closed if dist[v] <= slack)
+            closed = self.graph.neighbor_set(u) | {u}
+            # sorted, so that successors come out in vertex-id order
+            kept = tuple(sorted(v for v in closed if dist[v] <= slack))
             near = tuple(v for v in kept if dist[v] < slack)
             rim = tuple(v for v in kept if dist[v] == slack)
             cut = any(slack < dist[v] < self.graph.n for v in closed)

@@ -586,7 +586,7 @@ def _aux_trajectories(
     dq = deque([root])
     while dq:
         v = dq.popleft()
-        for w in inst_graph.neighbors(v):
+        for w in inst_graph.neighbor_set(v):
             if depth[w] < 0:
                 depth[w] = depth[v] + 1
                 parent[w] = v

@@ -11,13 +11,12 @@ Edge = Tuple[int, int]
 class Graph:
     """Undirected simple graph on vertices 0..n-1.
 
-    Stored as one neighbour set per vertex, plus the same neighbours as a
-    sorted tuple, so every traversal in the package enumerates neighbors in
-    increasing vertex id. `edges` is derived from them on first use.
-    Immutable by convention.
+    Stored as one neighbour set per vertex; `edges` is derived from them on
+    first use. Neighbour sets iterate in no fixed order, so a caller whose
+    output depends on order sorts for itself. Immutable by convention.
     """
 
-    __slots__ = ("n", "_nbr", "_adj", "_edges")
+    __slots__ = ("n", "_nbr", "_edges")
 
     def __init__(self, n: int, edges: Iterable[Edge] = ()) -> None:
         if n < 0:
@@ -46,7 +45,6 @@ class Graph:
     def _store(self, n: int, nbr: Sequence[Iterable[int]]) -> None:
         self.n = n
         self._nbr: Tuple[FrozenSet[int], ...] = tuple(frozenset(s) for s in nbr)
-        self._adj: Tuple[Tuple[int, ...], ...] = tuple(tuple(sorted(s)) for s in nbr)
         self._edges: Optional[FrozenSet[Edge]] = None
 
     @property
@@ -56,34 +54,15 @@ class Graph:
             self._edges = frozenset(self.sorted_edges())
         return self._edges
 
-    def neighbors(self, v: int) -> Tuple[int, ...]:
-        return self._adj[v]
-
     def neighbor_set(self, v: int) -> FrozenSet[int]:
         """N(v) as a set, for membership tests and set algebra."""
         return self._nbr[v]
 
-    def closed_neighbors(self, v: int) -> Tuple[int, ...]:
-        """N[v] sorted by vertex id (v merged into its neighbor list)."""
-        out: List[int] = []
-        placed = False
-        for u in self._adj[v]:
-            if not placed and v < u:
-                out.append(v)
-                placed = True
-            out.append(u)
-        if not placed:
-            out.append(v)
-        return tuple(out)
-
     def has_edge(self, u: int, v: int) -> bool:
         return 0 <= u < self.n and v in self._nbr[u]
 
-    def degree(self, v: int) -> int:
-        return len(self._adj[v])
-
     def sorted_edges(self) -> List[Edge]:
-        return [(u, v) for u, a in enumerate(self._adj) for v in a if u < v]
+        return [(u, v) for u, a in enumerate(self._nbr) for v in sorted(a) if u < v]
 
     def induced(self, vertices: Iterable[int]) -> Tuple["Graph", Tuple[int, ...]]:
         """Induced subgraph with dense ids. Returns (subgraph, old_ids) where
@@ -100,20 +79,20 @@ class Graph:
         return Graph._from_neighbor_sets(len(old_ids), sub), old_ids
 
     def is_complete(self) -> bool:
-        return all(len(a) == self.n - 1 for a in self._adj)
+        return all(len(a) == self.n - 1 for a in self._nbr)
 
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, Graph)
             and self.n == other.n
-            and self._adj == other._adj
+            and self._nbr == other._nbr
         )
 
     def __hash__(self) -> int:
-        return hash((self.n, self._adj))
+        return hash((self.n, self._nbr))
 
     def __repr__(self) -> str:
-        return f"Graph(n={self.n}, m={sum(map(len, self._adj)) // 2})"
+        return f"Graph(n={self.n}, m={sum(map(len, self._nbr)) // 2})"
 
 
 def complete_graph(n: int) -> Graph:
@@ -205,7 +184,7 @@ def _vc_branch(adj: Dict[int, Set[int]], budget: int) -> Optional[int]:
 
 def _adj_map(g: Graph, exclude: Set[int]) -> Dict[int, Set[int]]:
     return {
-        v: {u for u in g.neighbors(v) if u not in exclude}
+        v: {u for u in g.neighbor_set(v) if u not in exclude}
         for v in range(g.n)
         if v not in exclude
     }

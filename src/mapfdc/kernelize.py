@@ -3,11 +3,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Set, Tuple
 
-from .errors import PreconditionError, ResourceLimitError
+from .errors import PreconditionError
 from .graphs import CliqueSplit, Graph
 from .model import Instance, Placement
-
-_PARAM_CEILING = 12
 
 
 def makespan_bound(dc: int) -> int:
@@ -18,8 +16,6 @@ def makespan_bound(dc: int) -> int:
     by it, since the instance's makespan limit is the only search cap."""
     if dc < 0:
         raise PreconditionError("distance to clique cannot be negative")
-    if dc > _PARAM_CEILING:
-        raise ResourceLimitError(f"distance to clique {dc} exceeds supported ceiling {_PARAM_CEILING}")
     return 3 * (2 * dc + 2) ** dc + 2
 
 
@@ -28,8 +24,6 @@ def kappa(dc: int) -> int:
     with kappa(0) = 0."""
     if dc < 0:
         raise PreconditionError("distance to clique cannot be negative")
-    if dc > _PARAM_CEILING:
-        raise ResourceLimitError(f"distance to clique {dc} exceeds supported ceiling {_PARAM_CEILING}")
     if dc == 0:
         return 0
     return (10 * dc) ** (dc + 1)
@@ -140,7 +134,6 @@ class Kernel:
     k: int
     u_vertices: Tuple[int, ...]
     modulator_kernel_ids: FrozenSet[int]
-    kept_by_type: Tuple[Tuple[int, Tuple[int, ...]], ...]
 
 
 def build_kernel(
@@ -157,7 +150,6 @@ def build_kernel(
         endpoints.add(inst.starts[a])
         endpoints.add(inst.targets[a])
     budget = 3 * len(core)
-    kept: List[Tuple[int, Tuple[int, ...]]] = []
     u: Set[int] = set(split.modulator)
     for t in types:
         if len(t.members) <= budget:
@@ -166,7 +158,6 @@ def build_kernel(
             fixed = [v for v in t.members if v in endpoints]
             pad = [v for v in t.members if v not in endpoints]
             take = tuple(sorted(fixed + pad[: budget - len(fixed)]))
-        kept.append((t.type_id, take))
         u.update(take)
     u_sorted = tuple(sorted(u))
     sub, old_ids = inst.graph.induced(u_sorted)
@@ -182,5 +173,4 @@ def build_kernel(
         k,
         old_ids,
         frozenset(to_sub[v] for v in split.modulator),
-        tuple(kept),
     )

@@ -100,13 +100,6 @@ class ColoredInstance:
     def n_agents(self) -> int:
         return sum(len(g.starts) for g in self.groups)
 
-    def group_of(self) -> Tuple[int, ...]:
-        """Group index (0-based position in `groups`) per agent id."""
-        out: List[int] = []
-        for idx, g in enumerate(self.groups):
-            out.extend([idx] * len(g.starts))
-        return tuple(out)
-
 
 @dataclass(frozen=True)
 class Verdict:

@@ -45,7 +45,7 @@ def _distance(g: Graph, start: int) -> Dict[int, int]:
     dq = deque([start])
     while dq:
         v = dq.popleft()
-        for w in g.neighbors(v):
+        for w in g.neighbor_set(v):
             if w not in dist:
                 dist[w] = dist[v] + 1
                 dq.append(w)
@@ -73,7 +73,7 @@ def suite2():
 # --- criterion 1: complete graphs are answered exactly without search ---------
 
 
-def test_clique_solver_is_exact_on_small_complete_graphs() -> None:
+def test_clique_part_answer_is_exact_on_small_complete_graphs() -> None:
     started = time.monotonic()
     checked = 0
     for n in (4, 5):
@@ -197,7 +197,7 @@ def test_three_partition_instance_and_witness() -> None:
     spec = preprocess_three_partition((1, 1, 1, 1, 1, 1))
     assert spec.n == 2
     inst, reg = build_three_partition_instance(spec)
-    internal = [v for v in range(inst.graph.n) if inst.graph.degree(v) > 1]
+    internal = [v for v in range(inst.graph.n) if len(inst.graph.neighbor_set(v)) > 1]
     assert len(internal) == 9
     cover = min_vertex_cover(inst.graph, budget=7)
     assert cover is not None and len(cover) == 7
@@ -248,7 +248,7 @@ def test_pancake_instances_and_witnesses() -> None:
         inst, reg = build_pancake_instance(perm, k)
         big_l = 3 * (n + 2) * k
         assert inst.makespan_limit == big_l
-        leaves = [v for v in range(inst.graph.n) if inst.graph.degree(v) == 1]
+        leaves = [v for v in range(inst.graph.n) if len(inst.graph.neighbor_set(v)) == 1]
         assert len(leaves) == 11
         primary = set(reg.agents("agents.primary"))
         for a in inst.agents:

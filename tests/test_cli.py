@@ -182,13 +182,14 @@ def test_bench_rejects_a_guard_below_one(tmp_path, capsys) -> None:
 
 
 def test_solve_exits_three_beyond_the_distance_ceiling(tmp_path, capsys) -> None:
-    # K4 plus 13 pendant vertices is 13 deletions from a clique
+    # K4 plus 21 pendant vertices is 21 deletions from a clique, beyond the
+    # clique split's budget of 20
     edges = [(u, v) for u in range(4) for v in range(u + 1, 4)]
-    edges.extend((v, v % 4) for v in range(4, 17))
+    edges.extend((v, v % 4) for v in range(4, 25))
     ipath = tmp_path / "far.mapf"
-    _write_instance(ipath, Instance(Graph(17, edges), (4,), (0,)))
+    _write_instance(ipath, Instance(Graph(25, edges), (4,), (0,)))
     assert cli.main(["solve", str(ipath)]) == 3
-    assert "exceeds supported ceiling 12" in capsys.readouterr().err
+    assert "distance to clique exceeds budget 20" in capsys.readouterr().err
 
 
 def test_solve_state_guard_exit_code(tmp_path, capsys) -> None:
@@ -478,11 +479,12 @@ def test_bench_reports_agreement(tmp_path, capsys) -> None:
 
 
 def test_bench_records_an_aborted_run_and_goes_on(tmp_path, capsys) -> None:
-    # a.mapf is K4 plus 13 pendant vertices, dc = 13: fpt aborts, the
-    # oracle answers; b.mapf must still run
+    # a.mapf is K4 plus 21 pendant vertices, dc = 21 beyond the clique
+    # split's budget of 20: fpt aborts, the oracle answers; b.mapf must
+    # still run
     edges = [(u, v) for u in range(4) for v in range(u + 1, 4)]
-    edges.extend((v, v % 4) for v in range(4, 17))
-    _write_instance(tmp_path / "a.mapf", Instance(Graph(17, edges), (4,), (0,)))
+    edges.extend((v, v % 4) for v in range(4, 25))
+    _write_instance(tmp_path / "a.mapf", Instance(Graph(25, edges), (4,), (0,)))
     _write_instance(tmp_path / "b.mapf", cli_random(6, 1, 2, 3))
     assert cli.main(["bench", str(tmp_path)]) == 3
     captured = capsys.readouterr()
@@ -492,7 +494,7 @@ def test_bench_records_an_aborted_run_and_goes_on(tmp_path, capsys) -> None:
     ]
     assert [row[2] for row in rows] == ["yes", "aborted", "yes", "yes"]
     assert rows[2][3] == rows[3][3]
-    assert "exceeds supported ceiling 12" in captured.err
+    assert "distance to clique exceeds budget 20" in captured.err
     assert "mismatch" not in captured.err
 
 

@@ -10,7 +10,7 @@ from mapfdc.graphs import Graph, clique_split, complete_graph
 from mapfdc.model import Instance, Schedule, validate_schedule
 
 
-def _solve_complete(inst: Instance) -> Optional[Tuple[int, Schedule]]:
+def _clique_part_answer(inst: Instance) -> Optional[Tuple[int, Schedule]]:
     """fpt's answer on a complete graph, which needs no search from four
     vertices on."""
     result, states = fpt.solve_with_stats(inst)
@@ -21,7 +21,7 @@ def _solve_complete(inst: Instance) -> Optional[Tuple[int, Schedule]]:
 
 def test_settled_agents_are_makespan_zero() -> None:
     inst = Instance(complete_graph(5), (0, 1, 2), (0, 1, 2))
-    result = _solve_complete(inst)
+    result = _clique_part_answer(inst)
     assert result is not None
     assert result[0] == 0
     assert result[1].placements == ()
@@ -29,7 +29,7 @@ def test_settled_agents_are_makespan_zero() -> None:
 
 def test_displaced_without_exchange_is_one_turn() -> None:
     inst = Instance(complete_graph(4), (0, 1, 2), (1, 2, 3))
-    result = _solve_complete(inst)
+    result = _clique_part_answer(inst)
     assert result is not None
     assert result[0] == 1
     assert validate_schedule(inst, result[1]).ok
@@ -37,7 +37,7 @@ def test_displaced_without_exchange_is_one_turn() -> None:
 
 def test_single_swapping_pair_uses_a_spare_vertex() -> None:
     inst = Instance(complete_graph(4), (0, 1), (1, 0))
-    result = _solve_complete(inst)
+    result = _clique_part_answer(inst)
     assert result is not None
     assert result[0] == 2
     assert validate_schedule(inst, result[1]).ok
@@ -46,7 +46,7 @@ def test_single_swapping_pair_uses_a_spare_vertex() -> None:
 def test_single_swapping_pair_fully_occupied_clique() -> None:
     # no spare vertex: the two unpaired agents chaperone the exchange
     inst = Instance(complete_graph(4), (0, 1, 2, 3), (1, 0, 2, 3))
-    result = _solve_complete(inst)
+    result = _clique_part_answer(inst)
     assert result is not None
     assert result[0] == 2
     assert validate_schedule(inst, result[1]).ok
@@ -54,7 +54,7 @@ def test_single_swapping_pair_fully_occupied_clique() -> None:
 
 def test_two_swapping_pairs_resolve_in_two_turns() -> None:
     inst = Instance(complete_graph(5), (0, 1, 2, 3), (1, 0, 3, 2))
-    result = _solve_complete(inst)
+    result = _clique_part_answer(inst)
     assert result is not None
     assert result[0] == 2
     assert validate_schedule(inst, result[1]).ok
@@ -64,15 +64,15 @@ def test_two_swapping_pairs_resolve_in_two_turns() -> None:
 
 def test_small_cliques_fall_back_to_exhaustive_search() -> None:
     lone = Instance(complete_graph(1), (0,), (0,))
-    result = _solve_complete(lone)
+    result = _clique_part_answer(lone)
     assert result is not None and result[0] == 0
     rotate3 = Instance(complete_graph(3), (0, 1, 2), (1, 2, 0))
-    result = _solve_complete(rotate3)
+    result = _clique_part_answer(rotate3)
     assert result is not None
     assert result[0] == 1
     assert validate_schedule(rotate3, result[1]).ok
     # two agents on K2 can never trade places
-    assert _solve_complete(Instance(complete_graph(2), (0, 1), (1, 0))) is None
+    assert _clique_part_answer(Instance(complete_graph(2), (0, 1), (1, 0))) is None
 
 
 def _injective_assignments(n: int, max_agents: int):
@@ -87,7 +87,7 @@ def test_every_k4_assignment_matches_the_oracle() -> None:
     count = 0
     for starts, targets in _injective_assignments(4, 4):
         inst = Instance(g, starts, targets)
-        result = _solve_complete(inst)
+        result = _clique_part_answer(inst)
         assert result is not None
         m, sched = result
         assert m <= 2
@@ -107,7 +107,7 @@ def test_constant_makespan_on_larger_cliques() -> None:
         ((0, 1, 2, 3, 4, 5), (5, 4, 3, 2, 1, 0)),
     ):
         inst = Instance(g, starts, targets)
-        result = _solve_complete(inst)
+        result = _clique_part_answer(inst)
         assert result is not None
         assert result[0] in (0, 1, 2)
         assert validate_schedule(inst, result[1]).ok
@@ -136,8 +136,8 @@ def test_all_clique_agents_on_a_near_clique_need_no_search() -> None:
 
 
 def test_agents_inside_k4_ignore_the_distance_ceiling() -> None:
-    # K4 plus 13 pendant vertices is 13 deletions from a clique, beyond the
-    # kernel's ceiling of 12, but no agent leaves the K4
+    # K4 plus 13 pendant vertices is 13 deletions from a clique, but no
+    # agent leaves the K4, so the answer needs no kernel and no search
     edges = [(u, v) for u in range(4) for v in range(u + 1, 4)]
     edges.extend((v, v % 4) for v in range(4, 17))
     inst = Instance(Graph(17, edges), (0, 1, 2), (1, 0, 3))

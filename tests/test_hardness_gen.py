@@ -42,7 +42,7 @@ def _distance(g: Graph, start: int) -> Dict[int, int]:
     dq = deque([start])
     while dq:
         v = dq.popleft()
-        for w in g.neighbors(v):
+        for w in g.neighbor_set(v):
             if w not in dist:
                 dist[w] = dist[v] + 1
                 dq.append(w)
@@ -56,7 +56,7 @@ def _bfs_path(g: Graph, start: int, target: int) -> List[int]:
         v = dq.popleft()
         if v == target:
             break
-        for w in g.neighbors(v):
+        for w in sorted(g.neighbor_set(v)):
             if w not in parent:
                 parent[w] = v
                 dq.append(w)
@@ -78,7 +78,7 @@ def _components_without(g: Graph, removed: int) -> int:
         seen.add(v)
         while dq:
             x = dq.popleft()
-            for w in g.neighbors(x):
+            for w in g.neighbor_set(x):
                 if w not in seen:
                     seen.add(w)
                     dq.append(w)
@@ -158,7 +158,7 @@ def test_three_partition_graph_is_a_tree(n2_bundle) -> None:
 def test_three_partition_has_nine_internal_vertices(n2_bundle) -> None:
     _, inst, reg = n2_bundle
     g = inst.graph
-    internal = [v for v in range(g.n) if g.degree(v) > 1]
+    internal = [v for v in range(g.n) if len(g.neighbor_set(v)) > 1]
     assert len(internal) == 9
     assert sorted(internal) == sorted(reg.vertex(f"u{i}") for i in range(1, 10))
 
@@ -299,7 +299,7 @@ def test_pancake_layout_counts() -> None:
         assert inst.makespan_limit == big_l
         assert inst.graph.n == (n + 1) + 2 * (big_l + 1) + 1 + 4 * (2 * big_l + 1)
         assert inst.n_agents == n + 3 * big_l + (big_l - big_l // 3)
-        leaves = [v for v in range(inst.graph.n) if inst.graph.degree(v) == 1]
+        leaves = [v for v in range(inst.graph.n) if len(inst.graph.neighbor_set(v)) == 1]
         assert len(leaves) == 11
 
 

@@ -41,7 +41,7 @@ def _moves(g: Graph, cur: Tuple[int, ...]) -> List[Tuple[int, ...]]:
         if i == len(cur):
             out.append(tuple(acc))
             return
-        for v in g.closed_neighbors(cur[i]):
+        for v in sorted(g.neighbor_set(cur[i]) | {cur[i]}):
             b = at.get(v, i)
             if v in taken or (b < i and acc[b] == cur[i]):
                 continue
@@ -301,6 +301,21 @@ def test_joint_bfs_rejects_unknown_occupancy_vertices(occupancy) -> None:
 def test_joint_bfs_answers_repeated_targets_without_a_search() -> None:
     res = engine.joint_bfs(complete_graph(4), (0, 1), (2, 2))
     assert res == engine.BfsResult(None, 1, 0)
+
+
+def test_option_rows_ascend_by_vertex_id() -> None:
+    # vertex 0's neighbour set iterates as 8, 33, 1, 17; successors are
+    # enumerated from these rows, so schedules depend on their order
+    g = Graph(40, [(0, 8), (0, 33), (0, 1), (0, 17), (8, 33)])
+    assert list(g.neighbor_set(0)) != sorted(g.neighbor_set(0))
+    for target in (0, 1, 8, 33):
+        options = engine._Options(g, target)
+        for slack in range(4):
+            for u in (0, 1, 8, 17, 33):
+                kept, near, rim, _ = options.row(slack, u)
+                for part in (kept, near, rim):
+                    assert list(part) == sorted(part)
+    assert engine._Options(g, 33).row(3, 0)[0] == (0, 1, 8, 17, 33)
 
 
 def _brute_two_edge_components(g: Graph) -> List[Set[int]]:

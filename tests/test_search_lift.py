@@ -9,7 +9,7 @@ import pytest
 
 from mapfdc import fpt, oracle
 from mapfdc.engine import DEFAULT_STATE_GUARD
-from mapfdc.errors import MapfError, PreconditionError, ResourceLimitError
+from mapfdc.errors import MapfError, PreconditionError
 from mapfdc.fpt import _config_search, lift_schedule, solve_with_stats
 from mapfdc.graphs import CliqueSplit, Graph, clique_split, complete_graph
 from mapfdc.kernelize import Kernel, build_kernel, classify_types, select_core_agents
@@ -26,7 +26,6 @@ def _k4_kernel(starts: Tuple[int, ...], targets: Tuple[int, ...], k: int = 0) ->
         k,
         tuple(range(4)),
         frozenset(),
-        ((0, (0, 1, 2, 3)),),
     )
 
 
@@ -77,7 +76,6 @@ def test_config_search_keeps_agents_on_the_modulator() -> None:
         1,
         tuple(range(5)),
         frozenset({4}),
-        ((0, (0, 1, 2, 3)),),
     )
     sched = _kernel_schedule(kernel, 10)
     assert sched is not None
@@ -187,7 +185,7 @@ def _eviction_lift(
     inst = Instance(g, core_starts + dropped, core_rows[-1] + targets)
     kernel = Kernel(
         g, tuple(range(nc)), core_starts, core_rows[-1], 0,
-        tuple(range(clique + 1)), frozenset({clique}), (),
+        tuple(range(clique + 1)), frozenset({clique}),
     )
     split = CliqueSplit(frozenset({clique}), frozenset(range(clique)))
     return inst, lift_schedule(inst, split, kernel, Schedule(core_rows))
@@ -468,7 +466,7 @@ def test_solve_with_stats_lifts_tight_near_cliques_with_a_core_agent_on_the_modu
         except ValueError:
             continue
         hub = inst.graph.n - 1
-        if hub - len(inst.graph.neighbors(hub)) <= 3 * 101:
+        if hub - len(inst.graph.neighbor_set(hub)) <= 3 * 101:
             continue
         result, states = solve_with_stats(inst)
         assert result is not None
@@ -507,7 +505,7 @@ def _moving_core_lift(
     walk = [tuple(rng.sample(range(n), n_core))]
     for _ in range(rng.randint(2, 6)):
         pl = walk[-1]
-        step = tuple(rng.choice((v,) + g.neighbors(v)) for v in pl)
+        step = tuple(rng.choice((v,) + tuple(sorted(g.neighbor_set(v)))) for v in pl)
         if (
             len(set(step)) < n_core
             or detect_swaps(pl, step)
@@ -536,7 +534,7 @@ def _moving_core_lift(
     core = tuple(range(n_core))
     kernel = Kernel(
         g, core, core_starts, core_targets, 0, tuple(range(n)),
-        frozenset(range(nq, n)), (),
+        frozenset(range(nq, n)),
     )
     return inst, CliqueSplit(frozenset(range(nq, n)), clique), kernel, Schedule(
         tuple(walk[1:])
@@ -591,15 +589,19 @@ def test_solve_with_stats_meets_the_limit_on_tight_near_cliques(monkeypatch) -> 
         solved += 1
 
 
-def test_solve_with_stats_rejects_distance_to_clique_beyond_the_ceiling() -> None:
+def test_solve_with_stats_matches_the_oracle_at_distance_to_clique_13() -> None:
     # K4 plus 13 pendant vertices: deleting the pendants is the cheapest
-    # way to a clique, so dc = 13
+    # way to a clique, so dc = 13; the pendant agent steps to its anchor
     edges = [(u, v) for u in range(4) for v in range(u + 1, 4)]
     edges.extend((v, v % 4) for v in range(4, 17))
     g = Graph(17, edges)
     assert clique_split(g).dc == 13
-    with pytest.raises(ResourceLimitError, match="exceeds supported ceiling 12"):
-        solve_with_stats(Instance(g, (4,), (0,)))
+    inst = Instance(g, (4,), (0,))
+    result, _ = solve_with_stats(inst)
+    expected, _ = oracle.solve_with_stats(inst)
+    assert result is not None and expected is not None
+    assert result[0] == expected[0] == 1
+    assert validate_schedule(inst, result[1]).ok
 
 
 def test_solve_fpt_repairs_one_exchange_among_idle_dropped_agents(monkeypatch) -> None:
