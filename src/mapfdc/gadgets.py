@@ -1,9 +1,9 @@
 from __future__ import annotations
 
 import random
-from collections import deque
+from itertools import islice
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Sequence, Set, Tuple
 
 from .errors import ParseError, PreconditionError
 from .graphs import Graph, clique_split
@@ -573,42 +573,36 @@ def _slot_trajectories(
     return traj
 
 
-def _aux_trajectories(
-    inst_graph: Graph, reg: GadgetRegistry, lay: PancakeLayout
-) -> List[List[int]]:
-    """Route per auxiliary agent: its tree path from start to target. One
-    traversal rooted at vstar records parent and depth; each route climbs
-    from both ends to their meeting vertex, O(V + agents * L) in all."""
-    root = reg.vertex("vstar")
-    parent = [-1] * inst_graph.n
-    depth = [-1] * inst_graph.n
-    depth[root] = 0
-    dq = deque([root])
-    while dq:
-        v = dq.popleft()
-        for w in inst_graph.neighbor_set(v):
-            if depth[w] < 0:
-                depth[w] = depth[v] + 1
-                parent[w] = v
-                dq.append(w)
+def _aux_trajectories(reg: GadgetRegistry, lay: PancakeLayout) -> List[List[int]]:
+    """Route per auxiliary agent, in agent order: its tree path from start
+    to target. The i-th agent of a family (1 <= i <= L) starts on row
+    vertex -i and travels L hops, so its route is the window [L-i, 2L-i] of
+    one fixed track of 2L + 1 vertices. The track is the agent's own row
+    (ua, ub, uc or wa, vertices -L..L) when it stays on it, or else the
+    row's first half (-L..-1) followed by the path it crosses into: vb.0..L,
+    vc.0..L, or va.0 then wa.1..L. Each window is a slice of its track,
+    checked at both ends against the plan."""
+    big_l = lay.length
+    vertex = reg.vertex
+
+    def run(prefix: str, lo: int) -> List[int]:
+        return [vertex(f"{prefix}.{j}") for j in range(lo, big_l + 1)]
+
+    tracks = {(p, p): run(p, -big_l) for p in ("ua", "ub", "uc", "wa")}
+    for row, into, path in (
+        ("ub", "vb", run("vb", 0)),
+        ("uc", "vc", run("vc", 0)),
+        ("ua", "wa", [vertex("va.0")] + run("wa", 1)),
+    ):
+        tracks[row, into] = tracks[row, row][:big_l] + path
     rows: List[List[int]] = []
     for gname, s, t in _aux_plan(lay):
-        u, v = reg.vertex(s), reg.vertex(t)
-        up, down = [u], [v]
-        while u != v:
-            if depth[u] >= depth[v]:
-                u = parent[u]
-                up.append(u)
-            else:
-                v = parent[v]
-                down.append(v)
-        path = up + down[-2::-1]
-        if len(path) != lay.length + 1:
-            raise AssertionError(
-                f"auxiliary route {s} -> {t} has {len(path) - 1} steps, "
-                f"expected {lay.length}"
-            )
-        rows.append(path)
+        row, _, i = s.partition(".")
+        start = big_l + int(i)
+        route = tracks[row, t.partition(".")[0]][start : start + big_l + 1]
+        if route[0] != vertex(s) or route[-1] != vertex(t):
+            raise AssertionError(f"auxiliary route {s} -> {t} is not a window of its track")
+        rows.append(route)
     return rows
 
 
@@ -648,13 +642,9 @@ def pancake_forward_schedule(
     if stack != sorted(stack):
         raise PreconditionError("flip sequence does not sort the permutation")
     slots = _slot_trajectories(reg, lay, flip_seq)
-    aux = _aux_trajectories(inst.graph, reg, lay)
-    placements: List[Placement] = []
-    for t in range(1, lay.length + 1):
-        row = [slots[pos_of[p]][t] for p in range(1, n + 1)]
-        row.extend(path[t] for path in aux)
-        placements.append(tuple(row))
-    return Schedule(tuple(placements))
+    columns = [slots[pos_of[p]] for p in range(1, n + 1)]
+    columns += _aux_trajectories(reg, lay)
+    return Schedule(tuple(islice(zip(*columns), 1, None)))
 
 
 def colored_pancake_forward_schedule(
@@ -684,16 +674,10 @@ def colored_pancake_forward_schedule(
         if got != set(expected[sym]):
             raise PreconditionError("flip sequence does not produce the target string")
     slots = _slot_trajectories(reg, lay, flip_seq)
-    aux = _aux_trajectories(inst.graph, reg, lay)
-    zero_slots = [i + 1 for i in range(n) if alpha[i] == 0]
-    one_slots = [i + 1 for i in range(n) if alpha[i] == 1]
-    placements: List[Placement] = []
-    for t in range(1, lay.length + 1):
-        row = [slots[s][t] for s in zero_slots]
-        row.extend(slots[s][t] for s in one_slots)
-        row.extend(path[t] for path in aux)
-        placements.append(tuple(row))
-    return Schedule(tuple(placements))
+    columns = [slots[i + 1] for i in range(n) if alpha[i] == 0]
+    columns += [slots[i + 1] for i in range(n) if alpha[i] == 1]
+    columns += _aux_trajectories(reg, lay)
+    return Schedule(tuple(islice(zip(*columns), 1, None)))
 
 
 # --- seeded random instances --------------------------------------------------

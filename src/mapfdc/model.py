@@ -4,7 +4,7 @@ import re
 from dataclasses import dataclass
 from itertools import compress
 from operator import ne
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from .errors import ParseError, PreconditionError
 from .graphs import Graph
@@ -130,6 +130,22 @@ def _movers(prev: Sequence[int], nxt: Sequence[int]) -> List[int]:
     return list(compress(range(len(nxt)), map(ne, prev, nxt)))
 
 
+_SLICE = 64  # agents per slice of `_slice_movers`
+
+
+def _slice_movers(prev: Sequence[int], nxt: Sequence[int]) -> List[int]:
+    """`_movers` for rows of equal length where few agents move: the rows
+    are compared _SLICE agents at a time, in C, and only the slices that
+    differ are compared agent by agent."""
+    out: List[int] = []
+    for i in range(0, len(nxt), _SLICE):
+        j = i + _SLICE
+        p, q = prev[i:j], nxt[i:j]
+        if p != q:
+            out.extend(compress(range(i, j), map(ne, p, q)))
+    return out
+
+
 def _swaps_among(
     prev: Sequence[int], nxt: Sequence[int], movers: Sequence[int]
 ) -> List[Tuple[int, int]]:
@@ -148,18 +164,28 @@ def _validate_turns(
     graph: Graph, starts: Placement, placements: Sequence[Placement]
 ) -> Optional[Verdict]:
     """First motion-rule breach, checking per turn the neighbourhood rule,
-    then injectivity, then swaps. Whole rows are compared in C; the Python
-    loops run over the agents that move. An agent that waits sits on a
-    vertex already checked, so it breaks neither the range nor the edge
-    rule, and no neighbour set holds a vertex out of range."""
+    then injectivity, then swaps. Rows are compared in C; the Python loops
+    run over the agents that move. An agent that waits sits on a vertex
+    already checked, so it breaks neither the range nor the edge rule, and
+    no neighbour set holds a vertex out of range.
+
+    `occ` holds the vertices of the last row accepted. The first turn, and
+    any turn after one that moved n/8 agents or more, compares the rows
+    agent by agent and checks injectivity on `set(cur)`. Any other turn
+    finds its movers by `_slice_movers` and updates `occ` with their old
+    and new vertices alone: with the previous row injective, the new row is
+    injective exactly when the movers land on distinct vertices that no
+    waiting agent holds. Only a breach runs the scan that names the pair."""
     n = len(starts)
     n_verts = graph.n
     nbr = graph.neighbor_set
     prev = starts
+    occ: Set[int] = set()
+    few = False  # the previous turn moved fewer than n/8 agents
     for turn, cur in enumerate(placements, start=1):
         if len(cur) != n:
             raise PreconditionError(f"turn {turn}: placement covers {len(cur)} agents, expected {n}")
-        movers = _movers(prev, cur)
+        movers = _slice_movers(prev, cur) if few else _movers(prev, cur)
         for a in movers:
             v = cur[a]
             if v not in nbr(prev[a]):
@@ -169,7 +195,12 @@ def _validate_turns(
                     False, "neighborhood", turn, (a,),
                     f"agent {a} moves {prev[a]} -> {v} without an edge",
                 )
-        if len(set(cur)) != n:
+        if few:
+            occ.difference_update(map(prev.__getitem__, movers))
+            occ.update(map(cur.__getitem__, movers))
+        else:
+            occ = set(cur)
+        if len(occ) != n:
             seen: Dict[int, int] = {}
             clash: Tuple[int, ...] = ()
             for a, v in enumerate(cur):
@@ -188,6 +219,7 @@ def _validate_turns(
                 False, "swap", turn, (a, b),
                 f"agents {a} and {b} exchange vertices {prev[a]} and {prev[b]}",
             )
+        few = 8 * len(movers) < n
         prev = cur
     return None
 

@@ -5,7 +5,7 @@ import time
 from collections import deque
 from dataclasses import replace
 from itertools import permutations
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Set, Tuple
 
 import pytest
 

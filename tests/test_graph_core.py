@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from typing import FrozenSet, List, Optional, Tuple
+from typing import FrozenSet, List, Tuple
 
 import pytest
 from hypothesis import given, settings

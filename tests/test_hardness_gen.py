@@ -2,13 +2,12 @@ from __future__ import annotations
 
 import random
 from collections import deque
-from typing import Dict, List, Sequence, Set, Tuple
+from typing import Dict, List, Set, Tuple
 
 import pytest
 
 from mapfdc.errors import ParseError, PreconditionError
 from mapfdc.gadgets import (
-    GadgetRegistry,
     _aux_trajectories,
     _pancake_layout,
     _star_moves,
@@ -338,11 +337,11 @@ def test_pancake_auxiliary_routes_match_a_search_per_agent(n: int) -> None:
             for a in preg.agents(name)
         ]
         want = [_bfs_path(plain.graph, plain.starts[a], plain.targets[a]) for a in aux]
-        assert _aux_trajectories(plain.graph, preg, lay) == want
+        assert _aux_trajectories(preg, lay) == want
         colored_starts = [v for g in colored.groups[2:] for v in g.starts]
         colored_targets = [v for g in colored.groups[2:] for v in g.targets]
         want = [_bfs_path(colored.graph, s, t) for s, t in zip(colored_starts, colored_targets)]
-        assert _aux_trajectories(colored.graph, creg, lay) == want
+        assert _aux_trajectories(creg, lay) == want
 
 
 def test_pancake_primary_agents_encode_the_permutation() -> None:

@@ -960,6 +960,128 @@ def test_validator_matches_the_reference_on_mixed_faults(
     assert _outcome(_both_ways(monkeypatch, lambda: validate_schedule(inst, sched))) == outcome
 
 
+def _walk_step(
+    rng: random.Random, graph: Graph, prev: Tuple[int, ...], tries: int
+) -> Tuple[int, ...]:
+    """A row that keeps the motion rules: up to `tries` agents, drawn at
+    random, each step to a neighbour free in the row built so far."""
+    cur = list(prev)
+    taken = set(cur)
+    for a in rng.sample(range(len(cur)), min(tries, len(cur))):
+        if not (0 <= cur[a] < graph.n):  # a fault planted on an earlier turn
+            continue
+        options = [v for v in sorted(graph.neighbor_set(cur[a])) if v not in taken]
+        if options:
+            v = rng.choice(options)
+            taken.discard(cur[a])
+            taken.add(v)
+            cur[a] = v
+    return tuple(cur)
+
+
+def _plant(
+    rng: random.Random, graph: Graph, prev: Tuple[int, ...], row: Tuple[int, ...], kind: str
+) -> Tuple[int, ...]:
+    """`row` with one fault of `kind`; unchanged when the graph offers no
+    place for it."""
+    cur = list(row)
+    n = len(cur)
+    agents = rng.sample(range(n), n)
+    if kind == "range":
+        cur[agents[0]] = rng.choice((-1, graph.n, graph.n + 5))
+    elif kind == "neighborhood":
+        a = agents[0]
+        far = [v for v in range(graph.n) if v != prev[a] and v not in graph.neighbor_set(prev[a])]
+        if far:
+            cur[a] = rng.choice(far)
+    elif kind in ("on-waiter", "shared"):
+        # a waiting agent b, or a mover b, and another agent a that can step
+        # onto b's new vertex
+        pick = [b for b in agents if (cur[b] == prev[b]) == (kind == "on-waiter")]
+        for b in pick:
+            near = [a for a in agents if a != b and cur[b] in graph.neighbor_set(prev[a])]
+            if near:
+                cur[near[0]] = cur[b]
+                break
+    else:  # two waiting agents on an edge exchange vertices
+        for a in agents:
+            if cur[a] != prev[a]:
+                continue
+            mates = [b for b in agents if b != a and cur[b] == prev[b]
+                     and prev[b] in graph.neighbor_set(prev[a])]
+            if mates:
+                b = mates[0]
+                cur[a], cur[b] = prev[b], prev[a]
+                break
+    return tuple(cur)
+
+
+def test_validator_matches_the_reference_at_scale(monkeypatch: pytest.MonkeyPatch) -> None:
+    # 60-300 agents, so turns after one that moved fewer than n/8 agents
+    # take the slice scan and the occupancy update, and the others the
+    # full scan; every fault is planted after both kinds of turn
+    expect = {
+        "range": "precondition", "neighborhood": "neighborhood",
+        "on-waiter": "injective", "shared": "injective", "swap": "swap",
+    }
+    kinds = tuple(expect)
+    seen = set()
+    for seed in range(60):
+        rng = random.Random(seed)
+        n_agents = rng.randint(60, 300)
+        n_verts = n_agents + rng.randint(n_agents // 4, n_agents)
+        edges = {(v, v + 1) for v in range(n_verts - 1)}
+        for _ in range(2 * n_verts):
+            u, v = rng.sample(range(n_verts), 2)
+            edges.add((min(u, v), max(u, v)))
+        graph = Graph(n_verts, sorted(edges))
+        starts = tuple(rng.sample(range(n_verts), n_agents))
+        rows: List[Tuple[int, ...]] = []
+        prev = starts
+        fault_at = rng.randint(1, 12)
+        kind = kinds[seed % len(kinds)]
+        few_before = True  # the turn before the fault moved few agents
+        for turn in range(1, 14):
+            many = turn % 2 == 0 if seed % 4 < 2 else rng.random() < 0.5
+            tries = rng.randint(n_agents // 3, n_agents) if many else rng.randint(0, n_agents // 20)
+            row = _walk_step(rng, graph, prev, tries)
+            if turn == fault_at - 1:
+                few_before = 8 * sum(map(int.__ne__, prev, row)) < n_agents
+            if turn == fault_at:
+                row = _plant(rng, graph, prev, row, kind)
+            rows.append(row)
+            prev = row
+        sched = Schedule(tuple(rows))
+        final = sched.final(starts)
+        injective = len(set(final)) == n_agents and all(0 <= v < n_verts for v in final)
+        targets = final if injective and rng.random() < 0.7 else starts
+        inst = Instance(graph, starts, targets)
+        got = _both_ways(monkeypatch, lambda: validate_schedule(inst, sched))
+        seen.add((kind, _outcome(got), few_before and fault_at > 1))
+        groups = (ColoredGroup(1, starts[:30], targets[:30]), ColoredGroup(2, starts[30:], targets[30:]))
+        cinst = ColoredInstance(graph, groups)
+        _both_ways(monkeypatch, lambda: validate_colored_schedule(cinst, sched))
+    for fast in (False, True):
+        for kind, outcome in expect.items():
+            assert (kind, outcome, fast) in seen
+
+
+@pytest.mark.parametrize("length", [0, 63, 64, 65, 129])
+@pytest.mark.parametrize("kind", [tuple, list])
+def test_slice_movers_match_a_plain_compress(length: int, kind: type) -> None:
+    rng = random.Random(length)
+    for _ in range(50):
+        prev = [rng.randrange(1000, 1100) for _ in range(length)]
+        # equal values, distinct int objects: the scan must compare values
+        nxt = [int(str(v)) for v in prev]
+        assert all(x is not y for x, y in zip(prev, nxt))
+        for a in rng.sample(range(length), rng.randint(0, min(length, 6))):
+            nxt[a] = rng.randrange(1000, 1100)
+        want = [a for a in range(length) if prev[a] != nxt[a]]
+        assert model._slice_movers(kind(prev), kind(nxt)) == want
+        assert model._movers(kind(prev), kind(nxt)) == want
+
+
 def test_detect_swaps_matches_a_pair_enumeration() -> None:
     rng = random.Random(11)
     for _ in range(500):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from collections import deque
 from dataclasses import replace
 from typing import List, Optional, Sequence, Set, Tuple
 
@@ -316,6 +317,41 @@ def test_option_rows_ascend_by_vertex_id() -> None:
                 for part in (kept, near, rim):
                     assert list(part) == sorted(part)
     assert engine._Options(g, 33).row(3, 0)[0] == (0, 1, 8, 17, 33)
+
+
+def _reference_distances(graph: Graph, source: int) -> List[int]:
+    """Hop distances by a plain queue, one step per edge: the reference for
+    the layered `engine._distances`."""
+    dist = [graph.n] * graph.n
+    dist[source] = 0
+    queue = deque((source,))
+    while queue:
+        u = queue.popleft()
+        for v in graph.neighbor_set(u):
+            if dist[v] == graph.n:
+                dist[v] = dist[u] + 1
+                queue.append(v)
+    return dist
+
+
+def test_layered_distances_match_a_queue_search() -> None:
+    rng = random.Random(5)
+    unreachable = 0
+    for _ in range(300):
+        n = rng.randint(1, 30)
+        p = rng.choice((0.05, 0.15, 0.4, 1.0))
+        cut = rng.randint(1, n)  # with cut < n no edge joins 0..cut-1 to the rest
+        if rng.random() < 0.7:
+            cut = n
+        g = Graph(n, [
+            (u, v) for u in range(n) for v in range(u + 1, n)
+            if (u < cut) == (v < cut) and rng.random() < p
+        ])
+        for source in range(n):
+            want = _reference_distances(g, source)
+            assert engine._distances(g, source) == want
+            unreachable += want.count(n)
+    assert unreachable > 0
 
 
 def _brute_two_edge_components(g: Graph) -> List[Set[int]]:

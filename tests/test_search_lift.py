@@ -12,7 +12,7 @@ from mapfdc.engine import DEFAULT_STATE_GUARD
 from mapfdc.errors import MapfError, PreconditionError
 from mapfdc.fpt import _config_search, lift_schedule, solve_with_stats
 from mapfdc.graphs import CliqueSplit, Graph, clique_split, complete_graph
-from mapfdc.kernelize import Kernel, build_kernel, classify_types, select_core_agents
+from mapfdc.kernelize import Kernel, build_kernel, classify_types
 from mapfdc.model import Instance, Schedule, detect_swaps, validate_schedule
 
 
@@ -304,7 +304,7 @@ def test_finish_raises_when_no_placement_exists() -> None:
         _finish_on_clique(3, (0, 1, 2), (1, 0, 2))
 
 
-def test_repair_helper_avoids_an_exchange_with_a_dropped_agent() -> None:
+def test_lift_avoids_an_exchange_that_drift_then_jump_would_make() -> None:
     # clique 0..62, vertex 63 joined to 25, 27, 55, 58, 60 and 64, vertex 64
     # joined to 18, 35 and 43. Drifting every dropped agent up to turn
     # m - 1 and then jumping to the targets makes agents 25 and 55 exchange
@@ -604,7 +604,7 @@ def test_solve_with_stats_matches_the_oracle_at_distance_to_clique_13() -> None:
     assert validate_schedule(inst, result[1]).ok
 
 
-def test_solve_fpt_repairs_one_exchange_among_idle_dropped_agents(monkeypatch) -> None:
+def test_clique_part_answer_plans_one_exchange_among_still_agents(monkeypatch) -> None:
     # dc = 1: clique 0..309, vertex 310 joined to 302..309. Agents 0..99 stand
     # still; agents 100 and 101 exchange vertices, and the rest shift one
     # place along a chain. Every agent lies in the clique part, so the
@@ -625,7 +625,7 @@ def test_solve_fpt_repairs_one_exchange_among_idle_dropped_agents(monkeypatch) -
     assert validate_schedule(inst, sched).ok
 
 
-def test_solve_fpt_routes_complete_graphs_to_the_clique_solver(monkeypatch) -> None:
+def test_clique_part_answer_covers_complete_graphs_without_a_search(monkeypatch) -> None:
     inst = Instance(complete_graph(5), (0, 1, 2), (1, 0, 2))
     oracle_result = oracle.solve_with_stats(inst)[0]
     monkeypatch.setattr(fpt, "joint_bfs", _no_search)
@@ -636,7 +636,7 @@ def test_solve_fpt_routes_complete_graphs_to_the_clique_solver(monkeypatch) -> N
     assert validate_schedule(inst, fpt_result[1]).ok
 
 
-def test_solve_fpt_star_leaf_exchange_costs_four() -> None:
+def test_solve_with_stats_star_leaf_exchange_costs_four() -> None:
     g = Graph(5, [(0, i) for i in range(1, 5)])
     inst = Instance(g, (1, 2), (2, 1))
     result = solve_with_stats(inst)[0]
@@ -648,12 +648,12 @@ def test_solve_fpt_star_leaf_exchange_costs_four() -> None:
     assert oracle_result is not None and oracle_result[0] == 4
 
 
-def test_solve_fpt_two_vertex_path_exchange_is_absent() -> None:
+def test_solve_with_stats_finds_no_exchange_on_a_two_vertex_path() -> None:
     inst = Instance(Graph(2, [(0, 1)]), (0, 1), (1, 0))
     assert solve_with_stats(inst)[0] is None
 
 
-def test_solve_fpt_agrees_with_the_oracle_on_sampled_instances() -> None:
+def test_solve_with_stats_agrees_with_the_oracle_on_sampled_instances() -> None:
     rng = random.Random(515)
     checked = 0
     for _ in range(40):
