@@ -255,23 +255,26 @@ def solve_with_stats(
     when no schedule meets the instance's makespan limit; the limit is also
     the kernel search's only depth cap.
 
-    Splits off a minimum modulator. When every start and target lies in a
-    clique part of at least four vertices, the answer is the lower bound
-    with no search: one turn, or two when some pair of agents must exchange
-    vertices, which takes two turns in any graph; `_finish` with no core
-    plans the middle row. Otherwise searches the kernel instance under the
-    occupancy constraint, lifting the kernel schedule back to all agents
-    when some were dropped."""
+    Splits off a minimum modulator first, so that a distance to clique past
+    the split's budget aborts before any answer. The target row is the only
+    one-turn schedule, so it answers 1 when the validator accepts it. When
+    every start and target lies in a clique part of at least four vertices,
+    the answer is then 2 with no search: in a clique a one-turn move fails
+    only when some pair of agents must exchange vertices, which takes two
+    turns in any graph; `_finish` with no core plans the middle row.
+    Otherwise searches the kernel instance under the occupancy constraint,
+    lifting the kernel schedule back to all agents when some were dropped;
+    a kernel schedule under two turns is padded to two first."""
     if inst.starts == inst.targets:
         return (0, Schedule(())), 0
     split = clique_split(inst.graph)
+    direct = Schedule((inst.targets,))
+    if validate_schedule(inst, direct).ok:
+        return (1, direct), 0
     q = split.clique
     if len(q) >= 4 and q.issuperset(inst.starts) and q.issuperset(inst.targets):
-        m = 2 if detect_swaps(inst.starts, inst.targets) else 1
-        if inst.makespan_limit is not None and inst.makespan_limit < m:
+        if inst.makespan_limit is not None and inst.makespan_limit < 2:
             return None, 0
-        if m == 1:
-            return (1, Schedule((inst.targets,))), 0
         x = _finish(
             list(inst.agents), dict(enumerate(inst.starts)), inst.targets,
             ((), (), ()), sorted(q),
@@ -284,9 +287,6 @@ def solve_with_stats(
     if ksched is None:
         return None, states
     if len(core) < inst.n_agents and ksched.makespan < 2:
-        direct = Schedule((inst.targets,))
-        if validate_schedule(inst, direct).ok:
-            return (1, direct), states
         if inst.makespan_limit is not None and inst.makespan_limit < 2:
             return None, states
         ksched = Schedule(

@@ -3,9 +3,9 @@ from __future__ import annotations
 import random
 from itertools import islice
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Sequence, Set, Tuple
 
-from .errors import ParseError, PreconditionError
+from .errors import PreconditionError
 from .graphs import Graph, clique_split
 from .model import (
     ColoredGroup,
@@ -41,31 +41,6 @@ def serialize_registry(reg: GadgetRegistry) -> str:
     for name, ids in reg.agent_groups.items():
         out.append(f"name {name} agents " + " ".join(str(a) for a in ids))
     return "\n".join(out) + "\n"
-
-
-def parse_registry(text: str) -> GadgetRegistry:
-    vertices: Dict[str, int] = {}
-    groups: Dict[str, Tuple[int, ...]] = {}
-    for no, raw in enumerate(text.splitlines(), start=1):
-        body = raw.split("#", 1)[0].strip()
-        if not body:
-            continue
-        toks = body.split()
-        if len(toks) < 3 or toks[0] != "name":
-            raise ParseError(no, "expected 'name <symbol> vertex|agents ...'")
-        name, kind = toks[1], toks[2]
-        try:
-            if kind == "vertex":
-                if len(toks) != 4:
-                    raise ValueError
-                vertices[name] = int(toks[3])
-            elif kind == "agents":
-                groups[name] = tuple(int(x) for x in toks[3:])
-            else:
-                raise ParseError(no, f"unknown registry entry kind {kind!r}")
-        except ValueError:
-            raise ParseError(no, "malformed registry ids") from None
-    return GadgetRegistry(vertices, groups)
 
 
 class _Builder:
@@ -148,8 +123,8 @@ def preprocess_three_partition(raw: Sequence[int]) -> ThreePartitionSpec:
 
 
 def _red_edge(
-    b: _Builder, prefix: str, hub_name: str, hub: int, size: int, pre_placed: bool
-) -> List[int]:
+    b: _Builder, prefix: str, hub: int, size: int, pre_placed: bool
+) -> None:
     """Attach `size` leaves to `hub` with agents cycling one leaf onward.
     With pre_placed the first agent starts on the hub itself and its leaf
     stays empty."""
@@ -164,7 +139,6 @@ def _red_edge(
         target = leaves[(i + 1) % size]
         ids.append(b.agent(start, target))
     b.group(f"agents.{prefix}", ids)
-    return ids
 
 
 def build_three_partition_instance(
@@ -179,53 +153,38 @@ def build_three_partition_instance(
     n = spec.n
     ell = spec.goal
     b = _Builder()
-    u = [b.vertex(f"u{i}") for i in range(1, 10)]
-    u1, u2, u3, u4, u5, u6, u7, u8, u9 = u
+    u1, u2, u3, u4, u5, u6, u7, u8, u9 = [b.vertex(f"u{i}") for i in range(1, 10)]
     for a, c in ((u1, u2), (u2, u3), (u3, u4), (u4, u5), (u2, u6), (u2, u8), (u2, u9), (u4, u7)):
         b.edge(a, c)
 
     for j, size in enumerate(spec.betas, start=1):
-        _red_edge(b, f"r1.g{j}", "u1", u1, size, pre_placed=(j == 1))
+        _red_edge(b, f"r1.g{j}", u1, size, pre_placed=(j == 1))
 
     z = [spec.phi] + [spec.phi + 2] * (n - 2) + [spec.phi + 4]
     for j, size in enumerate(z, start=1):
-        _red_edge(b, f"r7.g{j}", "u7", u7, size, pre_placed=(j == 1))
+        _red_edge(b, f"r7.g{j}", u7, size, pre_placed=(j == 1))
 
-    xplus = [b.vertex(f"xplus.{i}") for i in range(1, 2 * n - 1)]
-    xminus = [b.vertex(f"xminus.{i}") for i in range(1, 2 * n - 1)]
-    for v in xplus:
-        b.edge(u5, v)
-    for v in xminus:
-        b.edge(u6, v)
-    ax = [b.agent(s, t) for s, t in zip(xplus, xminus)]
-    b.group("agents.ax", ax)
-
-    yplus = [b.vertex(f"yplus.{i}") for i in range(1, 4 * n + 1)]
-    yminus = [b.vertex(f"yminus.{i}") for i in range(1, 4 * n + 1)]
-    for v in yplus:
-        b.edge(u8, v)
-    for v in yminus:
-        b.edge(u9, v)
-    ay = [b.agent(s, t) for s, t in zip(yplus, yminus)]
-    b.group("agents.ay", ay)
-
+    _leaf_agents(b, "agents.ax", (u5, u6), ("xplus.", "xminus."), 2 * n - 2)
+    _leaf_agents(b, "agents.ay", (u8, u9), ("yplus.", "yminus."), 4 * n)
     s_x = ell - 1 - (2 * n - 2)
     s_y = ell - 1 - 4 * n
-    for hub, hub_name, size in (
-        (u3, "u3", s_x),
-        (u5, "u5", s_x),
-        (u6, "u6", s_x),
-        (u8, "u8", s_y),
-        (u9, "u9", s_y),
-    ):
-        ins = [b.vertex(f"bow.{hub_name}.in{i}") for i in range(1, size + 1)]
-        outs = [b.vertex(f"bow.{hub_name}.out{i}") for i in range(1, size + 1)]
-        for v in ins + outs:
-            b.edge(hub, v)
-        ids = [b.agent(s, t) for s, t in zip(ins, outs)]
-        b.group(f"agents.bow.{hub_name}", ids)
-
+    for hub, size in (("u3", s_x), ("u5", s_x), ("u6", s_x), ("u8", s_y), ("u9", s_y)):
+        v, bow = b.vertices[hub], f"bow.{hub}"
+        _leaf_agents(b, f"agents.{bow}", (v, v), (f"{bow}.in", f"{bow}.out"), size)
     return b.finish(ell)
+
+
+def _leaf_agents(
+    b: _Builder, group: str, hubs: Tuple[int, int], names: Tuple[str, str], count: int
+) -> None:
+    """`count` leaves named names[0] + "1".. on hubs[0], then as many named
+    names[1] + "1".. on hubs[1], and one agent from the i-th leaf of the
+    first row to the i-th of the second."""
+    rows = [[b.vertex(f"{name}{i}") for i in range(1, count + 1)] for name in names]
+    for hub, row in zip(hubs, rows):
+        for v in row:
+            b.edge(hub, v)
+    b.group(group, [b.agent(s, t) for s, t in zip(*rows)])
 
 
 def _star_moves(
@@ -334,9 +293,8 @@ def three_partition_forward_schedule(
         if j % 3 != 0 and j < 3 * n:
             launches.append(prefix + j - 3)
             launches.append(prefix + j - 2)
-    assert len(launches) == len(ay)
     path_y = (u["u8"], u["u2"], u["u9"])
-    for a, tau in zip(ay, launches):
+    for a, tau in zip(ay, launches, strict=True):
         for step, v in enumerate(path_y, start=1):
             moves.setdefault(tau + step, []).append((a, v))
         moves.setdefault(tau + 4, []).append((a, inst.targets[a]))
@@ -347,8 +305,7 @@ def three_partition_forward_schedule(
         hub = u[hub_name]
         ids = reg.agents(f"agents.bow.{hub_name}")
         free = [g for g in range(1, ell) if g not in gate_busy[hub]]
-        assert len(free) == len(ids), (hub_name, len(free), len(ids))
-        for a, g in zip(ids, free):
+        for a, g in zip(ids, free, strict=True):
             moves.setdefault(g, []).append((a, hub))
             moves.setdefault(g + 1, []).append((a, inst.targets[a]))
 
@@ -386,28 +343,6 @@ def pancake_trivial_yes(n: int, flips: int) -> bool:
     return flips > -(-18 * n // 11)
 
 
-def _pancake_graph(b: _Builder, lay: PancakeLayout) -> None:
-    big_l = lay.length
-    vstar = b.vertex("vstar")
-    va = [b.vertex(f"va.{i}") for i in range(lay.n + 1)]
-    vb = [b.vertex(f"vb.{i}") for i in range(big_l + 1)]
-    vc = [b.vertex(f"vc.{i}") for i in range(big_l + 1)]
-    for row in (va, vb, vc):
-        b.edge(vstar, row[0])
-        for x, y in zip(row, row[1:]):
-            b.edge(x, y)
-    for prefix, attach_to, attach_at in (
-        ("ua", va[0], -1),
-        ("wa", va[0], 1),
-        ("ub", vb[0], -1),
-        ("uc", vc[0], -1),
-    ):
-        row = [b.vertex(f"{prefix}.{j}") for j in range(-big_l, big_l + 1)]
-        for x, y in zip(row, row[1:]):
-            b.edge(x, y)
-        b.edge(attach_to, row[attach_at + big_l])
-
-
 def _aux_plan(lay: PancakeLayout) -> List[Tuple[str, str, str]]:
     """(group, start name, target name) per auxiliary agent, in agent order.
     Every residue window sends one family across its junction so the shared
@@ -434,6 +369,43 @@ def _aux_plan(lay: PancakeLayout) -> List[Tuple[str, str, str]]:
     return plan
 
 
+def _pancake_builder(
+    lay: PancakeLayout, primaries: Sequence[Tuple[str, Iterable[Tuple[int, int]]]]
+) -> _Builder:
+    """The pancake tree; then, per (name, slot pairs) of `primaries`, the
+    agent group agents.<name> with one agent from va.<s> to va.<t> per pair;
+    then the timer families agents.bb, .bc, .ba1 and .ba2 in `_aux_plan`
+    order."""
+    big_l = lay.length
+    b = _Builder()
+    vstar = b.vertex("vstar")
+    va = [b.vertex(f"va.{i}") for i in range(lay.n + 1)]
+    vb = [b.vertex(f"vb.{i}") for i in range(big_l + 1)]
+    vc = [b.vertex(f"vc.{i}") for i in range(big_l + 1)]
+    for row in (va, vb, vc):
+        b.edge(vstar, row[0])
+        for x, y in zip(row, row[1:]):
+            b.edge(x, y)
+    for prefix, attach_to, attach_at in (
+        ("ua", va[0], -1),
+        ("wa", va[0], 1),
+        ("ub", vb[0], -1),
+        ("uc", vc[0], -1),
+    ):
+        row = [b.vertex(f"{prefix}.{j}") for j in range(-big_l, big_l + 1)]
+        for x, y in zip(row, row[1:]):
+            b.edge(x, y)
+        b.edge(attach_to, row[attach_at + big_l])
+    for name, pairs in primaries:
+        b.group(f"agents.{name}", [b.agent(va[s], va[t]) for s, t in pairs])
+    timers: Dict[str, List[int]] = {"bb": [], "bc": [], "ba1": [], "ba2": []}
+    for gname, s, t in _aux_plan(lay):
+        timers[gname].append(b.agent(b.vertices[s], b.vertices[t]))
+    for gname, ids in timers.items():
+        b.group(f"agents.{gname}", ids)
+    return b
+
+
 def build_pancake_instance(
     perm: Sequence[int], flips: int
 ) -> Tuple[Instance, GadgetRegistry]:
@@ -450,27 +422,18 @@ def build_pancake_instance(
     if sorted(perm) != list(range(1, n + 1)):
         raise PreconditionError("not a permutation of 1..n")
     lay = _pancake_layout(n, flips)
-    b = _Builder()
-    _pancake_graph(b, lay)
     pos_of = {p: i + 1 for i, p in enumerate(perm)}
-    primary = [
-        b.agent(b.vertices[f"va.{pos_of[p]}"], b.vertices[f"va.{p}"])
-        for p in range(1, n + 1)
-    ]
-    b.group("agents.primary", primary)
-    groups: Dict[str, List[int]] = {"bb": [], "bc": [], "ba1": [], "ba2": []}
-    for gname, s, t in _aux_plan(lay):
-        groups[gname].append(b.agent(b.vertices[s], b.vertices[t]))
-    for gname, ids in groups.items():
-        b.group(f"agents.{gname}", ids)
-    return b.finish(lay.length)
+    primary = [(pos_of[p], p) for p in range(1, n + 1)]
+    return _pancake_builder(lay, [("primary", primary)]).finish(lay.length)
 
 
 def build_colored_pancake_instance(
     alpha: Sequence[int], beta: Sequence[int], flips: int
 ) -> Tuple[ColoredInstance, GadgetRegistry]:
     """Colored variant: pancakes are interchangeable within a symbol class,
-    so the goal is transforming one binary stack into another."""
+    so the goal is transforming one binary stack into another. The colored
+    groups are the builder's agent groups in order: the pancakes of symbol
+    0, those of symbol 1, then the four timer families."""
     alpha = tuple(int(x) for x in alpha)
     beta = tuple(int(x) for x in beta)
     n = len(alpha)
@@ -481,36 +444,21 @@ def build_colored_pancake_instance(
     if sorted(alpha) != sorted(beta):
         raise PreconditionError("symbol strings must agree as multisets")
     lay = _pancake_layout(n, flips)
-    b = _Builder()
-    _pancake_graph(b, lay)
-    va = [b.vertices[f"va.{i}"] for i in range(n + 1)]
-    group_rows: List[Tuple[str, List[int], List[int]]] = [
-        (
-            "primary0",
-            [va[i + 1] for i in range(n) if alpha[i] == 0],
-            [va[i + 1] for i in range(n) if beta[i] == 0],
-        ),
-        (
-            "primary1",
-            [va[i + 1] for i in range(n) if alpha[i] == 1],
-            [va[i + 1] for i in range(n) if beta[i] == 1],
-        ),
-    ]
-    plan = _aux_plan(lay)
-    for gname in ("bb", "bc", "ba1", "ba2"):
-        starts = [b.vertices[s] for g, s, t in plan if g == gname]
-        targets = [b.vertices[t] for g, s, t in plan if g == gname]
-        group_rows.append((gname, starts, targets))
-    groups = []
-    registry_groups: Dict[str, Tuple[int, ...]] = {}
-    aid = 0
-    for gi, (gname, starts, targets) in enumerate(group_rows, start=1):
-        groups.append(ColoredGroup(gi, tuple(starts), tuple(targets)))
-        registry_groups[f"agents.{gname}"] = tuple(range(aid, aid + len(starts)))
-        aid += len(starts)
-    graph = Graph(b.n, b.edges)
-    inst = ColoredInstance(graph, tuple(groups), lay.length)
-    return inst, GadgetRegistry(dict(b.vertices), registry_groups)
+
+    def slots(word: Tuple[int, ...], sym: int) -> List[int]:
+        return [i + 1 for i in range(n) if word[i] == sym]
+
+    b = _pancake_builder(
+        lay, [(f"primary{sym}", zip(slots(alpha, sym), slots(beta, sym))) for sym in (0, 1)]
+    )
+    groups = tuple(
+        ColoredGroup(
+            gi, tuple(b.starts[a] for a in ids), tuple(b.targets[a] for a in ids)
+        )
+        for gi, ids in enumerate(b.agent_groups.values(), start=1)
+    )
+    inst = ColoredInstance(Graph(b.n, b.edges), groups, lay.length)
+    return inst, GadgetRegistry(b.vertices, b.agent_groups)
 
 
 def _slot_trajectories(
@@ -536,8 +484,6 @@ def _slot_trajectories(
 
     for rnd, r in enumerate(flip_seq):
         base = 3 * np1 * rnd
-        if not (1 <= r <= n):
-            raise PreconditionError(f"flip size {r} out of range")
         if r == 1:
             continue
         tokens = [arrangement[j] for j in range(1, r + 1)]
@@ -606,21 +552,37 @@ def _aux_trajectories(reg: GadgetRegistry, lay: PancakeLayout) -> List[List[int]
     return rows
 
 
-def _recover_permutation(
-    inst: Instance, reg: GadgetRegistry
-) -> Tuple[Tuple[int, ...], Dict[int, int]]:
-    """Read the encoded permutation back out of the primary agents' starts.
-    Returns (perm, value -> stack position)."""
-    primary = reg.agents("agents.primary")
-    n = len(primary)
-    slot_of_vertex = {reg.vertex(f"va.{i}"): i for i in range(1, n + 1)}
-    pos_of: Dict[int, int] = {}
-    perm = [0] * n
-    for p, aid in enumerate(primary, start=1):
-        pos = slot_of_vertex[inst.starts[aid]]
-        pos_of[p] = pos
-        perm[pos - 1] = p
-    return tuple(perm), pos_of
+def _pancake_witness(
+    limit: int,
+    reg: GadgetRegistry,
+    primaries: Sequence[Tuple[int, int, int]],
+    flip_seq: Sequence[int],
+    mismatch: str,
+) -> Schedule:
+    """Witness of makespan exactly the limit for a pancake instance whose
+    pancake agents are given, in agent order, as (label, start, target).
+    The labels on va.1..n read from the starts, flipped by `flip_seq`, must
+    read as the labels on va.1..n from the targets; PreconditionError with
+    `mismatch` otherwise. Rows are the agents' routes transposed by one
+    `zip`: the slot trajectories, then the timer routes."""
+    n = len(primaries)
+    lay = _pancake_layout(n, limit // (3 * (n + 2)))
+    if len(flip_seq) != lay.flips:
+        raise PreconditionError(f"certificate must list exactly {lay.flips} flips")
+    slot_of = {reg.vertex(f"va.{i}"): i for i in range(1, n + 1)}
+    word, goal = [0] * (n + 1), [0] * (n + 1)
+    for label, s, t in primaries:
+        word[slot_of[s]], goal[slot_of[t]] = label, label
+    for r in flip_seq:
+        if not (1 <= r <= n):
+            raise PreconditionError(f"flip size {r} out of range")
+        word[1 : r + 1] = reversed(word[1 : r + 1])
+    if word != goal:
+        raise PreconditionError(mismatch)
+    slots = _slot_trajectories(reg, lay, flip_seq)
+    columns = [slots[slot_of[s]] for _, s, _ in primaries]
+    columns += _aux_trajectories(reg, lay)
+    return Schedule(tuple(islice(zip(*columns), 1, None)))
 
 
 def pancake_forward_schedule(
@@ -629,22 +591,14 @@ def pancake_forward_schedule(
     flip_seq: Sequence[int],
 ) -> Schedule:
     """Schedule of makespan exactly the limit from a sorting certificate."""
-    perm, pos_of = _recover_permutation(inst, reg)
-    n = len(perm)
-    lay = _pancake_layout(n, inst.makespan_limit // (3 * (n + 2)))
-    if len(flip_seq) != lay.flips:
-        raise PreconditionError(f"certificate must list exactly {lay.flips} flips")
-    stack = list(perm)
-    for r in flip_seq:
-        if not (1 <= r <= n):
-            raise PreconditionError(f"flip size {r} out of range")
-        stack[:r] = reversed(stack[:r])
-    if stack != sorted(stack):
-        raise PreconditionError("flip sequence does not sort the permutation")
-    slots = _slot_trajectories(reg, lay, flip_seq)
-    columns = [slots[pos_of[p]] for p in range(1, n + 1)]
-    columns += _aux_trajectories(reg, lay)
-    return Schedule(tuple(islice(zip(*columns), 1, None)))
+    primaries = [
+        (p, inst.starts[a], inst.targets[a])
+        for p, a in enumerate(reg.agents("agents.primary"), start=1)
+    ]
+    return _pancake_witness(
+        inst.makespan_limit, reg, primaries, flip_seq,
+        "flip sequence does not sort the permutation",
+    )
 
 
 def colored_pancake_forward_schedule(
@@ -654,30 +608,15 @@ def colored_pancake_forward_schedule(
 ) -> Schedule:
     """Group-wise schedule of makespan exactly the limit from a certificate
     transforming the start string into the target string."""
-    n = len(inst.groups[0].starts) + len(inst.groups[1].starts)
-    zero_starts = set(inst.groups[0].starts)
-    alpha = tuple(
-        0 if reg.vertex(f"va.{i + 1}") in zero_starts else 1 for i in range(n)
+    primaries = [
+        (sym, s, t)
+        for sym, g in enumerate(inst.groups[:2])
+        for s, t in zip(g.starts, g.targets)
+    ]
+    return _pancake_witness(
+        inst.makespan_limit, reg, primaries, flip_seq,
+        "flip sequence does not produce the target string",
     )
-    lay = _pancake_layout(n, inst.makespan_limit // (3 * (n + 2)))
-    if len(flip_seq) != lay.flips:
-        raise PreconditionError(f"certificate must list exactly {lay.flips} flips")
-    word = list(alpha)
-    for r in flip_seq:
-        if not (1 <= r <= n):
-            raise PreconditionError(f"flip size {r} out of range")
-        word[:r] = reversed(word[:r])
-    expected = [inst.groups[0].targets, inst.groups[1].targets]
-    va = [reg.vertex(f"va.{i}") for i in range(n + 1)]
-    for sym in (0, 1):
-        got = {va[i + 1] for i in range(n) if word[i] == sym}
-        if got != set(expected[sym]):
-            raise PreconditionError("flip sequence does not produce the target string")
-    slots = _slot_trajectories(reg, lay, flip_seq)
-    columns = [slots[i + 1] for i in range(n) if alpha[i] == 0]
-    columns += [slots[i + 1] for i in range(n) if alpha[i] == 1]
-    columns += _aux_trajectories(reg, lay)
-    return Schedule(tuple(islice(zip(*columns), 1, None)))
 
 
 # --- seeded random instances --------------------------------------------------

@@ -135,7 +135,7 @@ def test_all_clique_agents_on_a_near_clique_need_no_search() -> None:
     assert validate_schedule(inst, result[1]).ok
 
 
-def test_agents_inside_k4_ignore_the_distance_ceiling() -> None:
+def test_agents_inside_k4_take_the_clique_part_answer_at_distance_to_clique_13() -> None:
     # K4 plus 13 pendant vertices is 13 deletions from a clique, but no
     # agent leaves the K4, so the answer needs no kernel and no search
     edges = [(u, v) for u in range(4) for v in range(u + 1, 4)]

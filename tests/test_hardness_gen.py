@@ -6,7 +6,7 @@ from typing import Dict, List, Set, Tuple
 
 import pytest
 
-from mapfdc.errors import ParseError, PreconditionError
+from mapfdc.errors import PreconditionError
 from mapfdc.gadgets import (
     _aux_trajectories,
     _pancake_layout,
@@ -17,7 +17,6 @@ from mapfdc.gadgets import (
     colored_pancake_forward_schedule,
     pancake_forward_schedule,
     pancake_trivial_yes,
-    parse_registry,
     preprocess_three_partition,
     random_instance,
     serialize_registry,
@@ -488,21 +487,16 @@ def test_colored_pancake_forward_rejects_wrong_outcomes() -> None:
     assert validate_colored_schedule(stay, sched).ok
 
 
-# --- registry round trips and determinism -----------------------------------------
+# --- registry lines and determinism -----------------------------------------------
 
 
-def test_registry_round_trip() -> None:
-    inst, reg = build_pancake_instance((2, 1), 1)
-    again = parse_registry(serialize_registry(reg))
-    assert again == reg
-
-
-def test_registry_parse_errors_carry_line_numbers() -> None:
-    with pytest.raises(ParseError) as err:
-        parse_registry("name a vertex 0\nname b wobble 1\n")
-    assert err.value.line == 2
-    with pytest.raises(ParseError):
-        parse_registry("name a vertex zero\n")
+def test_registry_writer_lines() -> None:
+    # the README's registry format: vertices first, then agent groups
+    _, reg = build_pancake_instance((2, 1), 1)
+    lines = serialize_registry(reg).splitlines()
+    assert lines[:3] == ["name vstar vertex 0", "name va.0 vertex 1", "name va.1 vertex 2"]
+    assert lines.index("name agents.primary agents 0 1") == len(reg.vertices)
+    assert lines[-1].startswith("name agents.ba2 agents ")
 
 
 def test_builders_are_deterministic() -> None:

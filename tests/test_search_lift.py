@@ -477,6 +477,45 @@ def test_solve_with_stats_lifts_tight_near_cliques_with_a_core_agent_on_the_modu
         assert len(lifts) == solved
 
 
+def test_solve_with_stats_pads_a_short_kernel_schedule_before_the_lift(
+    monkeypatch,
+) -> None:
+    # agent 0 waits on the modulator vertex, so every core agent starts home
+    # and the kernel schedule has under two turns. With exchanging pairs
+    # among the dropped agents the answer is 2: the kernel schedule is padded
+    # to two turns, which the lift requires, or it meets a limit of 1 and
+    # the answer is None. With no pair the target row answers 1.
+    kernel_turns = []
+
+    def spy(inst: Instance, split: CliqueSplit, kernel: Kernel, ksched: Schedule) -> Schedule:
+        kernel_turns.append(ksched.makespan)
+        return lift_schedule(inst, split, kernel, ksched)
+
+    monkeypatch.setattr(fpt, "lift_schedule", spy)
+    rng = random.Random(913)
+    for pairs in (1, 2, 0):
+        while True:
+            try:
+                inst = _tight_near_clique(rng, pairs=pairs, on_modulator=True)
+            except ValueError:
+                continue
+            hub = inst.graph.n - 1
+            if hub - len(inst.graph.neighbor_set(hub)) > 3 * 101:
+                break
+        inst = replace(inst, targets=(hub,) + inst.targets[1:])
+        result, _ = solve_with_stats(inst)
+        assert result is not None
+        makespan, sched = result
+        assert validate_schedule(inst, sched).ok
+        if pairs:
+            assert makespan == 2 and kernel_turns == [2]
+            assert solve_with_stats(replace(inst, makespan_limit=1))[0] is None
+            assert kernel_turns == [2]
+            kernel_turns.clear()
+        else:
+            assert makespan == 1 and not kernel_turns
+
+
 def _moving_core_lift(
     rng: random.Random,
 ) -> Optional[Tuple[Instance, CliqueSplit, Kernel, Schedule]]:
