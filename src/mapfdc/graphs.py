@@ -1,7 +1,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .errors import PreconditionError, ResourceLimitError
 
@@ -118,76 +118,24 @@ def is_clique(g: Graph, vertices: Optional[Iterable[int]] = None) -> bool:
     return all(0 <= u < g.n and len(vs - g.neighbor_set(u)) == 1 for u in vs)
 
 
-def _reduce(adj: Dict[int, Set[int]], chosen: Set[int]) -> None:
-    """Apply safe reductions in place: drop isolated vertices, and for any
-    degree-1 vertex put its neighbor in the cover."""
-    again = True
-    while again:
-        again = False
-        for v in list(adj.keys()):
-            nbrs = adj.get(v)
-            if nbrs is None:
-                continue
-            if not nbrs:
-                del adj[v]
-                continue
-            if len(nbrs) == 1:
-                (u,) = nbrs
-                chosen.add(u)
-                for w in list(adj[u]):
-                    adj[w].discard(u)
-                del adj[u]
-                del adj[v]
-                again = True
-
-
-def _vc_branch(adj: Dict[int, Set[int]], budget: int) -> Optional[int]:
-    """Minimum vertex cover size of the graph in `adj`, or None if > budget."""
-    chosen: Set[int] = set()
-    _reduce(adj, chosen)
-    base = len(chosen)
-    if base > budget:
-        return None
-    if not adj:
-        return base
-    if budget == base:
-        return None
-    # branch on an endpoint of maximum degree: cover all edges at u, or keep
-    # u out which forces every neighbor in
-    u = max(adj, key=lambda v: (len(adj[v]), -v))
-    best: Optional[int] = None
-
-    sub = {v: set(ns) for v, ns in adj.items()}
-    for w in sub.pop(u):
-        sub[w].discard(u)
-    r = _vc_branch(sub, budget - base - 1)
-    if r is not None:
-        best = base + 1 + r
-
-    nbrs = adj[u]
-    if base + len(nbrs) <= budget:
-        sub = {v: set(ns) for v, ns in adj.items()}
-        for x in nbrs:
-            for w in sub.pop(x):
-                sub[w].discard(x)
-        inner_budget = (best - base - len(nbrs) - 1) if best is not None else (
-            budget - base - len(nbrs)
-        )
-        if inner_budget >= 0:
-            r = _vc_branch(sub, inner_budget)
-            if r is not None:
-                cand = base + len(nbrs) + r
-                if best is None or cand < best:
-                    best = cand
-    return best
-
-
-def _adj_map(g: Graph, exclude: Set[int]) -> Dict[int, Set[int]]:
-    return {
-        v: {u for u in g.neighbor_set(v) if u not in exclude}
-        for v in range(g.n)
-        if v not in exclude
-    }
+def _packing_bound(
+    nbr: Sequence[FrozenSet[int]], order: Sequence[int], cover: FrozenSet[int]
+) -> int:
+    """Cover vertices still needed, by a greedy packing of vertex-disjoint
+    cliques of uncovered vertices, grown in `order`: any cover holds all but
+    at most one vertex of each."""
+    used = set(cover)
+    need = 0
+    for v in order:
+        if v in used:
+            continue
+        members = {v}
+        for w in nbr[v] - used:
+            if members <= nbr[w]:
+                members.add(w)
+        used |= members
+        need += len(members) - 1
+    return need
 
 
 def min_vertex_cover(g: Graph, budget: int = 20) -> Optional[FrozenSet[int]]:
@@ -195,35 +143,37 @@ def min_vertex_cover(g: Graph, budget: int = 20) -> Optional[FrozenSet[int]]:
 
     Among all minimum covers the lexicographically smallest (as a sorted
     vertex tuple) is returned, so results are reproducible.
+
+    Cover sizes k are tried upward from a clique-packing lower bound, which
+    also prunes each branch that needs more than k. At each k the search
+    branches on the smallest vertex u that still has an uncovered edge:
+    first u joins the cover, then instead all of u's uncovered neighbours
+    do. Every vertex either branch adds is at least u, and so is every
+    vertex added below it, so the covers under both branches agree below u
+    and only those under the first hold u; of two covers of equal size the
+    one holding u is the lexicographically smaller. Every cover takes u or
+    all of its uncovered neighbours, so a minimum cover is a leaf of this
+    tree. The first k that has a leaf is therefore the minimum, and the
+    first leaf found at that k is the lexicographically smallest.
     """
     if budget < 0:
         return None
-    size = _vc_branch(_adj_map(g, set()), budget)
-    if size is None:
-        return None
-    chosen: Set[int] = set()
-    while True:
-        adj = _adj_map(g, chosen)
-        if all(not ns for ns in adj.values()):
-            break
-        # more uncovered edges than the cover has room left for: v lies in
-        # every minimum cover extending `chosen`, so taking it keeps the
-        # lexicographically smallest one
-        forced = {v for v, ns in adj.items() if len(ns) > size - len(chosen)}
-        if forced:
-            chosen |= forced
-            continue
-        for v in range(g.n):
-            if v in chosen or not adj.get(v):
+    nbr = [g.neighbor_set(v) for v in range(g.n)]
+    # packing from low degree up finds more disjoint edges in sparse parts
+    order = sorted((v for v in range(g.n) if nbr[v]), key=lambda v: len(nbr[v]))
+    for k in range(_packing_bound(nbr, order, frozenset()), budget + 1):
+        # depth first with the branch that holds u on top, so that branch
+        # and everything below it is searched before the other
+        stack = [frozenset()]
+        while stack:
+            cover = stack.pop()
+            if len(cover) + _packing_bound(nbr, order, cover) > k:
                 continue
-            trial = chosen | {v}
-            rest = _vc_branch(_adj_map(g, trial), size - len(trial))
-            if rest is not None and len(trial) + rest == size:
-                chosen.add(v)
-                break
-        else:
-            raise AssertionError("cover reconstruction failed")
-    return frozenset(chosen)
+            u = min((v for v in order if v not in cover and not nbr[v] <= cover), default=None)
+            if u is None:
+                return cover
+            stack += [cover | nbr[u], cover | {u}]
+    return None
 
 
 @dataclass(frozen=True)
@@ -244,7 +194,11 @@ def clique_split(g: Graph, budget: int = 20) -> CliqueSplit:
     Equals a minimum vertex cover of the complement. Raises
     ResourceLimitError when the distance to clique exceeds `budget`.
     """
-    cover = min_vertex_cover(complement(g), budget)
+    # the clique part keeps at least n - budget vertices, each of degree at
+    # least n - budget - 1: with more than `budget` vertices of lower degree
+    # no split fits, and the complement (quadratic in n) is never built
+    low = sum(len(g.neighbor_set(v)) < g.n - budget - 1 for v in range(g.n))
+    cover = None if low > budget else min_vertex_cover(complement(g), budget)
     if cover is None:
         raise ResourceLimitError(
             f"distance to clique exceeds budget {budget}"

@@ -70,7 +70,7 @@ def _no_lift(*args):
     raise AssertionError("lift_schedule ran")
 
 
-def test_solve_routes_complete_graphs_to_the_clique_solver(
+def test_solve_answers_a_complete_graph_without_a_search(
     tmp_path, capsys, monkeypatch
 ) -> None:
     monkeypatch.setattr(cli.fpt, "joint_bfs", _no_search)

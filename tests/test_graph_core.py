@@ -2,14 +2,16 @@ from __future__ import annotations
 
 import itertools
 import random
+import tracemalloc
 from typing import FrozenSet, List, Tuple
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mapfdc import fpt, graphs
+from mapfdc import fpt
 from mapfdc.errors import ResourceLimitError
+from mapfdc.gadgets import build_pancake_instance
 from mapfdc.graphs import (
     CliqueSplit,
     Graph,
@@ -146,6 +148,14 @@ def test_min_vertex_cover_star_picks_center() -> None:
     assert min_vertex_cover(_star(4)) == frozenset({0})
 
 
+def test_min_vertex_cover_of_more_edges_than_the_recursion_limit() -> None:
+    # 1,050 disjoint edges: the cover has one vertex per edge, more than
+    # Python's default recursion depth, and the least takes each lower end
+    g = Graph(2100, [(2 * i, 2 * i + 1) for i in range(1050)])
+    assert min_vertex_cover(g, budget=1050) == frozenset(range(0, 2100, 2))
+    assert min_vertex_cover(g, budget=1049) is None
+
+
 def test_min_vertex_cover_matches_brute_force_on_sampled_graphs() -> None:
     rng = random.Random(20260816)
     for _ in range(60):
@@ -165,7 +175,7 @@ def test_min_vertex_cover_is_a_cover_and_minimum(g: Graph) -> None:
     got = min_vertex_cover(g, budget=g.n)
     assert got is not None
     assert all(u in got or v in got for u, v in g.edges)
-    assert len(got) == len(_brute_min_cover(g))
+    assert sorted(got) == sorted(_brute_min_cover(g))
 
 
 def test_clique_split_complete_graph_has_empty_modulator() -> None:
@@ -232,24 +242,25 @@ def test_clique_split_result_is_deterministic() -> None:
     assert first == second
 
 
-def test_clique_split_takes_forced_modulator_vertices_without_trials(monkeypatch) -> None:
-    # K60 plus vertex 60 joined to 58 and 59: in the complement, 60 has 58
-    # edges against a cover of size 1, so it is taken without trying each
-    # lower vertex in turn (60 branch calls before that rule, 1 with it)
+def test_clique_split_of_a_clique_with_one_pendant_pair() -> None:
+    # K60 plus vertex 60 joined to 58 and 59
     edges = [(u, v) for u in range(60) for v in range(u + 1, 60)]
     edges.extend([(58, 60), (59, 60)])
-    calls = 0
-    branch = graphs._vc_branch
+    assert clique_split(Graph(61, edges)).modulator == frozenset({60})
 
-    def counted(adj, budget):
-        nonlocal calls
-        calls += 1
-        return branch(adj, budget)
 
-    monkeypatch.setattr(graphs, "_vc_branch", counted)
-    split = clique_split(Graph(61, edges))
-    assert split.modulator == frozenset({60})
-    assert calls <= 2
+def test_clique_split_rejects_a_sparse_graph_without_its_complement() -> None:
+    # a 311-vertex tree: its complement alone would take about 100 MB
+    g = build_pancake_instance((3, 1, 2), 2)[0].graph
+    assert g.n == 311
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimitError, match="exceeds budget 20"):
+            clique_split(g)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 # --- differential check against the raw edge list ------------------------------
