@@ -20,7 +20,7 @@ def _config_search(
         kernel.graph,
         kernel.starts,
         kernel.targets,
-        occupancy_vertices=sorted(kernel.modulator_kernel_ids),
+        occupancy_vertices=kernel.modulator,
         min_occupancy=kernel.k,
         depth_cap=depth_cap,
         state_guard=state_guard,
@@ -64,12 +64,8 @@ def lift_schedule(
     swap."""
     core = set(kernel.core_agents)
     m = ksched.makespan
-    back = kernel.u_vertices
-    core_pl: List[Placement] = [
-        tuple(back[v] for v in pl) for pl in ksched.placements
-    ]
     if len(core) == inst.n_agents:
-        return Schedule(tuple(core_pl))
+        return ksched
 
     noncore = [a for a in inst.agents if a not in core]
     if len(noncore) <= max(len(core), 50):
@@ -83,7 +79,7 @@ def lift_schedule(
                 "dropped agents must start and end in the clique part"
             )
 
-    core_rows: List[Placement] = [tuple(back[v] for v in kernel.starts)] + core_pl
+    core_rows: List[Placement] = [kernel.starts, *ksched.placements]
     for turn in range(1, m):
         if len(q) - sum(v in q for v in core_rows[turn]) < len(noncore):
             raise PreconditionError(

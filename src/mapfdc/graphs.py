@@ -64,19 +64,15 @@ class Graph:
     def sorted_edges(self) -> List[Edge]:
         return [(u, v) for u, a in enumerate(self._nbr) for v in sorted(a) if u < v]
 
-    def induced(self, vertices: Iterable[int]) -> Tuple["Graph", Tuple[int, ...]]:
-        """Induced subgraph with dense ids. Returns (subgraph, old_ids) where
-        new vertex i corresponds to old_ids[i]; old_ids is sorted."""
-        old_ids = tuple(sorted(set(vertices)))
-        if old_ids and not (0 <= old_ids[0] and old_ids[-1] < self.n):
-            raise ValueError(f"induced: vertex ids must lie in 0..{self.n - 1}")
-        keep = frozenset(old_ids)
-        new_id = [0] * self.n
-        for i, v in enumerate(old_ids):
-            new_id[v] = i
-        relabel = new_id.__getitem__
-        sub = [list(map(relabel, self._nbr[v] & keep)) for v in old_ids]
-        return Graph._from_neighbor_sets(len(old_ids), sub), old_ids
+    def restricted(self, vertices: Iterable[int]) -> "Graph":
+        """The same vertex ids with only the edges among `vertices`: a kept
+        vertex v has neighbours N(v) & kept, every other vertex none."""
+        kept = frozenset(vertices)
+        if kept and not (0 <= min(kept) and max(kept) < self.n):
+            raise ValueError(f"restricted: vertex ids must lie in 0..{self.n - 1}")
+        return Graph._from_neighbor_sets(
+            self.n, [self._nbr[v] & kept if v in kept else () for v in range(self.n)]
+        )
 
     def is_complete(self) -> bool:
         return all(len(a) == self.n - 1 for a in self._nbr)

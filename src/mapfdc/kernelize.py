@@ -121,19 +121,21 @@ def select_core_agents(
 
 @dataclass(frozen=True)
 class Kernel:
-    """Reduced instance: the modulator, plus per vertex type either the whole
-    type or its core endpoints padded to three vertices per core agent.
-    Core agents keep their original endpoints, reindexed; k core agents must
-    sit on the modulator every intermediate turn to leave room for the
-    agents that were dropped."""
+    """Reduced instance in the instance's own vertex ids: the modulator,
+    plus per vertex type either the whole type or its core endpoints padded
+    to three vertices per core agent. `graph` keeps only the edges among
+    these `vertices`, so every other vertex is isolated; it is the
+    instance's graph itself when no type was trimmed. Core agents keep
+    their endpoints; k core agents must sit on the `modulator` every
+    intermediate turn to leave room for the agents that were dropped."""
 
     graph: Graph
     core_agents: Tuple[int, ...]
     starts: Placement
     targets: Placement
     k: int
-    u_vertices: Tuple[int, ...]
-    modulator_kernel_ids: FrozenSet[int]
+    vertices: FrozenSet[int]
+    modulator: FrozenSet[int]
 
 
 def build_kernel(
@@ -145,32 +147,20 @@ def build_kernel(
     """Kernel over the `core` agents, trimming each of the vertex `types`
     (from classify_types)."""
     core_sorted = tuple(sorted(core))
-    endpoints = set()
-    for a in core_sorted:
-        endpoints.add(inst.starts[a])
-        endpoints.add(inst.targets[a])
+    starts = tuple(inst.starts[a] for a in core_sorted)
+    targets = tuple(inst.targets[a] for a in core_sorted)
+    endpoints = set(starts + targets)
     budget = 3 * len(core)
-    u: Set[int] = set(split.modulator)
+    kept: Set[int] = set(split.modulator)
     for t in types:
         if len(t.members) <= budget:
-            take = t.members
+            kept.update(t.members)
         else:
             fixed = [v for v in t.members if v in endpoints]
             pad = [v for v in t.members if v not in endpoints]
-            take = tuple(sorted(fixed + pad[: budget - len(fixed)]))
-        u.update(take)
-    u_sorted = tuple(sorted(u))
-    sub, old_ids = inst.graph.induced(u_sorted)
-    to_sub = {v: i for i, v in enumerate(old_ids)}
-    starts = tuple(to_sub[inst.starts[a]] for a in core_sorted)
-    targets = tuple(to_sub[inst.targets[a]] for a in core_sorted)
+            kept.update(fixed + pad[: budget - len(fixed)])
+    graph = inst.graph if len(kept) == inst.graph.n else inst.graph.restricted(kept)
     k = max(0, inst.n_agents - len(split.clique))
     return Kernel(
-        sub,
-        core_sorted,
-        starts,
-        targets,
-        k,
-        old_ids,
-        frozenset(to_sub[v] for v in split.modulator),
+        graph, core_sorted, starts, targets, k, frozenset(kept), split.modulator
     )

@@ -178,11 +178,14 @@ def test_kernel_preserves_the_optimum_when_all_agents_are_core(suite2) -> None:
         core = select_core_agents(inst, split, types, agent_types)
         assert core == frozenset(inst.agents)
         kern = build_kernel(inst, split, core, types)
+        # the kernel speaks the instance's vertex ids
+        assert (kern.starts, kern.targets) == (inst.starts, inst.targets)
+        assert kern.modulator == split.modulator
         res = engine.joint_bfs(
             kern.graph,
             kern.starts,
             kern.targets,
-            occupancy_vertices=tuple(sorted(kern.modulator_kernel_ids)),
+            occupancy_vertices=kern.modulator,
             min_occupancy=kern.k,
         )
         kernel_opt = None if res.path is None else len(res.path) - 1

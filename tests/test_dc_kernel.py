@@ -161,11 +161,11 @@ def test_build_kernel_small_instance_is_the_whole_graph() -> None:
     inst = Instance(g, (0, 3), (1, 4))
     core = frozenset(inst.agents)
     kernel = _kernel(inst, split, core)
-    assert kernel.u_vertices == tuple(range(5))
-    assert kernel.graph == g
+    assert kernel.vertices == frozenset(range(5))
+    assert kernel.graph is g
     assert kernel.starts == inst.starts
     assert kernel.targets == inst.targets
-    assert kernel.modulator_kernel_ids == frozenset({0})
+    assert kernel.modulator == frozenset({0})
     assert kernel.k == max(0, inst.n_agents - len(split.clique))
 
 
@@ -177,8 +177,15 @@ def test_build_kernel_trims_each_type_to_three_per_core_agent() -> None:
     assert split.modulator == frozenset({0})
     inst = Instance(g, (1, 2), (3, 4))
     kernel = _kernel(inst, split, frozenset({0, 1}))
-    assert kernel.u_vertices == (0, 1, 2, 3, 4, 5, 6)
+    assert kernel.vertices == frozenset(range(7))
     assert kernel.k == 0
+    # the kernel keeps the instance's ids: the endpoints are the agents'
+    # own, and the trimmed vertices 7..10 stay in the graph with no edges
+    assert (kernel.starts, kernel.targets) == (inst.starts, inst.targets)
+    assert kernel.modulator == frozenset({0})
+    assert kernel.graph.n == g.n
+    assert kernel.graph == g.restricted(range(7))
+    assert all(not kernel.graph.neighbor_set(v) for v in range(7, 11))
 
 
 def test_build_kernel_counts_pigeonhole_obligation() -> None:
@@ -210,6 +217,9 @@ def test_build_kernel_size_bound() -> None:
         inst = Instance(g, starts, targets)
         kernel = _kernel(inst, split, frozenset(inst.agents))
         limit = len(split.modulator) + 2 ** len(split.modulator) * 3 * inst.n_agents
-        assert len(kernel.u_vertices) <= limit
-        # kernel endpoints exist and land inside the reduced graph
-        assert all(0 <= v < kernel.graph.n for v in kernel.starts + kernel.targets)
+        assert len(kernel.vertices) <= limit
+        # every agent is core and keeps its endpoints, which the kernel keeps
+        assert (kernel.starts, kernel.targets) == (starts, targets)
+        assert kernel.vertices.issuperset(starts + targets)
+        if len(kernel.vertices) == n:
+            assert kernel.graph is g

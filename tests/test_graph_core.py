@@ -226,12 +226,16 @@ def test_clique_split_is_minimum_against_exhaustive_search() -> None:
         assert split.dc == best
 
 
-def test_induced_subgraph_relabels_densely() -> None:
-    g = Graph(5, [(0, 3), (3, 4), (1, 2)])
-    sub, old_ids = g.induced([3, 0, 4])
-    assert old_ids == (0, 3, 4)
-    assert sub.n == 3
-    assert sub.edges == frozenset({(0, 1), (1, 2)})
+def test_restricted_graph_keeps_every_id() -> None:
+    g = Graph(5, [(0, 3), (3, 4), (1, 2), (2, 3)])
+    sub = g.restricted([3, 0, 4])
+    assert sub.n == 5
+    assert sub.edges == frozenset({(0, 3), (3, 4)})
+    # edges leaving the set are gone, and vertices outside it are isolated
+    assert sub.neighbor_set(3) == frozenset({0, 4})
+    assert sub.neighbor_set(1) == sub.neighbor_set(2) == frozenset()
+    assert g.restricted(range(5)) == g
+    assert g.restricted([]).edges == frozenset()
 
 
 def test_clique_split_result_is_deterministic() -> None:
@@ -318,11 +322,9 @@ def _assert_graph_operations(rng: random.Random, g: Graph, raw: List[Tuple[int, 
             sub = [v for v in range(n) if len(g.neighbor_set(v)) >= n - 2]
         want = all(frozenset(e) in pairs for e in itertools.combinations(sub, 2))
         assert is_clique(g, sub) == want
-        h, old_ids = g.induced(sub + sub[:2])
-        assert old_ids == tuple(sorted(sub))
-        new_id = {v: i for i, v in enumerate(old_ids)}
-        kept = [(new_id[u], new_id[v]) for u, v in raw if u in new_id and v in new_id]
-        _assert_matches_edge_list(h, len(old_ids), kept)
+        h = g.restricted(sub + sub[:2])
+        kept = [(u, v) for u, v in raw if u in sub and v in sub]
+        _assert_matches_edge_list(h, n, kept)
     assert not is_clique(g, [0, n]) and not is_clique(g, [-1, 0])
 
 
@@ -339,7 +341,7 @@ def test_graph_agrees_with_its_edge_list(seed: int) -> None:
     for n, raw in cases:
         built = Graph(n, raw)
         parsed = parse_instance(_instance_text(n, raw)).graph
-        whole, _ = parsed.induced(range(n))
+        whole = parsed.restricted(range(n))
         for g in (built, parsed, whole):
             _assert_graph_operations(rng, g, raw)
         assert built == parsed == whole
@@ -351,11 +353,11 @@ def test_graph_agrees_with_its_edge_list(seed: int) -> None:
             assert fewer == parse_instance(_instance_text(n, raw[1:])).graph
 
 
-def test_induced_rejects_ids_outside_the_graph() -> None:
+def test_restricted_rejects_ids_outside_the_graph() -> None:
     g = complete_graph(4)
     for bad in ([0, 4], [-1, 2]):
         with pytest.raises(ValueError):
-            g.induced(bad)
+            g.restricted(bad)
 
 
 def test_dense_solve_builds_no_graph_from_an_edge_list(monkeypatch) -> None:

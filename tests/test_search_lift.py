@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import functools
+import itertools
 import random
 from dataclasses import replace
 from typing import Dict, FrozenSet, List, Optional, Tuple
@@ -24,7 +25,7 @@ def _k4_kernel(starts: Tuple[int, ...], targets: Tuple[int, ...], k: int = 0) ->
         starts,
         targets,
         k,
-        tuple(range(4)),
+        frozenset(range(4)),
         frozenset(),
     )
 
@@ -74,7 +75,7 @@ def test_config_search_keeps_agents_on_the_modulator() -> None:
         (0, 1),
         (1, 0),
         1,
-        tuple(range(5)),
+        frozenset(range(5)),
         frozenset({4}),
     )
     sched = _kernel_schedule(kernel, 10)
@@ -94,10 +95,12 @@ def test_lift_with_full_core_is_a_relabeling() -> None:
     assert split.modulator == frozenset({0})
     inst = Instance(g, (0, 2), (2, 3), makespan_limit=None)
     kernel = _kernel(inst, split, frozenset(inst.agents))
+    # no type is trimmed, so the kernel searches the instance's own graph
+    assert kernel.graph is inst.graph
     ksched = _kernel_schedule(kernel)
     assert ksched is not None
     lifted = lift_schedule(inst, split, kernel, ksched)
-    assert lifted.makespan == ksched.makespan
+    assert lifted is ksched
     assert validate_schedule(inst, lifted).ok
 
 
@@ -118,17 +121,21 @@ def test_lift_extends_a_kernel_schedule_to_dropped_agents() -> None:
     inst, split = _drop_instance()
     core = frozenset({0})
     kernel = _kernel(inst, split, core)
-    assert len(kernel.u_vertices) < inst.graph.n
+    assert len(kernel.vertices) < inst.graph.n
     ksched = _kernel_schedule(kernel)
     assert ksched is not None
     assert ksched.makespan == 2
+    # the trimmed kernel keeps the instance's ids: its rows stay on the
+    # kept vertices, and every other vertex has lost its edges
+    assert all(kernel.vertices.issuperset(row) for row in ksched.placements)
+    outside = set(range(inst.graph.n)) - kernel.vertices
+    assert outside and all(not kernel.graph.neighbor_set(v) for v in outside)
     lifted = lift_schedule(inst, split, kernel, ksched)
     assert lifted.makespan == 2
     assert validate_schedule(inst, lifted).ok
     # the core agent replays its kernel route
-    back = kernel.u_vertices
-    for turn, placement in enumerate(lifted.placements):
-        assert placement[0] == back[ksched.placements[turn][0]]
+    for placement, kernel_row in zip(lifted.placements, ksched.placements):
+        assert placement[0] == kernel_row[0]
 
 
 def test_lift_drifts_around_a_forbidden_core_move() -> None:
@@ -151,7 +158,7 @@ def test_lift_drifts_around_a_forbidden_core_move() -> None:
     assert found is not None and found.makespan == 3
     # The search may return any optimal schedule; in this one the core
     # agent entering 3 at turn 1 leaves 10.
-    ksched = Schedule(((2, 1, 3), (1, 3, 2), (0, 10, 9)))
+    ksched = Schedule(((2, 1, 3), (1, 3, 2), (0, 30, 11)))
     kinst = Instance(kernel.graph, kernel.starts, kernel.targets)
     assert kernel.k == 0 and validate_schedule(kinst, ksched).ok
     lifted = lift_schedule(inst, split, kernel, ksched)
@@ -185,7 +192,7 @@ def _eviction_lift(
     inst = Instance(g, core_starts + dropped, core_rows[-1] + targets)
     kernel = Kernel(
         g, tuple(range(nc)), core_starts, core_rows[-1], 0,
-        tuple(range(clique + 1)), frozenset({clique}),
+        frozenset(range(clique + 1)), frozenset({clique}),
     )
     split = CliqueSplit(frozenset({clique}), frozenset(range(clique)))
     return inst, lift_schedule(inst, split, kernel, Schedule(core_rows))
@@ -304,6 +311,79 @@ def test_finish_raises_when_no_placement_exists() -> None:
         _finish_on_clique(3, (0, 1, 2), (1, 0, 2))
 
 
+def _exchanges(prev: Tuple[int, ...], nxt: Tuple[int, ...]) -> bool:
+    """Whether some two agents trade vertices from `prev` to `nxt`."""
+    return any(
+        prev[a] != nxt[a] and nxt[a] == prev[b] and nxt[b] == prev[a]
+        for a, b in itertools.combinations(range(len(prev)), 2)
+    )
+
+
+def _finish_frame(
+    rng: random.Random,
+) -> Tuple[Tuple[Tuple[int, ...], ...], Tuple[int, ...], Tuple[int, ...], List[int]]:
+    """Random input of the lift's two-turn finish: a clique 0..q-1 (q =
+    4..7) and modulator vertices q and q + 1; 0-2 core agents whose rows
+    C0, C1, C2 are injective and make no exchange; dropped agents on P,
+    clear of C0, bound for T, clear of C2, at most as many as the clique
+    vertices F outside C1, and all of them in half the draws. Returns the
+    core window, P, T and F."""
+    q, n_core = rng.randint(4, 7), rng.randint(0, 2)
+    while True:
+        window = tuple(tuple(rng.sample(range(q + 2), n_core)) for _ in range(3))
+        if not _exchanges(window[0], window[1]) and not _exchanges(window[1], window[2]):
+            break
+    clear = [[v for v in range(q) if v not in row] for row in window]
+    most = min(map(len, clear))
+    d = most if rng.random() < 0.5 else rng.randint(1, most)
+    return window, tuple(rng.sample(clear[0], d)), tuple(rng.sample(clear[2], d)), clear[1]
+
+
+def _two_turn_reference(
+    window: Tuple[Tuple[int, ...], ...],
+    pos: Tuple[int, ...],
+    targets: Tuple[int, ...],
+    free: List[int],
+) -> Optional[Tuple[int, ...]]:
+    """Brute force for the finish: the first injective X from the dropped
+    agents into `free` such that C0 + P -> C1 + X -> C2 + T has no
+    exchange, or None when there is none."""
+    c0, c1, c2 = window
+    for x in itertools.permutations(free, len(pos)):
+        mid = c1 + x
+        if not _exchanges(c0 + pos, mid) and not _exchanges(mid, c2 + targets):
+            return x
+    return None
+
+
+def test_finish_agrees_with_a_brute_force_reference() -> None:
+    # every frame the reference can place, the finish places too, and
+    # what it places is injective, inside F and free of exchanges
+    rng = random.Random(808)
+    placed = infeasible = 0
+    for _ in range(6000):
+        window, pos, targets, free = _finish_frame(rng)
+        n_core = len(window[0])
+        dropped = range(n_core, n_core + len(pos))
+        reference = _two_turn_reference(window, pos, targets, free)
+        try:
+            x = fpt._finish(
+                dropped, dict(zip(dropped, pos)), window[2] + targets, window, free
+            )
+        except MapfError:
+            assert reference is None, (window, pos, targets)
+            infeasible += 1
+            continue
+        row = tuple(x[a] for a in dropped)
+        assert len(set(row)) == len(row) and set(row) <= set(free)
+        mid = window[1] + row
+        assert not _exchanges(window[0] + pos, mid)
+        assert not _exchanges(mid, window[2] + targets)
+        placed += 1
+    assert placed > 5000 and infeasible > 0
+
+
+
 def test_lift_avoids_an_exchange_that_drift_then_jump_would_make() -> None:
     # clique 0..62, vertex 63 joined to 25, 27, 55, 58, 60 and 64, vertex 64
     # joined to 18, 35 and 43. Drifting every dropped agent up to turn
@@ -332,7 +412,7 @@ def test_lift_avoids_an_exchange_that_drift_then_jump_would_make() -> None:
     kernel = _kernel(inst, split, frozenset({0, 1, 59}))
     found = _kernel_schedule(kernel)
     assert found is not None and found.makespan == 2
-    ksched = Schedule(((8, 9, 0), (13, 17, 1)))
+    ksched = Schedule(((25, 27, 0), (52, 63, 1)))
     kinst = Instance(kernel.graph, kernel.starts, kernel.targets)
     assert kernel.k == 0 and validate_schedule(kinst, ksched).ok
     lifted = lift_schedule(inst, split, kernel, ksched)
@@ -572,7 +652,7 @@ def _moving_core_lift(
     inst = Instance(g, core_starts + tuple(starts), core_targets + tuple(full))
     core = tuple(range(n_core))
     kernel = Kernel(
-        g, core, core_starts, core_targets, 0, tuple(range(n)),
+        g, core, core_starts, core_targets, 0, frozenset(range(n)),
         frozenset(range(nq, n)),
     )
     return inst, CliqueSplit(frozenset(range(nq, n)), clique), kernel, Schedule(
