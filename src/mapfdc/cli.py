@@ -9,7 +9,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 from . import fpt, oracle
 from .engine import DEFAULT_STATE_GUARD
-from .errors import ParseError, PreconditionError, ResourceLimitError
+from .errors import MapfError, ParseError, PreconditionError, ResourceLimitError
 from .gadgets import (
     build_colored_pancake_instance,
     build_pancake_instance,
@@ -114,7 +114,9 @@ def _run(
 ) -> Tuple[Optional[Tuple[int, Schedule]], RunReport]:
     """Solve `inst` with the `algo` solver ("fpt" or "oracle") and report
     the run. A ResourceLimitError, such as a tripped state guard, ends the
-    run with no result and an aborted report of the states kept."""
+    run with no result and an aborted report of the states kept. Every
+    schedule is validated before it is returned; one the validator rejects
+    is a failure of the solver and raises MapfError."""
     solver = fpt if algo == "fpt" else oracle
     started = time.perf_counter()
     try:
@@ -123,8 +125,12 @@ def _run(
         millis = (time.perf_counter() - started) * 1000.0
         return None, RunReport(label, algo, None, exc.states, millis, aborted=str(exc))
     millis = (time.perf_counter() - started) * 1000.0
-    makespan = None if result is None else result[0]
-    return result, RunReport(label, algo, makespan, states, millis)
+    if result is None:
+        return None, RunReport(label, algo, None, states, millis)
+    verdict = validate_schedule(inst, result[1])
+    if not verdict.ok:
+        raise MapfError(f"{label}: {algo} schedule invalid ({verdict.message})")
+    return result, RunReport(label, algo, result[0], states, millis)
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
@@ -267,21 +273,11 @@ def _bench_one(
     path: Path, state_guard: int
 ) -> Tuple[List[RunReport], List[str]]:
     inst = parse_instance(path.read_text())
-    reports: List[RunReport] = []
-    problems: List[str] = []
-    for algo in ("oracle", "fpt"):
-        result, report = _run(path.name, inst, algo, state_guard)
-        if result is not None:
-            verdict = validate_schedule(inst, result[1])
-            if not verdict.ok:
-                problems.append(f"{path.name}: {algo} schedule invalid ({verdict.message})")
-        reports.append(report)
-    if any(rep.aborted is not None for rep in reports):
-        return reports, problems
+    reports = [_run(path.name, inst, algo, state_guard)[1] for algo in ("oracle", "fpt")]
     by_oracle, by_fpt = (rep.makespan for rep in reports)
-    if by_oracle != by_fpt:
-        problems.append(f"{path.name}: oracle says {by_oracle}, fpt says {by_fpt}")
-    return reports, problems
+    if by_oracle == by_fpt or any(rep.aborted is not None for rep in reports):
+        return reports, []
+    return reports, [f"{path.name}: oracle says {by_oracle}, fpt says {by_fpt}"]
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
@@ -338,14 +334,13 @@ def _add_guard_opt(p: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_output_opts(p: argparse.ArgumentParser, witness: bool = True) -> None:
+def _add_output_opts(p: argparse.ArgumentParser) -> None:
     p.add_argument("-o", "--output", default="-", help="instance file, - for stdout")
     p.add_argument("--registry", help="write the vertex/agent name table here")
-    if witness:
-        p.add_argument(
-            "--witness",
-            help="schedule file for the certificate (default <output>.witness)",
-        )
+    p.add_argument(
+        "--witness",
+        help="schedule file for the certificate (default <output>.witness)",
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:

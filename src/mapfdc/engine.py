@@ -298,7 +298,11 @@ def joint_bfs(
     # successor inside the old slack, so it only produces those where some
     # agent takes a rim vertex (exactly at the slack): one plan per such
     # agent a, with a on its rim first and the rim agents before a held to
-    # their near rows, so no successor comes out twice. In the search,
+    # their near rows, so no successor comes out twice. No planned row is
+    # empty: a state at depth g has every agent within layer - g of its
+    # target, so each kept row holds a vertex one step closer; a state
+    # expanded again has slack of at least 1, so each near row does too; and
+    # a rim row is planned only when it is non-empty. In the search,
     # new[level] is the vertex chosen at `level` from opts[level], and
     # pending[level] iterates over the options not tried yet.
     agents = range(n_agents)
@@ -339,8 +343,6 @@ def joint_bfs(
                     plans = [sorted(((a, rows[a][0]) for a in agents), key=_width)]
                 hit = -1
                 for plan in plans:
-                    if not all(row for _, row in plan):
-                        continue
                     for level, (a, row) in enumerate(plan):
                         opts[level] = row
                         here[level] = prev[a]

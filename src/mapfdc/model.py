@@ -319,24 +319,6 @@ def _vertex_ids(n: int) -> Dict[str, int]:
     return {str(v): v for v in range(n)}
 
 
-def _edge_runs(text: str) -> Iterator[Tuple[bool, str]]:
-    """Cut `text`, with "\\n" its only line break, at line starts into blocks
-    of lines that begin `edge ` (True), each within _EDGE_BLOCK characters
-    unless one line is longer, and the text between them (False)."""
-    p, end = 0, len(text)
-    while p < end:
-        run = text.startswith("edge ", p)
-        if run:
-            m = _EDGE_RUN_END.search(text, p, p + _EDGE_BLOCK)
-            q = m.start() + 1 if m else (
-                text.rfind("\n", p, p + _EDGE_BLOCK) + 1 or text.find("\n", p) + 1 or end
-            )
-        else:
-            q = text.find("\nedge ", p) + 1 or end
-        yield run, text[p:q]
-        p = q
-
-
 def _read_edge_block(block: str, ids: Dict[str, int], adj: List[List[int]]) -> int:
     """Append the k lines of `block` to the neighbour lists `adj` and return
     k; return 0, changing nothing, unless each line is proved to be
@@ -362,102 +344,122 @@ def _read_edge_block(block: str, ids: Dict[str, int], adj: List[List[int]]) -> i
     return k
 
 
-def _parse_graph_lines(
-    text: str, header: str, bulk: bool = True
-) -> Tuple[Graph, List[Tuple[int, List[str]]], int]:
-    """Common head of both instance formats, read in one pass: header,
-    vertices, edges. Returns (graph, remaining directive lines, last content
-    line number).
-
-    Read line by line, each edge goes straight into per-vertex neighbour
-    sets. The bulk reader, for texts where "\\n" is the only line break,
-    reads runs of edge lines in blocks (`_read_edge_block`) and the rest
-    line by line, appending to per-vertex neighbour lists: a list append
-    stays in cache where a set add lands anywhere in a table of twice the
-    final size. The lists are checked for loops and repeats once, as they
-    are frozen. On any fault the text is read again line by line, so errors
-    name the same line and rule either way."""
-    bulk = bulk and len(text) >= _BULK_MIN and text.isascii()
-    bulk = bulk and not any(c in text for c in _OTHER_BREAKS)
-    if not bulk:
-        return _read_graph_lines(text, header, False)  # never None line by line
-    try:
-        got = _read_graph_lines(text, header, True)
-    except ParseError:
-        got = None
-    return got or _parse_graph_lines(text, header, bulk=False)
+# graph, the directive lines after the graph, and the last content line
+_Head = Tuple[Graph, List[Tuple[int, List[str]]], int]
 
 
-def _read_graph_lines(
-    text: str, header: str, bulk: bool
-) -> Optional[Tuple[Graph, List[Tuple[int, List[str]]], int]]:
-    """`_parse_graph_lines` in one mode; None when the bulk reader finds a
-    loop or a repeated edge, which only the line reader can name."""
-    pieces = _edge_runs(text) if bulk else [(False, text)]
+def _parse_graph_lines(text: str, header: str) -> _Head:
+    """Common head of both instance formats: header, vertices, edges.
+    A text in the writers' layout is read in bulk; any other text, and any
+    fault, goes whole to the line reader, which names the faulty line."""
+    return _read_written_head(text, header) or _read_graph_lines(text, header)
+
+
+def _read_written_head(text: str, header: str) -> Optional[_Head]:
+    """`_parse_graph_lines` for a text laid out as the writers lay it out,
+    else None; it never raises. The text must be ASCII with "\\n" its only
+    line break and open `<header> 1`, `vertices <n>` with n in digits, then
+    one run of edge lines, read in blocks (`_read_edge_block`) into
+    per-vertex neighbour lists: a list append stays in cache where a set add
+    lands anywhere in a table of twice the final size. The lists are checked
+    for loops and repeats once, as they are frozen. No line after the run
+    may be one the line reader reads as part of the graph."""
+    if len(text) < _BULK_MIN or not text.isascii():
+        return None
+    if any(c in text for c in _OTHER_BREAKS):
+        return None
+    lead = f"{header} 1\nvertices "
+    start = text.find("\n", len(lead)) + 1
+    count = text[len(lead) : start - 1]
+    # int() refuses a long enough count; one of 19 digits could never be allocated
+    if not (text.startswith(lead) and start and count.isdigit() and len(count) < 19):
+        return None
+    n = int(count)  # as the line reader reads it, leading zeros and all
+    run = _EDGE_RUN_END.search(text, start - 1)
+    if run is None:  # an edge line ends the text
+        return None
+    ids = _vertex_ids(n)
+    lists: List[List[int]] = [[] for _ in range(n)]
+    p, end, no = start, run.start() + 1, 2
+    while p < end:
+        q = text.rfind("\n", p, min(p + _EDGE_BLOCK, end)) + 1 or text.find("\n", p) + 1
+        k = _read_edge_block(text[p:q], ids, lists)
+        if not k:
+            return None
+        p, no = q, no + k
+    # The rest is read before the lists are frozen: read after, its token
+    # lists set off a collection that walks every frozen set (about 2 ms of
+    # a 310-vertex clique).
+    rest = list(_content_lines(text[p:].splitlines(), no + 1))
+    if any(toks[0] in ("edge", "vertices") for _, toks in rest):
+        return None
+    nbr = [frozenset(set(a)) for a in lists]  # each table sized as Graph sizes it
+    if sum(map(len, nbr)) != sum(map(len, lists)):
+        return None
+    return Graph._from_neighbor_sets(n, nbr), rest, rest[-1][0] if rest else no
+
+
+def _read_graph_lines(text: str, header: str) -> _Head:
+    """`_parse_graph_lines` line by line, each edge going straight into
+    per-vertex neighbour sets; raises ParseError at the first fault."""
     head = False
     n: Optional[int] = None
-    nbr: list = []  # of lists when bulk, else of sets
-    ids: Dict[str, int] = {}
+    nbr: List[Set[int]] = []
     rest: List[Tuple[int, List[str]]] = []
-    no = done = 0  # last content line, lines before the piece
-    for run, piece in pieces:
-        if run and n is not None:
-            ids = ids or _vertex_ids(n)
-            k = _read_edge_block(piece, ids, nbr)
-            if k:
-                done = no = done + k
-                continue
-        for no, toks in _content_lines(piece.splitlines(), done + 1):
-            if not head:
-                if toks != [header, "1"]:
-                    raise ParseError(no, f"expected header '{header} 1'")
-                head = True
-                continue
-            key = toks[0]
-            if key == "edge":
-                if n is None:
-                    raise ParseError(no, "edge before vertices line")
-                if len(toks) != 3:
-                    raise ParseError(no, "edge takes two endpoints")
-                try:
-                    u, v = int(toks[1]), int(toks[2])
-                except ValueError:
-                    u = _int_tok(no, toks[1], "endpoint")
-                    v = _int_tok(no, toks[2], "endpoint")
-                if u == v:
-                    raise ParseError(no, f"self-loop at vertex {u}")
-                if not (0 <= u < n and 0 <= v < n):
-                    raise ParseError(no, f"unknown vertex id in edge {u} {v}")
-                nu, nv = nbr[u], nbr[v]
-                if bulk:
-                    nu.append(v)
-                    nv.append(u)
-                elif v in nu:
-                    raise ParseError(no, f"duplicate edge {u} {v}")
-                else:
-                    nu.add(v)
-                    nv.add(u)
-            elif key == "vertices":
-                if n is not None:
-                    raise ParseError(no, "duplicate vertices line")
-                if len(toks) != 2:
-                    raise ParseError(no, "vertices takes one count")
-                n = _int_tok(no, toks[1], "vertex count")
-                if n < 0:
-                    raise ParseError(no, "vertex count must be non-negative")
-                nbr = [[] for _ in range(n)] if bulk else [set() for _ in range(n)]
-            else:
-                rest.append((no, toks))
-        done += piece.count("\n")
+    no = 0  # last content line
+    for no, toks in _content_lines(text.splitlines()):
+        if not head:
+            if toks != [header, "1"]:
+                raise ParseError(no, f"expected header '{header} 1'")
+            head = True
+            continue
+        key = toks[0]
+        if key == "edge":
+            if n is None:
+                raise ParseError(no, "edge before vertices line")
+            if len(toks) != 3:
+                raise ParseError(no, "edge takes two endpoints")
+            try:
+                u, v = int(toks[1]), int(toks[2])
+            except ValueError:
+                u = _int_tok(no, toks[1], "endpoint")
+                v = _int_tok(no, toks[2], "endpoint")
+            if u == v:
+                raise ParseError(no, f"self-loop at vertex {u}")
+            if not (0 <= u < n and 0 <= v < n):
+                raise ParseError(no, f"unknown vertex id in edge {u} {v}")
+            if v in nbr[u]:
+                raise ParseError(no, f"duplicate edge {u} {v}")
+            nbr[u].add(v)
+            nbr[v].add(u)
+        elif key == "vertices":
+            if n is not None:
+                raise ParseError(no, "duplicate vertices line")
+            if len(toks) != 2:
+                raise ParseError(no, "vertices takes one count")
+            n = _int_tok(no, toks[1], "vertex count")
+            if n < 0:
+                raise ParseError(no, "vertex count must be non-negative")
+            nbr = [set() for _ in range(n)]
+        else:
+            rest.append((no, toks))
     if not head:
         raise ParseError(1, "empty file")
     if n is None:
         raise ParseError(no, "missing vertices line")
-    if bulk:  # frozen through a set, each table is sized as Graph sizes it
-        lists, nbr = nbr, [frozenset(set(a)) for a in nbr]
-        if sum(map(len, nbr)) != sum(map(len, lists)):
-            return None
     return Graph._from_neighbor_sets(n, nbr), rest, no
+
+
+def _read_limit(no: int, toks: List[str], limit: Optional[int]) -> int:
+    """The value of the `limit` line `no`; `limit` is the one read before."""
+    if limit is not None:
+        raise ParseError(no, "duplicate limit line")
+    if len(toks) != 2:
+        raise ParseError(no, "limit takes one value")
+    value = _int_tok(no, toks[1], "limit")
+    if value < 0:
+        raise ParseError(no, "limit must be non-negative")
+    return value
 
 
 def parse_instance(text: str) -> Instance:
@@ -487,13 +489,7 @@ def parse_instance(text: str) -> Instance:
             starts.append(s)
             targets.append(t)
         elif key == "limit":
-            if limit is not None:
-                raise ParseError(no, "duplicate limit line")
-            if len(toks) != 2:
-                raise ParseError(no, "limit takes one value")
-            limit = _int_tok(no, toks[1], "limit")
-            if limit < 0:
-                raise ParseError(no, "limit must be non-negative")
+            limit = _read_limit(no, toks, limit)
         else:
             raise ParseError(no, f"unknown directive {key!r}")
     if not starts:
@@ -522,13 +518,7 @@ def parse_colored_instance(text: str) -> ColoredInstance:
         no, toks = rest[i]
         key = toks[0]
         if key == "limit":
-            if limit is not None:
-                raise ParseError(no, "duplicate limit line")
-            if len(toks) != 2:
-                raise ParseError(no, "limit takes one value")
-            limit = _int_tok(no, toks[1], "limit")
-            if limit < 0:
-                raise ParseError(no, "limit must be non-negative")
+            limit = _read_limit(no, toks, limit)
             i += 1
             continue
         if key != "group":

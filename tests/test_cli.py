@@ -221,6 +221,31 @@ def test_solve_internal_failure_exit_code(tmp_path, capsys, monkeypatch, failure
     assert "infeasible" not in err
 
 
+def test_solve_and_bench_reject_a_schedule_the_validator_rejects(
+    tmp_path, capsys, monkeypatch
+) -> None:
+    # a solver whose one-turn answer moves both agents of an edge onto their
+    # targets exchanges them: solve must write no schedule, and neither
+    # command may report the run as an answer
+    def swapping(inst, state_guard):
+        return (1, Schedule((inst.targets,))), 1
+
+    monkeypatch.setattr(cli.fpt, "solve_with_stats", swapping)
+    (tmp_path / "in").mkdir()
+    ipath = tmp_path / "in" / "swap.mapf"
+    spath = tmp_path / "swap.sched"
+    _write_instance(ipath, _swap_on_an_edge())
+    assert cli.main(["solve", str(ipath), "-o", str(spath)]) == 4
+    err = capsys.readouterr().err
+    assert err.count("internal error:") == 1
+    assert "fpt schedule invalid (agents 0 and 1 exchange vertices 0 and 1)" in err
+    assert not spath.exists()
+    assert cli.main(["bench", str(tmp_path / "in")]) == 4
+    err = capsys.readouterr().err
+    assert err.count("internal error:") == 1
+    assert "swap.mapf: fpt schedule invalid" in err
+
+
 def test_solve_rejects_colored_instances(tmp_path, capsys) -> None:
     ipath = tmp_path / "colored.cmapf"
     text = cli_colored_text(tmp_path)

@@ -279,17 +279,19 @@ HEAD_MUTATIONS = [
     "non-ascii digit", "no final newline", "one endpoint last",
     "three endpoints last",
 ]
-# mutations whose text is read line by line from the start
-LINE_ONLY = {"crlf", "form feed", "non-ascii digit"}
-# mutations that leave no block for the bulk reader to accept
-NO_BULK = LINE_ONLY | {"edge before vertices"}
-# mutations that break the graph head; where the bulk reader is on, it hands
-# the whole text to the line reader to name the fault
-HEAD_FAULTS = {
-    "bad token deep", "out of range deep", "loop deep", "reverse in a later block",
-    "repeat in the block", "edge before vertices", "vertices twice", "form feed",
-    "non-ascii digit", "one endpoint last", "three endpoints last",
-}
+# the only mutations that keep the writers' layout: every other text goes
+# to the line reader
+IN_BULK = {"clean", "long line"}
+# lines added after the valid section of an IN_BULK text, with whether the
+# bulk reader keeps it: a later edge or vertices line belongs to the graph,
+# so such a text goes to the line reader. Every other mutation is declined
+# whatever follows it.
+EXTRA_TAILS = [
+    ("edge 5 6\n", False),
+    ("edge\t7 8\n", False),
+    ("vertices 3\n", False),
+    ("limit 4\n# done\n\n  \n", True),
+]
 
 
 def _graph_head(n: int, pairs: Sequence[Tuple[int, int]]) -> List[str]:
@@ -357,38 +359,44 @@ def _mutated_head(kind: str, lines: List[str], n: int, rng: random.Random) -> st
 
 
 def _read_both_ways(monkeypatch: pytest.MonkeyPatch, parse, text: str):
-    """Parse `text` with the block reader and with the per-line reader;
-    assert equal outcomes and return the block reader's, with the number of
-    edge lines it read in blocks and whether it read the text again."""
-    parse_head, read_block = model._parse_graph_lines, model._read_edge_block
+    """Parse `text` as it is, then with the bulk reader off (patched to
+    return None); assert equal outcomes and return the first, with the
+    number of edge lines read in blocks and whether the bulk reader
+    returned the graph head."""
+    read_head, parse_head = model._read_written_head, model._parse_graph_lines
+    read_block = model._read_edge_block
     outcomes = []
     for bulk in (True, False):
         heads: list = []
-        modes: List[bool] = []
+        in_bulk: List[bool] = []
         block_lines: List[int] = []
 
-        def head(text: str, header: str, bulk: bool = bulk):
-            modes.append(bulk)
-            heads.append(parse_head(text, header, bulk))
+        def written_head(text: str, header: str, bulk: bool = bulk):
+            got = read_head(text, header) if bulk else None
+            in_bulk.append(got is not None)
+            return got
+
+        def head(text: str, header: str):
+            heads.append(parse_head(text, header))
             return heads[-1]
 
         def counted_block(block: str, ids, nbr) -> int:
-            k = read_block(block, ids, nbr)
-            block_lines.append(max(k, 0))
-            return k
+            block_lines.append(read_block(block, ids, nbr))
+            return block_lines[-1]
 
         with monkeypatch.context() as mp:
+            mp.setattr(model, "_read_written_head", written_head)
             mp.setattr(model, "_parse_graph_lines", head)
             mp.setattr(model, "_read_edge_block", counted_block)
             try:
                 got = (parse(text), *heads[-1])
             except ParseError as exc:
                 got = (exc.line, str(exc))
-        outcomes.append((got, sum(block_lines), modes))
-    (got, bulk_lines, modes), (want, line_by_line, _) = outcomes
+        outcomes.append((got, sum(block_lines), in_bulk == [True]))
+    (got, bulk_lines, in_bulk), (want, _, line_by_line) = outcomes
     assert got == want
-    assert line_by_line == 0
-    return got, bulk_lines, modes == [True, False]
+    assert not line_by_line
+    return got, bulk_lines, in_bulk
 
 
 @pytest.mark.parametrize(
@@ -406,15 +414,16 @@ def test_block_reader_matches_the_line_reader(monkeypatch, parse, header, tail) 
     assert len("\n".join(lines)) > 3 * (1 << 16)
     for kind in HEAD_MUTATIONS:
         head = _mutated_head(kind, lines, n, rng)
-        text = f"{header} 1\n{head}{tail}"
-        if kind == "no final newline":
-            text = f"{header} 1\n{head}".rstrip("\n")
-        got, bulk_lines, reread = _read_both_ways(monkeypatch, parse, text)
-        if kind == "clean":
-            assert got[1] == Graph(n, [map(int, ln.split()[1:]) for ln in lines[1:]])
-            assert bulk_lines == len(lines) - 1
-        assert (bulk_lines > 0) == (kind not in NO_BULK), kind
-        assert reread == (kind in HEAD_FAULTS - LINE_ONLY), kind
+        for extra, kept in [("", True)] + EXTRA_TAILS * (kind in IN_BULK):
+            text = f"{header} 1\n{head}{tail}{extra}"
+            if kind == "no final newline":
+                text = f"{header} 1\n{head}".rstrip("\n")
+            got, bulk_lines, in_bulk = _read_both_ways(monkeypatch, parse, text)
+            if kind == "clean" and kept:
+                assert got[1] == Graph(n, [map(int, ln.split()[1:]) for ln in lines[1:]])
+            assert in_bulk == (kind in IN_BULK and kept), (kind, extra)
+            if in_bulk:
+                assert bulk_lines == len(lines) - 1
 
 
 def test_block_reader_matches_the_line_reader_on_many_vertices(monkeypatch) -> None:
@@ -426,18 +435,23 @@ def test_block_reader_matches_the_line_reader_on_many_vertices(monkeypatch) -> N
     lines = _graph_head(n, pairs)
     for kind in ("clean", "reverse in a later block", "repeat in the block", "loop deep"):
         text = "mapf 1\n" + _mutated_head(kind, lines, n, rng) + "agent 0 1\n"
-        got, bulk_lines, reread = _read_both_ways(monkeypatch, parse_instance, text)
-        assert bulk_lines > 0
-        assert isinstance(got[0], Instance) == (kind == "clean") == (not reread)
+        got, bulk_lines, in_bulk = _read_both_ways(monkeypatch, parse_instance, text)
+        assert bulk_lines == text.count("\nedge ")  # every block read, then frozen
+        assert isinstance(got[0], Instance) == (kind == "clean") == in_bulk
 
 
-def test_parse_instance_peak_memory_stays_near_the_graph() -> None:
+def test_parse_instance_peak_memory_stays_near_the_graph(monkeypatch) -> None:
     # edge lines are read a block at a time, so the parse never holds a
     # token per edge of a dense file, and neighbour lists are frozen
     # through sets, never straight from lists
     n = 310
     edges = [(u, v) for u in range(n) for v in range(u + 1, n)]
     text = serialize_instance(Instance(Graph(n, edges), tuple(range(100)), tuple(range(100))))
+
+    def line_reader(text: str, header: str):
+        raise AssertionError("a written text went to the line reader")
+
+    monkeypatch.setattr(model, "_read_graph_lines", line_reader)
     tracemalloc.start()
     try:
         inst = parse_instance(text)
