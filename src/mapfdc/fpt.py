@@ -2,10 +2,17 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
+from . import oracle
 from .engine import DEFAULT_STATE_GUARD, joint_bfs
 from .errors import MapfError, PreconditionError
 from .graphs import CliqueSplit, clique_split
-from .kernelize import Kernel, build_kernel, classify_types, select_core_agents
+from .kernelize import (
+    Kernel,
+    build_kernel,
+    classify_types,
+    kernel_is_instance,
+    select_core_agents,
+)
 from .model import Instance, Placement, Schedule, detect_swaps, validate_schedule
 
 
@@ -242,14 +249,38 @@ def _finish(
     return x
 
 
+def _solve_kernel(
+    inst: Instance, split: CliqueSplit, state_guard: int
+) -> Tuple[Optional[Tuple[int, Schedule]], int]:
+    """The kernel path of `solve_with_stats`: searches the kernel instance
+    under the occupancy constraint, lifting the kernel schedule back to all
+    agents when some were dropped; a kernel schedule under two turns is
+    padded to two first. Returns the answer and the kernel search's state
+    count."""
+    types, agent_types = classify_types(inst, split)
+    core = select_core_agents(inst, split, types, agent_types)
+    kernel = build_kernel(inst, split, core, types)
+    ksched, states = _config_search(kernel, inst.makespan_limit, state_guard)
+    if ksched is None:
+        return None, states
+    if len(core) < inst.n_agents and ksched.makespan < 2:
+        if inst.makespan_limit is not None and inst.makespan_limit < 2:
+            return None, states
+        ksched = Schedule(
+            ksched.placements + (kernel.targets,) * (2 - ksched.makespan)
+        )
+    lifted = lift_schedule(inst, split, kernel, ksched)
+    return (lifted.makespan, lifted), states
+
+
 def solve_with_stats(
     inst: Instance,
     state_guard: int = DEFAULT_STATE_GUARD,
 ) -> Tuple[Optional[Tuple[int, Schedule]], int]:
     """Exact optimal solve parameterized by distance to clique, plus the
-    kernel-search state count (0 when no search ran). The answer is None
-    when no schedule meets the instance's makespan limit; the limit is also
-    the kernel search's only depth cap.
+    state count of the search that answered (0 when no search ran). The
+    answer is None when no schedule meets the instance's makespan limit;
+    the limit is also the search's only depth cap.
 
     Splits off a minimum modulator first, so that a distance to clique past
     the split's budget aborts before any answer. The target row is the only
@@ -258,9 +289,15 @@ def solve_with_stats(
     the answer is then 2 with no search: in a clique a one-turn move fails
     only when some pair of agents must exchange vertices, which takes two
     turns in any graph; `_finish` with no core plans the middle row.
-    Otherwise searches the kernel instance under the occupancy constraint,
-    lifting the kernel schedule back to all agents when some were dropped;
-    a kernel schedule under two turns is padded to two first."""
+
+    When the kernel would be the instance itself (`kernel_is_instance`),
+    the answer is the whole-instance search of `oracle.solve_with_stats`,
+    with no floor. That changes no answer: every agent is core, no vertex
+    type is trimmed, and the floor k = agents - |clique part| holds in
+    every injective placement, so the kernel search would make the same
+    `joint_bfs` call with a floor that prunes nothing, and the lift of a
+    full core returns the kernel schedule. Otherwise `_solve_kernel`
+    answers."""
     if inst.starts == inst.targets:
         return (0, Schedule(())), 0
     split = clique_split(inst.graph)
@@ -276,17 +313,6 @@ def solve_with_stats(
             ((), (), ()), sorted(q),
         )
         return (2, Schedule((tuple(x[a] for a in inst.agents), inst.targets))), 0
-    types, agent_types = classify_types(inst, split)
-    core = select_core_agents(inst, split, types, agent_types)
-    kernel = build_kernel(inst, split, core, types)
-    ksched, states = _config_search(kernel, inst.makespan_limit, state_guard)
-    if ksched is None:
-        return None, states
-    if len(core) < inst.n_agents and ksched.makespan < 2:
-        if inst.makespan_limit is not None and inst.makespan_limit < 2:
-            return None, states
-        ksched = Schedule(
-            ksched.placements + (kernel.targets,) * (2 - ksched.makespan)
-        )
-    lifted = lift_schedule(inst, split, kernel, ksched)
-    return (lifted.makespan, lifted), states
+    if kernel_is_instance(inst, split):
+        return oracle.solve_with_stats(inst, state_guard)
+    return _solve_kernel(inst, split, state_guard)

@@ -7,6 +7,13 @@ from .errors import PreconditionError
 from .graphs import CliqueSplit, Graph
 from .model import Instance, Placement
 
+# select_core_agents keeps every agent of an instance with at most this many.
+KEEP_ALL_AGENTS = 100
+# build_kernel keeps a vertex type whole when it has at most this many
+# vertices per core agent, and trims it to that many otherwise; the type
+# closure of select_core_agents absorbs the agents of such a type.
+VERTICES_PER_CORE_AGENT = 3
+
 
 def makespan_bound(dc: int) -> int:
     """Upper bound on optimal makespan of any feasible instance whose graph
@@ -83,7 +90,8 @@ def select_core_agents(
     Seeds every modulator-touching agent plus a per-(start type, target
     type) quota of the others, then closes under vertex types that are
     scarce relative to the chosen set; keeps everyone when the result would
-    not shrink the instance by at least half (or below 100 agents).
+    not shrink the instance by at least half (or at KEEP_ALL_AGENTS agents
+    or fewer).
     `types` and `agent_types` are the two parts of classify_types."""
     quota = kappa(split.dc)
     touching = sorted(a for a in inst.agents if a not in agent_types)
@@ -98,7 +106,7 @@ def select_core_agents(
     while True:
         grew = False
         for tau in sorted(members):
-            if members[tau] > 3 * len(chosen):
+            if members[tau] > VERTICES_PER_CORE_AGENT * len(chosen):
                 continue
             x_tau = {
                 a
@@ -111,12 +119,27 @@ def select_core_agents(
                 break
         if not grew:
             break
-    if inst.n_agents <= max(2 * len(chosen), 100):
+    if inst.n_agents <= max(2 * len(chosen), KEEP_ALL_AGENTS):
         return frozenset(inst.agents)
     return frozenset(chosen)
 
 
 # --- the kernel itself -------------------------------------------------------
+
+
+def kernel_is_instance(inst: Instance, split: CliqueSplit) -> bool:
+    """Whether the kernel would be the instance itself: select_core_agents
+    keeps every agent of an instance with at most KEEP_ALL_AGENTS, and each
+    vertex type is a subset of the clique part, so build_kernel trims none
+    when the clique part has at most VERTICES_PER_CORE_AGENT vertices per
+    agent. build_kernel then returns `inst.graph` with the instance's own
+    starts and targets, and its floor k = agents - |clique part| holds in
+    every placement: an injective placement puts at most |clique part|
+    agents in the clique part."""
+    return (
+        inst.n_agents <= KEEP_ALL_AGENTS
+        and len(split.clique) <= VERTICES_PER_CORE_AGENT * inst.n_agents
+    )
 
 
 @dataclass(frozen=True)
@@ -150,7 +173,7 @@ def build_kernel(
     starts = tuple(inst.starts[a] for a in core_sorted)
     targets = tuple(inst.targets[a] for a in core_sorted)
     endpoints = set(starts + targets)
-    budget = 3 * len(core)
+    budget = VERTICES_PER_CORE_AGENT * len(core)
     kept: Set[int] = set(split.modulator)
     for t in types:
         if len(t.members) <= budget:

@@ -10,10 +10,17 @@ import pytest
 
 from mapfdc import fpt, oracle
 from mapfdc.engine import DEFAULT_STATE_GUARD
-from mapfdc.errors import MapfError, PreconditionError
-from mapfdc.fpt import _config_search, lift_schedule, solve_with_stats
+from mapfdc.errors import MapfError, PreconditionError, ResourceLimitError
+from mapfdc.fpt import _config_search, _solve_kernel, lift_schedule, solve_with_stats
+from mapfdc.gadgets import random_instance
 from mapfdc.graphs import CliqueSplit, Graph, clique_split, complete_graph
-from mapfdc.kernelize import Kernel, build_kernel, classify_types
+from mapfdc.kernelize import (
+    Kernel,
+    build_kernel,
+    classify_types,
+    kernel_is_instance,
+    select_core_agents,
+)
 from mapfdc.model import Instance, Schedule, detect_swaps, validate_schedule
 
 
@@ -772,7 +779,75 @@ def test_solve_with_stats_finds_no_exchange_on_a_two_vertex_path() -> None:
     assert solve_with_stats(inst)[0] is None
 
 
+def _selected_kernel(inst: Instance, split: CliqueSplit) -> Kernel:
+    types, agent_types = classify_types(inst, split)
+    return build_kernel(inst, split, select_core_agents(inst, split, types, agent_types), types)
+
+
+def _outcome(solve) -> Tuple[object, ...]:
+    """Makespan, placements and state count of a solve, or the message and
+    state count of the ResourceLimitError it raised."""
+    try:
+        result, states = solve()
+    except ResourceLimitError as exc:
+        return ("guard", str(exc), exc.states)
+    if result is None:
+        return (None, states)
+    return (result[0], result[1].placements, states)
+
+
+def test_small_instances_search_the_whole_instance_as_the_kernel_would(
+    monkeypatch,
+) -> None:
+    # Where the kernel would be the instance itself, solve_with_stats
+    # searches the whole instance with no floor. On every seeded draw that
+    # reaches that step, the kernel path gives the same makespan, placements
+    # and state count, or trips the state guard with the same message.
+    whole: List[Instance] = []
+    search_whole = oracle.solve_with_stats
+
+    def spy(inst: Instance, state_guard: int):
+        whole.append(inst)
+        return search_whole(inst, state_guard)
+
+    monkeypatch.setattr(oracle, "solve_with_stats", spy)
+    guard = 20_000
+    compared = tripped = 0
+    for i in range(400):
+        rng = random.Random(i)
+        n = rng.randint(4, 12)
+        dc = rng.randint(0, min(3, n - 1))
+        inst = random_instance(n, dc, rng.randint(1, n), i)
+        split = clique_split(inst.graph)
+        small = kernel_is_instance(inst, split)
+        if small:
+            kernel = _selected_kernel(inst, split)
+            assert kernel.graph is inst.graph
+            assert kernel.core_agents == tuple(inst.agents)
+            assert (kernel.starts, kernel.targets) == (inst.starts, inst.targets)
+        got = _outcome(lambda: solve_with_stats(inst, guard))
+        if not whole or whole[-1] is not inst:
+            continue
+        assert small
+        assert got == _outcome(lambda: _solve_kernel(inst, split, guard)), i
+        compared += 1
+        tripped += got[0] == "guard"
+    assert compared >= 150 and tripped >= 1
+
+
 def test_solve_with_stats_agrees_with_the_oracle_on_sampled_instances() -> None:
+    # two draws whose kernel drops vertices of the clique part (12 of 16
+    # and 18 of 20 kept), so the kernel path stays under the oracle check
+    for args in ((16, 1, 2, 3), (20, 1, 3, 5)):
+        inst = random_instance(*args)
+        kernel = _selected_kernel(inst, clique_split(inst.graph))
+        assert len(kernel.vertices) < inst.graph.n
+        fpt_result, fpt_states = solve_with_stats(inst)
+        oracle_result, oracle_states = oracle.solve_with_stats(inst)
+        assert fpt_result is not None and oracle_result is not None
+        assert fpt_result[0] == oracle_result[0] == 2
+        assert fpt_states == oracle_states == 3
+        assert validate_schedule(inst, fpt_result[1]).ok
     rng = random.Random(515)
     checked = 0
     for _ in range(40):
