@@ -1,6 +1,6 @@
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from . import oracle
 from .engine import DEFAULT_STATE_GUARD, joint_bfs
@@ -135,9 +135,59 @@ def lift_schedule(
     return Schedule(tuple(out))
 
 
-# Backtracking steps `_finish` may take in all before it gives up. The
-# seeded lift suites in the tests take fewer than a hundred in all.
+# Backtracking steps `_finish` may take in all, and `_two_turn_schedule` in
+# its one search, before they give up. The seeded lift suites in the tests
+# take fewer than a hundred in all.
 _FINISH_BACKTRACKS = 10_000
+
+
+def _middle_row(
+    domain: Dict[int, List[int]],
+    x: Dict[int, int],
+    pos: Union[Placement, Dict[int, int]],
+    targets: Placement,
+    at: Dict[int, int],
+    owner: Dict[int, int],
+    budget: int,
+) -> Tuple[Optional[Dict[int, int]], int]:
+    """Depth-first search for the vertices X of the agents in `domain` at
+    the middle turn of P -> X -> T, given the agents already placed in `x`
+    (which it extends). Agent b takes a vertex v of domain[b] that no placed
+    agent holds and that makes no exchange with a placed agent: neither the
+    agent `at` v in P is placed on P_b (`pos`) nor the agent that `owner`s
+    v as its target is placed on T_b. Agents go most constrained first, ties
+    by id, and each tries its domain in the given order.
+
+    Returns the completed `x`, or None when the search ran to the end with
+    no placement or took more than `budget` backtracking steps, plus the
+    backtracking steps it took; a count above `budget` tells the two Nones
+    apart."""
+    order = sorted(domain, key=lambda b: (len(domain[b]), b))
+    taken: Set[int] = set(x.values())
+    tried = [0] * len(order)
+    backtracks = depth = 0
+    while depth < len(order):
+        b = order[depth]
+        options, p, t = domain[b], pos[b], targets[b]
+        for i in range(tried[depth], len(options)):
+            v = options[i]
+            if v not in taken and x.get(at.get(v)) != p and x.get(owner.get(v)) != t:
+                break
+        else:
+            if depth == 0:
+                return None, backtracks
+            tried[depth] = 0
+            depth -= 1
+            taken.discard(x.pop(order[depth]))
+            backtracks += 1
+            if backtracks > budget:
+                return None, backtracks
+            continue
+        x[b] = v
+        taken.add(v)
+        tried[depth] = i + 1
+        depth += 1
+    return x, backtracks
 
 
 def _finish(
@@ -178,8 +228,8 @@ def _finish(
     - two detour agents: by the exchange check at both turns.
     - two core agents: the kernel schedule is swap-free.
 
-    A depth-first search assigns the slots, most constrained agent first.
-    When it runs out of choices, the first early agent by id becomes a
+    `_middle_row` assigns the slots, most constrained agent first. When it
+    runs out of choices, the first early agent by id becomes a
     detour agent (a helper), adding its target to R, and the search runs
     again. So a lone detour agent takes a spare vertex when there is one,
     and a lone exchanging pair in a full clique ends in a three-cycle with
@@ -204,49 +254,61 @@ def _finish(
 
     helpers = (a for a in dropped if a in early)
     backtracks = 0
-
-    def search() -> Optional[Dict[int, int]]:
-        nonlocal backtracks
-        x = {a: targets[a] for a in early}
+    while True:
         slots = [v for v in free if owner.get(v) not in early]
         domain: Dict[int, List[int]] = {}
         for b in detour:
             banned = {came_from.get(pos[b]), goes_to.get(targets[b])}  # h1, h2
             domain[b] = [v for v in slots if v not in banned]
-        order = sorted(detour, key=lambda b: (len(domain[b]), b))
-        taken: Set[int] = set()
-        tried = [0] * len(order)
-        depth = 0
-        while depth < len(order):
-            b = order[depth]
-            for i in range(tried[depth], len(domain[b])):
-                v = domain[b][i]
-                c, d = at.get(v), owner.get(v)
-                if v not in taken and x.get(c) != pos[b] and x.get(d) != targets[b]:
-                    break
-            else:
-                if depth == 0:
-                    return None
-                tried[depth] = 0
-                depth -= 1
-                taken.discard(x.pop(order[depth]))
-                backtracks += 1
-                if backtracks > _FINISH_BACKTRACKS:
-                    raise MapfError("the lift's last two turns took too long to place")
-                continue
-            x[b] = v
-            taken.add(v)
-            tried[depth] = i + 1
-            depth += 1
-        return x
-
-    while (x := search()) is None:
+        x, steps = _middle_row(
+            domain, {a: targets[a] for a in early}, pos, targets, at, owner,
+            _FINISH_BACKTRACKS - backtracks,
+        )
+        backtracks += steps
+        if backtracks > _FINISH_BACKTRACKS:
+            raise MapfError("the lift's last two turns took too long to place")
+        if x is not None:
+            return x
         helper = next(helpers, None)
         if helper is None:
             raise MapfError("no swap-free placement for the lift's last two turns")
         early.discard(helper)
         detour.append(helper)
-    return x
+
+
+def _two_turn_schedule(inst: Instance) -> Optional[Schedule]:
+    """A two-turn schedule S -> X -> T of `inst`, or None when `_middle_row`
+    refutes one or gives up after _FINISH_BACKTRACKS backtracking steps.
+
+    X_a lies in N[S_a] & N[T_a], so both of a's moves follow an edge or
+    wait; an empty intersection refutes makespan 2 at once. X is injective,
+    and S and T are, so no turn collides. `_middle_row` places every agent,
+    none in advance, so its exchange checks against S and T exclude every
+    swap. The search is exhaustive below the
+    cap, so a None that is not a give-up means no two-turn schedule exists.
+    The validator checks the schedule found; a rejected one is a fault of
+    this program and raises MapfError."""
+    g = inst.graph
+    domain: Dict[int, List[int]] = {}
+    for a, (s, t) in enumerate(zip(inst.starts, inst.targets)):
+        common = g.neighbor_set(s) & g.neighbor_set(t)
+        if s == t or g.has_edge(s, t):
+            common |= {s, t}
+        if not common:
+            return None
+        domain[a] = sorted(common)
+    at = {v: a for a, v in enumerate(inst.starts)}
+    owner = {v: a for a, v in enumerate(inst.targets)}
+    x, _ = _middle_row(
+        domain, {}, inst.starts, inst.targets, at, owner, _FINISH_BACKTRACKS
+    )
+    if x is None:
+        return None
+    sched = Schedule((tuple(x[a] for a in inst.agents), inst.targets))
+    verdict = validate_schedule(inst, sched)
+    if not verdict.ok:
+        raise MapfError(f"the two-turn middle row is invalid: {verdict.message}")
+    return sched
 
 
 def _solve_kernel(
@@ -290,6 +352,12 @@ def solve_with_stats(
     only when some pair of agents must exchange vertices, which takes two
     turns in any graph; `_finish` with no core plans the middle row.
 
+    Otherwise, unless the limit is below 2, `_two_turn_schedule` searches
+    for a middle row X with X_a in N[S_a] & N[T_a]. A row it finds answers
+    2 with 0 states; it is optimal, because the failed target row rules
+    out makespan 1. A refutation, or a search that runs out of backtracking
+    steps, passes on to the steps below, which answer as if it had not run.
+
     When the kernel would be the instance itself (`kernel_is_instance`),
     the answer is the whole-instance search of `oracle.solve_with_stats`,
     with no floor. That changes no answer: every agent is core, no vertex
@@ -313,6 +381,10 @@ def solve_with_stats(
             ((), (), ()), sorted(q),
         )
         return (2, Schedule((tuple(x[a] for a in inst.agents), inst.targets))), 0
+    if inst.makespan_limit is None or inst.makespan_limit >= 2:
+        two_turns = _two_turn_schedule(inst)
+        if two_turns is not None:
+            return (2, two_turns), 0
     if kernel_is_instance(inst, split):
         return oracle.solve_with_stats(inst, state_guard)
     return _solve_kernel(inst, split, state_guard)

@@ -530,14 +530,22 @@ def test_solve_with_stats_finishes_tight_near_cliques(monkeypatch) -> None:
         solved += 1
 
 
-def test_solve_with_stats_lifts_tight_near_cliques_with_a_core_agent_on_the_modulator(
+def _all_core(inst: Instance) -> bool:
+    """Whether select_core_agents keeps every agent of `inst` as core."""
+    split = clique_split(inst.graph)
+    types, agent_types = classify_types(inst, split)
+    return len(select_core_agents(inst, split, types, agent_types)) == inst.n_agents
+
+
+def test_kernel_path_lifts_tight_near_cliques_with_a_core_agent_on_the_modulator(
     monkeypatch,
 ) -> None:
-    # agent 0 starts on the modulator vertex, two hops from its target, so
-    # the kernel is searched and the lift runs. Draws whose unattached type
-    # has at most 3 x 101 vertices are skipped: there the type closure keeps
-    # every agent as core, no lift runs, and the joint search gets the whole
-    # instance, which can exhaust memory.
+    # agent 0 starts on the modulator vertex, two hops from its target.
+    # solve_with_stats answers 2 with its two-turn search and no states; the
+    # kernel path, run directly, searches the kernel, lifts the dropped
+    # agents and answers the same. Draws whose type closure keeps every
+    # agent as core are skipped: there no lift runs, and the joint search
+    # gets the whole instance, which can exhaust memory (the next test).
     lifts = []
 
     def spy(*args: object) -> Schedule:
@@ -552,10 +560,15 @@ def test_solve_with_stats_lifts_tight_near_cliques_with_a_core_agent_on_the_modu
             inst = _tight_near_clique(rng, on_modulator=True)
         except ValueError:
             continue
-        hub = inst.graph.n - 1
-        if hub - len(inst.graph.neighbor_set(hub)) <= 3 * 101:
+        if _all_core(inst):
             continue
         result, states = solve_with_stats(inst)
+        assert result is not None
+        makespan, sched = result
+        assert makespan == 2 and states == 0
+        assert validate_schedule(inst, sched).ok
+        assert len(lifts) == solved
+        result, states = _solve_kernel(inst, clique_split(inst.graph), DEFAULT_STATE_GUARD)
         assert result is not None
         makespan, sched = result
         assert makespan == 2 and states > 0
@@ -564,14 +577,40 @@ def test_solve_with_stats_lifts_tight_near_cliques_with_a_core_agent_on_the_modu
         assert len(lifts) == solved
 
 
-def test_solve_with_stats_pads_a_short_kernel_schedule_before_the_lift(
+def test_solve_with_stats_answers_all_core_tight_near_cliques_without_a_search(
+    monkeypatch,
+) -> None:
+    # three of the first twelve draws keep all 291-301 agents as core, and a
+    # joint search of them used up a 3,000-state guard; the two-turn search
+    # answers 2 before any kernel or joint search
+    monkeypatch.setattr(fpt, "joint_bfs", _no_search)
+    monkeypatch.setattr(oracle, "joint_bfs", _no_search)
+    monkeypatch.setattr(fpt, "lift_schedule", _no_lift)
+    rng = random.Random(913)
+    answered = []
+    for _ in range(12):
+        inst = _tight_near_clique(rng, on_modulator=True)
+        if not _all_core(inst):
+            continue
+        result, states = solve_with_stats(inst, state_guard=3000)
+        assert result is not None
+        makespan, sched = result
+        assert makespan == 2 and states == 0
+        assert validate_schedule(inst, sched).ok
+        answered.append(inst.n_agents)
+    assert answered == [291, 299, 301]
+
+
+def test_kernel_path_pads_a_short_kernel_schedule_before_the_lift(
     monkeypatch,
 ) -> None:
     # agent 0 waits on the modulator vertex, so every core agent starts home
     # and the kernel schedule has under two turns. With exchanging pairs
-    # among the dropped agents the answer is 2: the kernel schedule is padded
-    # to two turns, which the lift requires, or it meets a limit of 1 and
-    # the answer is None. With no pair the target row answers 1.
+    # among the dropped agents the answer is 2: solve_with_stats finds it
+    # with the two-turn search, and the kernel path, run directly, pads the
+    # kernel schedule to two turns, which the lift requires. At a limit of 1
+    # solve_with_stats skips the two-turn search, and the kernel path meets
+    # the limit with None. With no pair the target row answers 1.
     kernel_turns = []
 
     def spy(inst: Instance, split: CliqueSplit, kernel: Kernel, ksched: Schedule) -> Schedule:
@@ -586,21 +625,26 @@ def test_solve_with_stats_pads_a_short_kernel_schedule_before_the_lift(
                 inst = _tight_near_clique(rng, pairs=pairs, on_modulator=True)
             except ValueError:
                 continue
-            hub = inst.graph.n - 1
-            if hub - len(inst.graph.neighbor_set(hub)) > 3 * 101:
+            if not _all_core(inst):
                 break
+        hub = inst.graph.n - 1
         inst = replace(inst, targets=(hub,) + inst.targets[1:])
-        result, _ = solve_with_stats(inst)
+        result, states = solve_with_stats(inst)
         assert result is not None
         makespan, sched = result
         assert validate_schedule(inst, sched).ok
+        assert states == 0 and not kernel_turns
         if pairs:
-            assert makespan == 2 and kernel_turns == [2]
+            assert makespan == 2
+            result, _ = _solve_kernel(inst, clique_split(inst.graph), DEFAULT_STATE_GUARD)
+            assert result is not None
+            assert result[0] == 2 and kernel_turns == [2]
+            assert validate_schedule(inst, result[1]).ok
             assert solve_with_stats(replace(inst, makespan_limit=1))[0] is None
             assert kernel_turns == [2]
             kernel_turns.clear()
         else:
-            assert makespan == 1 and not kernel_turns
+            assert makespan == 1
 
 
 def _moving_core_lift(
@@ -800,9 +844,10 @@ def test_small_instances_search_the_whole_instance_as_the_kernel_would(
     monkeypatch,
 ) -> None:
     # Where the kernel would be the instance itself, solve_with_stats
-    # searches the whole instance with no floor. On every seeded draw that
-    # reaches that step, the kernel path gives the same makespan, placements
-    # and state count, or trips the state guard with the same message.
+    # searches the whole instance with no floor, unless an earlier step
+    # answers. On every seeded draw where the kernel would be the instance,
+    # the kernel path gives the same makespan, placements and state count
+    # as that search, or trips the state guard with the same message.
     whole: List[Instance] = []
     search_whole = oracle.solve_with_stats
 
@@ -812,7 +857,7 @@ def test_small_instances_search_the_whole_instance_as_the_kernel_would(
 
     monkeypatch.setattr(oracle, "solve_with_stats", spy)
     guard = 20_000
-    compared = tripped = 0
+    compared = tripped = searched = 0
     for i in range(400):
         rng = random.Random(i)
         n = rng.randint(4, 12)
@@ -820,34 +865,65 @@ def test_small_instances_search_the_whole_instance_as_the_kernel_would(
         inst = random_instance(n, dc, rng.randint(1, n), i)
         split = clique_split(inst.graph)
         small = kernel_is_instance(inst, split)
-        if small:
-            kernel = _selected_kernel(inst, split)
-            assert kernel.graph is inst.graph
-            assert kernel.core_agents == tuple(inst.agents)
-            assert (kernel.starts, kernel.targets) == (inst.starts, inst.targets)
         got = _outcome(lambda: solve_with_stats(inst, guard))
-        if not whole or whole[-1] is not inst:
+        if whole and whole[-1] is inst:
+            assert small
+            searched += 1
+        elif small:
+            # an earlier step answered, so the test searches the instance
+            got = _outcome(lambda: search_whole(inst, guard))
+        else:
             continue
-        assert small
+        kernel = _selected_kernel(inst, split)
+        assert kernel.graph is inst.graph
+        assert kernel.core_agents == tuple(inst.agents)
+        assert (kernel.starts, kernel.targets) == (inst.starts, inst.targets)
         assert got == _outcome(lambda: _solve_kernel(inst, split, guard)), i
         compared += 1
         tripped += got[0] == "guard"
-    assert compared >= 150 and tripped >= 1
+    assert compared >= 150 and tripped >= 1 and searched >= 40
 
 
-def test_solve_with_stats_agrees_with_the_oracle_on_sampled_instances() -> None:
+def test_solve_with_stats_agrees_with_the_oracle_on_sampled_instances(
+    monkeypatch,
+) -> None:
     # two draws whose kernel drops vertices of the clique part (12 of 16
-    # and 18 of 20 kept), so the kernel path stays under the oracle check
+    # and 18 of 20 kept) and whose optimum is 2: solve_with_stats answers
+    # with the two-turn search, and the kernel path, run directly, stays
+    # under the oracle check
     for args in ((16, 1, 2, 3), (20, 1, 3, 5)):
         inst = random_instance(*args)
-        kernel = _selected_kernel(inst, clique_split(inst.graph))
+        split = clique_split(inst.graph)
+        kernel = _selected_kernel(inst, split)
         assert len(kernel.vertices) < inst.graph.n
-        fpt_result, fpt_states = solve_with_stats(inst)
+        two_turn, two_turn_states = solve_with_stats(inst)
+        fpt_result, fpt_states = _solve_kernel(inst, split, DEFAULT_STATE_GUARD)
         oracle_result, oracle_states = oracle.solve_with_stats(inst)
-        assert fpt_result is not None and oracle_result is not None
-        assert fpt_result[0] == oracle_result[0] == 2
-        assert fpt_states == oracle_states == 3
+        assert two_turn is not None and fpt_result is not None
+        assert oracle_result is not None
+        assert two_turn[0] == fpt_result[0] == oracle_result[0] == 2
+        assert two_turn_states == 0 and fpt_states == oracle_states == 3
+        assert validate_schedule(inst, two_turn[1]).ok
         assert validate_schedule(inst, fpt_result[1]).ok
+    # a draw whose kernel drops a vertex of the clique part (14 of 15 kept)
+    # and whose optimum is 3: the two-turn search refutes 2, and
+    # solve_with_stats answers through the kernel path
+    kernel_runs = []
+
+    def spy(*args: object):
+        kernel_runs.append(1)
+        return _solve_kernel(*args)
+
+    monkeypatch.setattr(fpt, "_solve_kernel", spy)
+    inst = random_instance(15, 2, 2, 479)
+    kernel = _selected_kernel(inst, clique_split(inst.graph))
+    assert len(kernel.vertices) < inst.graph.n
+    fpt_result, fpt_states = solve_with_stats(inst)
+    oracle_result, oracle_states = oracle.solve_with_stats(inst)
+    assert kernel_runs == [1] and fpt_states > 0 and oracle_states > 0
+    assert fpt_result is not None and oracle_result is not None
+    assert fpt_result[0] == oracle_result[0] == 3
+    assert validate_schedule(inst, fpt_result[1]).ok
     rng = random.Random(515)
     checked = 0
     for _ in range(40):
@@ -881,3 +957,45 @@ def test_solve_with_stats_agrees_with_the_oracle_on_sampled_instances() -> None:
             assert validate_schedule(inst, fpt_result[1]).ok
         checked += 1
     assert checked >= 30
+
+
+def test_two_turn_search_agrees_with_the_oracle_on_small_draws(monkeypatch) -> None:
+    # seeded draws in the shape above whose target row is not a schedule,
+    # so that their optimum is 2 exactly when a two-turn schedule exists. A
+    # row the two-turn search finds must validate, and the oracle held to two
+    # turns must answer 2 there; a refutation must meet no oracle answer
+    # within two turns. A search that runs out of backtracking steps claims
+    # nothing, and solve_with_stats must then answer as the oracle does.
+    steps: List[int] = []
+    middle_row = fpt._middle_row
+
+    def spy(*args: object):
+        row, taken = middle_row(*args)
+        steps.append(taken)
+        return row, taken
+
+    monkeypatch.setattr(fpt, "_middle_row", spy)
+    guard = 20_000
+    found = refuted = capped = 0
+    for i in range(1500):
+        rng = random.Random(i)
+        n = rng.randint(4, 12)
+        dc = rng.randint(0, min(3, n - 1))
+        inst = random_instance(n, dc, rng.randint(1, n), i)
+        if validate_schedule(inst, Schedule((inst.targets,))).ok:
+            continue
+        steps.clear()
+        sched = fpt._two_turn_schedule(inst)
+        two_turns = replace(inst, makespan_limit=2)
+        expected = _outcome(lambda: oracle.solve_with_stats(two_turns, guard))
+        if sched is not None:
+            assert sched.makespan == 2 and validate_schedule(inst, sched).ok
+            assert expected[0] == 2, i
+            found += 1
+        elif steps and steps[0] > fpt._FINISH_BACKTRACKS:
+            assert _outcome(lambda: solve_with_stats(two_turns, guard))[0] == expected[0], i
+            capped += 1
+        else:
+            assert expected[0] is None, i
+            refuted += 1
+    assert found >= 600 and refuted >= 200 and capped <= 10
