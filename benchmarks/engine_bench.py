@@ -15,6 +15,7 @@ import sys
 import time
 from typing import List, Optional, Tuple
 
+from mapfdc.cli import _int_at_least
 from mapfdc.engine import joint_bfs
 from mapfdc.gadgets import random_instance
 from mapfdc.graphs import Graph, complete_graph
@@ -62,7 +63,9 @@ def _cases() -> List[Tuple[str, Graph, Tuple[int, ...], Tuple[int, ...], Optiona
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--repeats", type=int, default=3, help="timing runs per case")
+    parser.add_argument(
+        "--repeats", type=_int_at_least(1), default=3, help="timing runs per case"
+    )
     args = parser.parse_args(argv)
 
     header = ("case", "makespan", "states", "generated", "ms")

@@ -135,9 +135,9 @@ def lift_schedule(
     return Schedule(tuple(out))
 
 
-# Backtracking steps `_finish` may take in all, and `_two_turn_schedule` in
-# its one search, before they give up. The seeded lift suites in the tests
-# take fewer than a hundred in all.
+# Backtracking steps the one search of `_finish` or of `_two_turn_schedule`
+# may take before it gives up. No `_finish` call in the tests takes more
+# than 11, and the 300 seeded random lifts of the tests take 22 in all.
 _FINISH_BACKTRACKS = 10_000
 
 
@@ -151,12 +151,13 @@ def _middle_row(
     budget: int,
 ) -> Tuple[Optional[Dict[int, int]], int]:
     """Depth-first search for the vertices X of the agents in `domain` at
-    the middle turn of P -> X -> T, given the agents already placed in `x`
-    (which it extends). Agent b takes a vertex v of domain[b] that no placed
-    agent holds and that makes no exchange with a placed agent: neither the
-    agent `at` v in P is placed on P_b (`pos`) nor the agent that `owner`s
-    v as its target is placed on T_b. Agents go most constrained first, ties
-    by id, and each tries its domain in the given order.
+    the middle turn of P -> X -> T. It extends `x`, whose placed agents may
+    lie outside `domain`: the search knows those only by `x`, `at` and
+    `owner`. Agent b takes a vertex v of domain[b] that no placed agent
+    holds and that makes no exchange with a placed agent: neither the agent
+    `at` v in P is placed on P_b (`pos`) nor the agent that `owner`s v as
+    its target is placed on T_b. Agents go most constrained first, ties by
+    id, and each tries its domain in the given order.
 
     Returns the completed `x`, or None when the search ran to the end with
     no placement or took more than `budget` backtracking steps, plus the
@@ -199,81 +200,40 @@ def _finish(
 ) -> Dict[int, int]:
     """Vertices X of the `dropped` agents at turn m - 1 of a lift, between
     their vertices P (`pos`) at turn m - 2 and their `targets` T at turn m.
-    Two callers: `lift_schedule` for its last two turns, and
-    `solve_with_stats` for the middle row of a two-turn answer with every
-    agent in the clique part, where every agent is dropped, m = 2 and the
-    core rows are empty.
+    Called by `lift_schedule`, and by `solve_with_stats` for the clique-part
+    answer, where every agent is dropped, m = 2 and the core rows are empty.
 
     `core_window` holds the core rows C0, C1, C2 of turns m - 2, m - 1 and
-    m, and `free` the clique vertices F outside C1, with |F| >=
-    len(dropped). Let in(v) be the C0 vertex of the core agent standing on
-    v in C1, and out(v) its C2 vertex. P, X and T lie in the clique, so
-    every dropped move follows an edge. X is injective into F, which C1
-    avoids, so turn m - 1 has no collision; turn m is the target placement.
-
-    Agent a is early, X_a = T_a, when T_a is in F and in(P_a) != T_a; of
-    two early agents with P_a = T_b and P_b = T_a, the later one is not.
-    The others, detour agents, take distinct slots of R = F minus the early
-    targets; |R| >= their number. A slot v passes b's exchange check when
-    neither the agent on v at m - 2 is placed on P_b nor the agent with
-    target v is placed on T_b. Every swap is excluded by a named check:
-
-    - core agent and early agent: at m - 1 by the rule in(P_a) != T_a; at m
-      the early agent waits.
-    - core agent and detour agent b: at m - 1 by the h1 check X_b !=
-      in(P_b); at m by the h2 check X_b != out(T_b).
-    - two early agents: at m - 1 by the pair split; at m both wait.
-    - an early and a detour agent: at m - 1 by the exchange check, as early
-      agents are placed before the search starts; at m the early one waits.
-    - two detour agents: by the exchange check at both turns.
-    - two core agents: the kernel schedule is swap-free.
-
-    `_middle_row` assigns the slots, most constrained agent first. When it
-    runs out of choices, the first early agent by id becomes a
-    detour agent (a helper), adding its target to R, and the search runs
-    again. So a lone detour agent takes a spare vertex when there is one,
-    and a lone exchanging pair in a full clique ends in a three-cycle with
-    two helpers. MapfError is raised when no early agent is left or after
-    _FINISH_BACKTRACKS backtracking steps."""
-    c0, c1, c2 = core_window
-    came_from = dict(zip(c1, c0))
-    goes_to = dict(zip(c1, c2))
+    m, and `free` the clique vertices F outside C1; P, X and T lie in the
+    clique, so every dropped move follows an edge. One `_middle_row` search
+    places the dropped agents on distinct vertices of F, each trying its
+    target first, then the vertices of F that no dropped agent targets,
+    then the rest. Core agent i enters it already placed, as agent -1 - i
+    on C1[i], from C0[i] and bound for C2[i]. So X avoids C1, and the
+    exchange checks rule out a swap of a dropped agent with a core agent as
+    with another dropped one; the kernel schedule has none between core
+    agents. The search is exhaustive, so MapfError means that no swap-free
+    X into F exists, or that the search took more than _FINISH_BACKTRACKS
+    backtracking steps."""
     at = {pos[a]: a for a in dropped}
     owner = {targets[a]: a for a in dropped}
-    # targets lie in the clique, so T_a is in F exactly when C1 misses it
-    early = {
-        a
-        for a in dropped
-        if targets[a] not in came_from and came_from.get(pos[a]) != targets[a]
-    }
+    rest = [v for v in free if v not in owner] + [v for v in free if v in owner]
+    slot = {v: i for i, v in enumerate(rest, 1)}
+    domain: Dict[int, List[int]] = {}
     for a in dropped:
-        b = at.get(targets[a])
-        if a in early and b != a and b in early and targets[b] == pos[a]:
-            early.discard(b)
-    detour = [a for a in dropped if a not in early]
-
-    helpers = (a for a in dropped if a in early)
-    backtracks = 0
-    while True:
-        slots = [v for v in free if owner.get(v) not in early]
-        domain: Dict[int, List[int]] = {}
-        for b in detour:
-            banned = {came_from.get(pos[b]), goes_to.get(targets[b])}  # h1, h2
-            domain[b] = [v for v in slots if v not in banned]
-        x, steps = _middle_row(
-            domain, {a: targets[a] for a in early}, pos, targets, at, owner,
-            _FINISH_BACKTRACKS - backtracks,
-        )
-        backtracks += steps
-        if backtracks > _FINISH_BACKTRACKS:
-            raise MapfError("the lift's last two turns took too long to place")
-        if x is not None:
-            return x
-        helper = next(helpers, None)
-        if helper is None:
-            raise MapfError("no swap-free placement for the lift's last two turns")
-        early.discard(helper)
-        detour.append(helper)
+        domain[a] = row = [targets[a], *rest]
+        if targets[a] in slot:
+            del row[slot[targets[a]]]
+    x: Dict[int, int] = {}
+    for i, (u, v, w) in enumerate(zip(*core_window)):
+        at[u] = owner[w] = -1 - i
+        x[-1 - i] = v
+    x, steps = _middle_row(domain, x, pos, targets, at, owner, _FINISH_BACKTRACKS)
+    if steps > _FINISH_BACKTRACKS:
+        raise MapfError("the lift's last two turns took too long to place")
+    if x is None:
+        raise MapfError("no swap-free placement for the lift's last two turns")
+    return x
 
 
 def _two_turn_schedule(inst: Instance) -> Optional[Schedule]:

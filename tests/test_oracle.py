@@ -1,8 +1,10 @@
 from __future__ import annotations
 
+import importlib.util
 import random
 from collections import deque
 from dataclasses import replace
+from pathlib import Path
 from typing import List, Optional, Sequence, Set, Tuple
 
 import pytest
@@ -466,3 +468,18 @@ def test_long_packed_path_exchange_is_decided_without_recursion() -> None:
     targets = (n - 1,) + starts[1:-1] + (0,)
     res = engine.joint_bfs(_path(n), starts, targets)
     assert res == engine.BfsResult(None, 1, 0)
+
+
+def test_engine_bench_rejects_fewer_than_one_repeat(capsys) -> None:
+    # with no timing run the script would have no result to report
+    path = Path(__file__).resolve().parents[1] / "benchmarks" / "engine_bench.py"
+    spec = importlib.util.spec_from_file_location("engine_bench", path)
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    for repeats in ("0", "-1"):
+        with pytest.raises(SystemExit) as exc:
+            bench.main(["--repeats", repeats])
+        assert exc.value.code == 2
+        assert "must be at least 1" in capsys.readouterr().err
+    assert bench.main(["--repeats", "1"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 1 + len(bench._cases())

@@ -278,7 +278,7 @@ def _finish_on_clique(
 
 
 def test_finish_sends_every_agent_home_when_nothing_exchanges() -> None:
-    # nothing exchanges, so every agent is early and heads straight home
+    # nothing exchanges, so every agent heads straight home
     targets = (1, 2)
     sched, _ = _finish_on_clique(5, (0, 1), targets)
     assert sched.placements == (targets, targets)
@@ -292,21 +292,50 @@ def test_finish_places_four_exchanging_pairs() -> None:
     assert validate_schedule(Instance(complete_graph(12), starts, targets), sched).ok
 
 
-def test_finish_drafts_two_helpers_for_a_single_pair() -> None:
-    # agents 0 and 1 exchange vertices 0 and 11, and 68 idle agents fill
-    # the rest of K70, so no vertex is spare: idle agents become helpers,
-    # and two of them join agent 1 in a three-cycle
-    idle = [v for v in range(70) if v not in (0, 11)]
-    starts = tuple([0, 11] + idle)
-    targets = tuple([11, 0] + idle)
-    sched, x = _finish_on_clique(70, starts, targets)
-    assert validate_schedule(Instance(complete_graph(70), starts, targets), sched).ok
-    assert sum(x[a] != starts[a] for a in range(2, len(starts))) == 2
+def _record_backtracks(monkeypatch) -> List[int]:
+    """The list to which each later `fpt._middle_row` call appends the
+    backtracking steps it took."""
+    steps: List[int] = []
+    middle_row = fpt._middle_row
+
+    def spy(*args: object):
+        row, taken = middle_row(*args)
+        steps.append(taken)
+        return row, taken
+
+    monkeypatch.setattr(fpt, "_middle_row", spy)
+    return steps
 
 
-def test_finish_detours_to_a_spare_vertex_without_a_helper() -> None:
-    # agent 0 steps onto its target early; agent 1 steps aside to the
-    # spare vertex 2 and needs no helper
+@pytest.mark.parametrize(
+    "n, pairs",
+    [
+        (70, ((0, 11),)),
+        (300, ((0, 11),)),
+        (300, tuple((v, v + 1) for v in range(0, 300, 2))),
+    ],
+    ids=["K70-one-pair", "K300-one-pair", "K300-150-pairs"],
+)
+def test_finish_resolves_exchanges_in_a_packed_clique(monkeypatch, n, pairs) -> None:
+    # the exchanging pairs and the idle agents fill K_n, so no vertex is
+    # spare. With a single pair, two idle agents join its second agent in a
+    # three-cycle; the search places every agent with few or no backtracking
+    # steps
+    steps = _record_backtracks(monkeypatch)
+    paired = [v for pair in pairs for v in pair]
+    idle = [v for v in range(n) if v not in paired]
+    starts = tuple(paired + idle)
+    targets = tuple([v for u, w in pairs for v in (w, u)] + idle)
+    sched, x = _finish_on_clique(n, starts, targets)
+    assert validate_schedule(Instance(complete_graph(n), starts, targets), sched).ok
+    assert len(steps) == 1 and steps[0] < fpt._FINISH_BACKTRACKS // 100
+    moved = sum(x[a] != starts[a] for a in range(len(paired), n))
+    assert moved == (2 if len(pairs) == 1 else 0)
+
+
+def test_finish_sends_the_second_of_a_pair_to_a_spare_vertex() -> None:
+    # agent 0 steps onto its target at once; agent 1 steps aside to the
+    # spare vertex 2, and no idle agent is involved
     sched, _ = _finish_on_clique(4, (0, 1), (1, 0))
     assert sched.placements == ((1, 2), (1, 0))
     assert validate_schedule(Instance(complete_graph(4), (0, 1), (1, 0)), sched).ok
@@ -364,7 +393,7 @@ def _two_turn_reference(
 
 
 def test_finish_agrees_with_a_brute_force_reference() -> None:
-    # every frame the reference can place, the finish places too, and
+    # the finish places exactly the frames the reference can place, and
     # what it places is injective, inside F and free of exchanges
     rng = random.Random(808)
     placed = infeasible = 0
@@ -377,10 +406,12 @@ def test_finish_agrees_with_a_brute_force_reference() -> None:
             x = fpt._finish(
                 dropped, dict(zip(dropped, pos)), window[2] + targets, window, free
             )
-        except MapfError:
+        except MapfError as exc:
             assert reference is None, (window, pos, targets)
+            assert "no swap-free placement" in str(exc)
             infeasible += 1
             continue
+        assert reference is not None, (window, pos, targets)
         row = tuple(x[a] for a in dropped)
         assert len(set(row)) == len(row) and set(row) <= set(free)
         mid = window[1] + row
@@ -966,15 +997,7 @@ def test_two_turn_search_agrees_with_the_oracle_on_small_draws(monkeypatch) -> N
     # turns must answer 2 there; a refutation must meet no oracle answer
     # within two turns. A search that runs out of backtracking steps claims
     # nothing, and solve_with_stats must then answer as the oracle does.
-    steps: List[int] = []
-    middle_row = fpt._middle_row
-
-    def spy(*args: object):
-        row, taken = middle_row(*args)
-        steps.append(taken)
-        return row, taken
-
-    monkeypatch.setattr(fpt, "_middle_row", spy)
+    steps = _record_backtracks(monkeypatch)
     guard = 20_000
     found = refuted = capped = 0
     for i in range(1500):
