@@ -1,6 +1,6 @@
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
 
 from . import oracle
 from .engine import DEFAULT_STATE_GUARD, joint_bfs
@@ -137,51 +137,67 @@ def lift_schedule(
 
 # Backtracking steps the one search of `_finish` or of `_two_turn_schedule`
 # may take before it gives up. No `_finish` call in the tests takes more
-# than 11, and the 300 seeded random lifts of the tests take 22 in all.
+# than 11, and the 300 seeded random lifts of the tests take 9 in all.
 _FINISH_BACKTRACKS = 10_000
 
 
 def _middle_row(
-    domain: Dict[int, List[int]],
-    x: Dict[int, int],
+    agents: Sequence[int],
+    vertices: Sequence[int],
+    fits: Callable[[int, int], bool],
     pos: Union[Placement, Dict[int, int]],
     targets: Placement,
-    at: Dict[int, int],
-    owner: Dict[int, int],
-    budget: int,
+    core: Iterable[Tuple[int, int, int]],
 ) -> Tuple[Optional[Dict[int, int]], int]:
-    """Depth-first search for the vertices X of the agents in `domain` at
-    the middle turn of P -> X -> T. It extends `x`, whose placed agents may
-    lie outside `domain`: the search knows those only by `x`, `at` and
-    `owner`. Agent b takes a vertex v of domain[b] that no placed agent
-    holds and that makes no exchange with a placed agent: neither the agent
-    `at` v in P is placed on P_b (`pos`) nor the agent that `owner`s v as
-    its target is placed on T_b. Agents go most constrained first, ties by
-    id, and each tries its domain in the given order.
+    """Depth-first search for the vertices X of `agents` at the middle turn
+    of P -> X -> T, with P = `pos` and T = `targets`. Core agent i enters it
+    already placed, as agent -1 - i on v, from u and bound for w, for the
+    i-th triple (u, v, w) of `core`.
 
-    Returns the completed `x`, or None when the search ran to the end with
-    no placement or took more than `budget` backtracking steps, plus the
-    backtracking steps it took; a count above `budget` tells the two Nones
-    apart."""
-    order = sorted(domain, key=lambda b: (len(domain[b]), b))
+    The candidates come from one pool shared by every agent: the
+    `vertices` (ascending) that no agent of `agents` targets, then the
+    targeted ones, in the same order. Agent b tries its target first, then
+    the pool, and takes a candidate v when `fits(b, v)`, no placed agent
+    holds v, and v makes no exchange with a placed agent: neither the agent
+    on v in P is placed on P_b nor the agent bound for v in T is placed on
+    T_b. Agents go in the given order.
+
+    Returns X as a dict that also holds the core agents, or None when the
+    search ran to the end with no placement or took more than
+    _FINISH_BACKTRACKS backtracking steps, plus the backtracking steps it
+    took; a count above the cap tells the two Nones apart."""
+    at = {pos[a]: a for a in agents}
+    owner = {targets[a]: a for a in agents}
+    pool = [v for v in vertices if v not in owner] + [v for v in vertices if v in owner]
+    x: Dict[int, int] = {}
+    for i, (u, v, w) in enumerate(core):
+        at[u] = owner[w] = -1 - i
+        x[-1 - i] = v
     taken: Set[int] = set(x.values())
-    tried = [0] * len(order)
+    # tried[d]: where agent d of `agents` resumes, 0 for its target, i for pool[i - 1]
+    tried = [0] * len(agents)
     backtracks = depth = 0
-    while depth < len(order):
-        b = order[depth]
-        options, p, t = domain[b], pos[b], targets[b]
-        for i in range(tried[depth], len(options)):
-            v = options[i]
-            if v not in taken and x.get(at.get(v)) != p and x.get(owner.get(v)) != t:
+    while depth < len(agents):
+        b = agents[depth]
+        p, t = pos[b], targets[b]
+        for i in range(tried[depth], len(pool) + 1):
+            v = pool[i - 1] if i else t
+            if (
+                v not in taken
+                and (v != t or not i)
+                and fits(b, v)
+                and x.get(at.get(v)) != p
+                and x.get(owner.get(v)) != t
+            ):
                 break
         else:
             if depth == 0:
                 return None, backtracks
             tried[depth] = 0
             depth -= 1
-            taken.discard(x.pop(order[depth]))
+            taken.discard(x.pop(agents[depth]))
             backtracks += 1
-            if backtracks > budget:
+            if backtracks > _FINISH_BACKTRACKS:
                 return None, backtracks
             continue
         x[b] = v
@@ -200,35 +216,22 @@ def _finish(
 ) -> Dict[int, int]:
     """Vertices X of the `dropped` agents at turn m - 1 of a lift, between
     their vertices P (`pos`) at turn m - 2 and their `targets` T at turn m.
-    Called by `lift_schedule`, and by `solve_with_stats` for the clique-part
-    answer, where every agent is dropped, m = 2 and the core rows are empty.
 
     `core_window` holds the core rows C0, C1, C2 of turns m - 2, m - 1 and
-    m, and `free` the clique vertices F outside C1; P, X and T lie in the
-    clique, so every dropped move follows an edge. One `_middle_row` search
-    places the dropped agents on distinct vertices of F, each trying its
-    target first, then the vertices of F that no dropped agent targets,
-    then the rest. Core agent i enters it already placed, as agent -1 - i
-    on C1[i], from C0[i] and bound for C2[i]. So X avoids C1, and the
-    exchange checks rule out a swap of a dropped agent with a core agent as
-    with another dropped one; the kernel schedule has none between core
-    agents. The search is exhaustive, so MapfError means that no swap-free
-    X into F exists, or that the search took more than _FINISH_BACKTRACKS
-    backtracking steps."""
-    at = {pos[a]: a for a in dropped}
-    owner = {targets[a]: a for a in dropped}
-    rest = [v for v in free if v not in owner] + [v for v in free if v in owner]
-    slot = {v: i for i, v in enumerate(rest, 1)}
-    domain: Dict[int, List[int]] = {}
-    for a in dropped:
-        domain[a] = row = [targets[a], *rest]
-        if targets[a] in slot:
-            del row[slot[targets[a]]]
-    x: Dict[int, int] = {}
-    for i, (u, v, w) in enumerate(zip(*core_window)):
-        at[u] = owner[w] = -1 - i
-        x[-1 - i] = v
-    x, steps = _middle_row(domain, x, pos, targets, at, owner, _FINISH_BACKTRACKS)
+    m, and `free` the clique vertices F outside C1, ascending; P, X and T
+    lie in the clique, so every dropped move follows an edge. One
+    `_middle_row` search over the pool F places the dropped agents, in id
+    order, on distinct vertices, each trying its target first; a target
+    outside F lies on C1, so every candidate fits. Core agent i enters it
+    already placed on C1[i], from C0[i] and bound for C2[i]. So X avoids
+    C1, and the exchange checks rule out a swap of a dropped agent with a
+    core agent as with another dropped one; the kernel schedule has none
+    between core agents. The search is exhaustive, so MapfError means that
+    no swap-free X into F exists, or that the search took more than
+    _FINISH_BACKTRACKS backtracking steps."""
+    x, steps = _middle_row(
+        dropped, free, lambda b, v: True, pos, targets, zip(*core_window)
+    )
     if steps > _FINISH_BACKTRACKS:
         raise MapfError("the lift's last two turns took too long to place")
     if x is None:
@@ -241,30 +244,41 @@ def _two_turn_schedule(inst: Instance) -> Optional[Schedule]:
     refutes one or gives up after _FINISH_BACKTRACKS backtracking steps.
 
     X_a lies in N[S_a] & N[T_a], so both of a's moves follow an edge or
-    wait; an empty intersection refutes makespan 2 at once. X is injective,
-    and S and T are, so no turn collides. `_middle_row` places every agent,
-    none in advance, so its exchange checks against S and T exclude every
-    swap. The search is exhaustive below the
-    cap, so a None that is not a give-up means no two-turn schedule exists.
-    The validator checks the schedule found; a rejected one is a fault of
-    this program and raises MapfError."""
+    wait; an empty intersection refutes makespan 2 at once. The search runs
+    over the pool of all vertices with that test, agents ordered by the
+    smaller degree of S_a and T_a, ties by id. X is injective, and S and T
+    are, so no turn collides. `_middle_row` places every agent, none in
+    advance, so its exchange checks against S and T exclude every swap.
+    The search is exhaustive below the cap, so a None that is not a
+    give-up means no two-turn schedule exists. The validator checks the
+    schedule found; a rejected one is a fault of this program and raises
+    MapfError.
+
+    When every start and target lies in a clique part Q of at least four
+    vertices, only a give-up returns None. Q lies in every N[S_a] & N[T_a],
+    so any injective row into Q without an exchange on either turn is a
+    schedule. In a clique a one-turn move fails only when some pairs of
+    agents must exchange vertices, which takes two turns in any graph, and
+    four or more vertices leave room to break every exchange into two
+    moves, so such a row exists and the exhaustive search finds it."""
     g = inst.graph
-    domain: Dict[int, List[int]] = {}
-    for a, (s, t) in enumerate(zip(inst.starts, inst.targets)):
-        common = g.neighbor_set(s) & g.neighbor_set(t)
-        if s == t or g.has_edge(s, t):
-            common |= {s, t}
-        if not common:
+    nbr = g.neighbor_set
+    starts, targets = inst.starts, inst.targets
+    for s, t in zip(starts, targets):
+        if s != t and t not in nbr(s) and nbr(s).isdisjoint(nbr(t)):
             return None
-        domain[a] = sorted(common)
-    at = {v: a for a, v in enumerate(inst.starts)}
-    owner = {v: a for a, v in enumerate(inst.targets)}
-    x, _ = _middle_row(
-        domain, {}, inst.starts, inst.targets, at, owner, _FINISH_BACKTRACKS
+
+    def fits(a: int, v: int) -> bool:
+        s, t = starts[a], targets[a]
+        return (v == s or v in nbr(s)) and (v == t or v in nbr(t))
+
+    agents = sorted(
+        inst.agents, key=lambda a: (min(len(nbr(starts[a])), len(nbr(targets[a]))), a)
     )
+    x, _ = _middle_row(agents, range(g.n), fits, starts, targets, ())
     if x is None:
         return None
-    sched = Schedule((tuple(x[a] for a in inst.agents), inst.targets))
+    sched = Schedule((tuple(x[a] for a in inst.agents), targets))
     verdict = validate_schedule(inst, sched)
     if not verdict.ok:
         raise MapfError(f"the two-turn middle row is invalid: {verdict.message}")
@@ -277,8 +291,8 @@ def _solve_kernel(
     """The kernel path of `solve_with_stats`: searches the kernel instance
     under the occupancy constraint, lifting the kernel schedule back to all
     agents when some were dropped; a kernel schedule under two turns is
-    padded to two first. Returns the answer and the kernel search's state
-    count."""
+    padded to two first, so the instance's makespan limit must be None or
+    at least 2. Returns the answer and the kernel search's state count."""
     types, agent_types = classify_types(inst, split)
     core = select_core_agents(inst, split, types, agent_types)
     kernel = build_kernel(inst, split, core, types)
@@ -286,8 +300,6 @@ def _solve_kernel(
     if ksched is None:
         return None, states
     if len(core) < inst.n_agents and ksched.makespan < 2:
-        if inst.makespan_limit is not None and inst.makespan_limit < 2:
-            return None, states
         ksched = Schedule(
             ksched.placements + (kernel.targets,) * (2 - ksched.makespan)
         )
@@ -305,46 +317,39 @@ def solve_with_stats(
     the limit is also the search's only depth cap.
 
     Splits off a minimum modulator first, so that a distance to clique past
-    the split's budget aborts before any answer. The target row is the only
-    one-turn schedule, so it answers 1 when the validator accepts it. When
-    every start and target lies in a clique part of at least four vertices,
-    the answer is then 2 with no search: in a clique a one-turn move fails
-    only when some pair of agents must exchange vertices, which takes two
-    turns in any graph; `_finish` with no core plans the middle row.
+    the split's budget aborts before any answer. Then one chain of steps:
 
-    Otherwise, unless the limit is below 2, `_two_turn_schedule` searches
-    for a middle row X with X_a in N[S_a] & N[T_a]. A row it finds answers
-    2 with 0 states; it is optimal, because the failed target row rules
-    out makespan 1. A refutation, or a search that runs out of backtracking
-    steps, passes on to the steps below, which answer as if it had not run.
-
-    When the kernel would be the instance itself (`kernel_is_instance`),
-    the answer is the whole-instance search of `oracle.solve_with_stats`,
-    with no floor. That changes no answer: every agent is core, no vertex
-    type is trimmed, and the floor k = agents - |clique part| holds in
-    every injective placement, so the kernel search would make the same
-    `joint_bfs` call with a floor that prunes nothing, and the lift of a
-    full core returns the kernel schedule. Otherwise `_solve_kernel`
-    answers."""
+    - target row: the only one-turn schedule, so it answers 1 when the
+      validator accepts it;
+    - limit rule: otherwise no schedule has under two turns, so a limit
+      below 2 answers None with 0 states;
+    - two-turn step: `_two_turn_schedule` searches for a middle row X with
+      X_a in N[S_a] & N[T_a]. A row it finds answers 2 with 0 states; it
+      is optimal, because the failed target row rules out makespan 1. When
+      every start and target lies in a clique part of at least four
+      vertices, it always finds one (see its docstring). A refutation, or
+      a search that runs out of backtracking steps, passes on to the next
+      step, which answers as if it had not run;
+    - whole search or kernel plus lift: when the kernel would be the
+      instance itself (`kernel_is_instance`), the answer is the
+      whole-instance search of `oracle.solve_with_stats`, with no floor.
+      That changes no answer: every agent is core, no vertex type is
+      trimmed, and the floor k = agents - |clique part| holds in every
+      injective placement, so the kernel search would make the same
+      `joint_bfs` call with a floor that prunes nothing, and the lift of a
+      full core returns the kernel schedule. Otherwise `_solve_kernel`
+      answers."""
     if inst.starts == inst.targets:
         return (0, Schedule(())), 0
     split = clique_split(inst.graph)
     direct = Schedule((inst.targets,))
     if validate_schedule(inst, direct).ok:
         return (1, direct), 0
-    q = split.clique
-    if len(q) >= 4 and q.issuperset(inst.starts) and q.issuperset(inst.targets):
-        if inst.makespan_limit is not None and inst.makespan_limit < 2:
-            return None, 0
-        x = _finish(
-            list(inst.agents), dict(enumerate(inst.starts)), inst.targets,
-            ((), (), ()), sorted(q),
-        )
-        return (2, Schedule((tuple(x[a] for a in inst.agents), inst.targets))), 0
-    if inst.makespan_limit is None or inst.makespan_limit >= 2:
-        two_turns = _two_turn_schedule(inst)
-        if two_turns is not None:
-            return (2, two_turns), 0
+    if inst.makespan_limit is not None and inst.makespan_limit < 2:
+        return None, 0
+    two_turns = _two_turn_schedule(inst)
+    if two_turns is not None:
+        return (2, two_turns), 0
     if kernel_is_instance(inst, split):
         return oracle.solve_with_stats(inst, state_guard)
     return _solve_kernel(inst, split, state_guard)

@@ -320,17 +320,25 @@ def test_finish_resolves_exchanges_in_a_packed_clique(monkeypatch, n, pairs) -> 
     # the exchanging pairs and the idle agents fill K_n, so no vertex is
     # spare. With a single pair, two idle agents join its second agent in a
     # three-cycle; the search places every agent with few or no backtracking
-    # steps
+    # steps. solve_with_stats answers 2 on the same instance only if its
+    # two-turn search does not give up, since no other step answers a
+    # complete graph without a search
     steps = _record_backtracks(monkeypatch)
     paired = [v for pair in pairs for v in pair]
     idle = [v for v in range(n) if v not in paired]
     starts = tuple(paired + idle)
     targets = tuple([v for u, w in pairs for v in (w, u)] + idle)
+    inst = Instance(complete_graph(n), starts, targets)
     sched, x = _finish_on_clique(n, starts, targets)
-    assert validate_schedule(Instance(complete_graph(n), starts, targets), sched).ok
+    assert validate_schedule(inst, sched).ok
     assert len(steps) == 1 and steps[0] < fpt._FINISH_BACKTRACKS // 100
     moved = sum(x[a] != starts[a] for a in range(len(paired), n))
     assert moved == (2 if len(pairs) == 1 else 0)
+    steps.clear()
+    result, states = solve_with_stats(inst)
+    assert result is not None and result[0] == 2 and states == 0
+    assert validate_schedule(inst, result[1]).ok
+    assert len(steps) == 1 and steps[0] < fpt._FINISH_BACKTRACKS // 100
 
 
 def test_finish_sends_the_second_of_a_pair_to_a_spare_vertex() -> None:
@@ -640,8 +648,8 @@ def test_kernel_path_pads_a_short_kernel_schedule_before_the_lift(
     # among the dropped agents the answer is 2: solve_with_stats finds it
     # with the two-turn search, and the kernel path, run directly, pads the
     # kernel schedule to two turns, which the lift requires. At a limit of 1
-    # solve_with_stats skips the two-turn search, and the kernel path meets
-    # the limit with None. With no pair the target row answers 1.
+    # solve_with_stats answers None once the target row fails, before any
+    # search or lift. With no pair the target row answers 1.
     kernel_turns = []
 
     def spy(inst: Instance, split: CliqueSplit, kernel: Kernel, ksched: Schedule) -> Schedule:
@@ -671,7 +679,7 @@ def test_kernel_path_pads_a_short_kernel_schedule_before_the_lift(
             assert result is not None
             assert result[0] == 2 and kernel_turns == [2]
             assert validate_schedule(inst, result[1]).ok
-            assert solve_with_stats(replace(inst, makespan_limit=1))[0] is None
+            assert solve_with_stats(replace(inst, makespan_limit=1)) == (None, 0)
             assert kernel_turns == [2]
             kernel_turns.clear()
         else:
@@ -809,7 +817,7 @@ def test_clique_part_answer_plans_one_exchange_among_still_agents(monkeypatch) -
     # dc = 1: clique 0..309, vertex 310 joined to 302..309. Agents 0..99 stand
     # still; agents 100 and 101 exchange vertices, and the rest shift one
     # place along a chain. Every agent lies in the clique part, so the
-    # two-turn plan comes without a search or a lift.
+    # two-turn plan comes without a joint search or a lift.
     monkeypatch.setattr(fpt, "joint_bfs", _no_search)
     monkeypatch.setattr(fpt, "lift_schedule", _no_lift)
     clique, attached = 310, 8
@@ -1013,6 +1021,9 @@ def test_two_turn_search_agrees_with_the_oracle_on_small_draws(monkeypatch) -> N
         expected = _outcome(lambda: oracle.solve_with_stats(two_turns, guard))
         if sched is not None:
             assert sched.makespan == 2 and validate_schedule(inst, sched).ok
+            if expected[0] == "guard":
+                # draw 556: the oracle needs 27,513 states to answer
+                expected = _outcome(lambda: oracle.solve_with_stats(two_turns, 30_000))
             assert expected[0] == 2, i
             found += 1
         elif steps and steps[0] > fpt._FINISH_BACKTRACKS:
@@ -1021,4 +1032,4 @@ def test_two_turn_search_agrees_with_the_oracle_on_small_draws(monkeypatch) -> N
         else:
             assert expected[0] is None, i
             refuted += 1
-    assert found >= 600 and refuted >= 200 and capped <= 10
+    assert found >= 600 and refuted >= 200 and capped <= 4
