@@ -13,7 +13,7 @@ from .kernelize import (
     kernel_is_instance,
     select_core_agents,
 )
-from .model import Instance, Placement, Schedule, detect_swaps, validate_schedule
+from .model import Instance, Placement, Schedule, validate_schedule
 
 
 def _config_search(
@@ -45,30 +45,29 @@ def lift_schedule(
 ) -> Schedule:
     """Extend a kernel schedule to every agent of the original instance.
 
-    Core agents replay the kernel schedule. Up to turn m - 2 the D dropped
-    agents move by eviction only. From turn i to i + 1, a dropped agent
-    stays put unless a core agent enters its vertex w. Such an evicted
-    agent moves to a spare: a clique vertex free of core row i + 1 and held
-    by no dropped agent, other than its bar, the vertex the entering core
-    agent leaves (moving there would be a swap).
+    Core agents replay the kernel schedule, and turn m is the target
+    placement. Each turn t = 1..m - 1 places the D dropped agents with one
+    `_lift_turn` call over the clique vertices F free of core row C_t.
+    Before turn m - 1 the goal is the dropped agents' own vertices and the
+    core window is (C_{t-1}, C_t, C_{t-1}), so each dropped agent tries to
+    stay first, must move when a core agent enters its vertex, and never
+    swaps; turn m - 1 aims at the targets with the window
+    (C_{m-2}, C_{m-1}, C_m).
 
     Every intermediate turn must leave at least D clique vertices free of
     the core, which the kernel floor k guarantees; PreconditionError
-    otherwise. Then there are at least as many spares as evicted agents,
-    and distinct core agents leave distinct bars, so the evicted agents
-    take spares in turn, each the first that is not its bar. Two corner
-    cases remain:
-
-    - trade: the last evicted agent finds only its own bar left. It takes
-      the vertex of the evicted agent placed before it, which takes the bar.
-    - rotation: a lone evicted agent's only spare is its bar. The first
-      other dropped agent, a stayer, moves onto the bar, and the evicted
-      agent takes its vertex.
-
-    Evicted agents enter only spares, and a rotated stayer enters a bar,
-    so no two dropped agents swap. `_finish` then places the dropped agents
-    at turn m - 1 so that they reach their targets at turn m without a
-    swap."""
+    otherwise. Then a row exists for every turn before m - 1. Say core
+    agents enter the vertices of E dropped agents. The other D - E stay on
+    vertices of F, so at least E vertices S of F hold no dropped agent.
+    Each of the E must avoid only its bar, the vertex its evicting core
+    agent leaves (moving there would be a swap), a different one for each.
+    So they take distinct vertices of S other than their bars, unless a
+    lone evicted agent's only vertex in S is its bar: then another dropped
+    agent moves onto the bar and the evicted one takes its vertex. The
+    search is exhaustive and may return that row, so below the
+    backtracking cap it finds one. The validator checks the whole lifted
+    schedule; a rejected one is a fault of this program and raises
+    MapfError."""
     core = set(kernel.core_agents)
     m = ksched.makespan
     if len(core) == inst.n_agents:
@@ -87,57 +86,39 @@ def lift_schedule(
             )
 
     core_rows: List[Placement] = [kernel.starts, *ksched.placements]
+    pos: Dict[int, int] = {a: inst.starts[a] for a in noncore}
+    out: List[Placement] = []
     for turn in range(1, m):
-        if len(q) - sum(v in q for v in core_rows[turn]) < len(noncore):
+        free = sorted(v for v in q if v not in core_rows[turn])
+        if len(free) < len(noncore):
             raise PreconditionError(
                 f"turn {turn} leaves fewer free clique vertices than dropped agents"
             )
-
-    cur: Dict[int, int] = {a: inst.starts[a] for a in noncore}
-    core_sorted = kernel.core_agents
-
-    def placement(turn: int, at: Dict[int, int]) -> Placement:
+        last = turn == m - 1
+        goal = inst.targets if last else pos
+        after = core_rows[turn + 1] if last else core_rows[turn - 1]
+        window = (core_rows[turn - 1], core_rows[turn], after)
+        try:
+            pos = _lift_turn(noncore, pos, goal, window, free)
+        except MapfError as exc:
+            raise MapfError(f"{exc} at turn {turn} of the lift") from None
         row = [0] * inst.n_agents
-        for ci, a in enumerate(core_sorted):
+        for ci, a in enumerate(kernel.core_agents):
             row[a] = core_rows[turn][ci]
         for a in noncore:
-            row[a] = at[a]
-        return tuple(row)
-
-    out: List[Placement] = []
-    for i in range(m - 2):
-        came_from = dict(zip(core_rows[i + 1], core_rows[i]))
-        evicted = [a for a in noncore if cur[a] in came_from]
-        if evicted:
-            held = set(cur.values())
-            spares = [v for v in sorted(q) if v not in came_from and v not in held]
-            for j, a in enumerate(evicted):
-                bar = came_from[cur[a]]
-                if spares[0] != bar:
-                    cur[a] = spares.pop(0)
-                elif len(spares) > 1:
-                    cur[a] = spares.pop(1)
-                elif j:  # trade
-                    prev = evicted[j - 1]
-                    cur[a], cur[prev] = cur[prev], bar
-                else:  # rotation
-                    stayer = next(b for b in noncore if b != a)
-                    cur[a], cur[stayer] = cur[stayer], bar
-        out.append(placement(i + 1, cur))
-    before = out[-1] if out else inst.starts
-    used = set(core_rows[m - 1])
-    free = sorted(v for v in q if v not in used)
-    last = placement(m - 1, _finish(noncore, cur, inst.targets, core_rows[m - 2 :], free))
-    if detect_swaps(before, last) or detect_swaps(last, inst.targets):
-        raise MapfError("the lift's last two turns left an exchange in place")
-    out.append(last)
-    out.append(inst.targets)
-    return Schedule(tuple(out))
+            row[a] = pos[a]
+        out.append(tuple(row))
+    sched = Schedule((*out, inst.targets))
+    verdict = validate_schedule(inst, sched)
+    if not verdict.ok:
+        raise MapfError(f"the lifted schedule is invalid: {verdict.message}")
+    return sched
 
 
-# Backtracking steps the one search of `_finish` or of `_two_turn_schedule`
-# may take before it gives up. No `_finish` call in the tests takes more
-# than 11, and the 300 seeded random lifts of the tests take 9 in all.
+# Backtracking steps the one search of `_lift_turn` or of `_two_turn_schedule`
+# may take before it gives up. No `_lift_turn` call in the tests takes more
+# than 11; the 300 seeded random lifts of the tests make 925 calls and take
+# 15 steps in all, at most 4 in one call.
 _FINISH_BACKTRACKS = 10_000
 
 
@@ -207,35 +188,37 @@ def _middle_row(
     return x, backtracks
 
 
-def _finish(
+def _lift_turn(
     dropped: Sequence[int],
     pos: Dict[int, int],
-    targets: Placement,
+    goal: Union[Placement, Dict[int, int]],
     core_window: Sequence[Placement],
     free: Sequence[int],
 ) -> Dict[int, int]:
-    """Vertices X of the `dropped` agents at turn m - 1 of a lift, between
-    their vertices P (`pos`) at turn m - 2 and their `targets` T at turn m.
+    """Vertices X of the `dropped` agents at one turn of a lift, between
+    their vertices P (`pos`) one turn before and their vertices T (`goal`)
+    one turn after.
 
-    `core_window` holds the core rows C0, C1, C2 of turns m - 2, m - 1 and
-    m, and `free` the clique vertices F outside C1, ascending; P, X and T
-    lie in the clique, so every dropped move follows an edge. One
-    `_middle_row` search over the pool F places the dropped agents, in id
-    order, on distinct vertices, each trying its target first; a target
-    outside F lies on C1, so every candidate fits. Core agent i enters it
-    already placed on C1[i], from C0[i] and bound for C2[i]. So X avoids
-    C1, and the exchange checks rule out a swap of a dropped agent with a
-    core agent as with another dropped one; the kernel schedule has none
-    between core agents. The search is exhaustive, so MapfError means that
-    no swap-free X into F exists, or that the search took more than
-    _FINISH_BACKTRACKS backtracking steps."""
+    `core_window` holds the core rows C0, C1, C2 of the same three turns,
+    and `free` the clique vertices F outside C1, ascending; P, X and T lie
+    in the clique, so every dropped move follows an edge. One `_middle_row`
+    search over the pool F places the dropped agents, in id order, on
+    distinct vertices, each trying T first; a T outside F lies on C1, so
+    every candidate fits. Core agent i enters it already placed on C1[i],
+    from C0[i] and bound for C2[i]. So X avoids C1, and the exchange checks
+    rule out a swap of a dropped agent with a core agent as with another
+    dropped one; the kernel schedule has none between core agents. With
+    T = P and C2 = C0 the T checks repeat the P checks, and the search
+    plans the single move P -> X. The search is exhaustive, so MapfError
+    means that no swap-free X into F exists, or that the search took more
+    than _FINISH_BACKTRACKS backtracking steps."""
     x, steps = _middle_row(
-        dropped, free, lambda b, v: True, pos, targets, zip(*core_window)
+        dropped, free, lambda b, v: True, pos, goal, zip(*core_window)
     )
     if steps > _FINISH_BACKTRACKS:
-        raise MapfError("the lift's last two turns took too long to place")
+        raise MapfError("the search took too long to place the dropped agents")
     if x is None:
-        raise MapfError("no swap-free placement for the lift's last two turns")
+        raise MapfError("no swap-free placement for the dropped agents")
     return x
 
 

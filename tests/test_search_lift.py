@@ -205,16 +205,21 @@ def _eviction_lift(
     return inst, lift_schedule(inst, split, kernel, Schedule(core_rows))
 
 
-def test_lift_trades_when_the_last_evicted_agent_meets_its_bar() -> None:
+def test_lift_keeps_the_last_evicted_agent_off_its_bar() -> None:
     # clique 0..52 plus vertex 53 joined to 1. At turn 1 core agent 0 enters
     # 1 from 53 and core agent 1 enters 2 from 3; the dropped agents fill
-    # every clique vertex but 0 and 3. The agent on 1 takes spare 0, so the
-    # agent on 2 finds only its bar 3 left: they trade, 1 -> 3 and 2 -> 0.
+    # every clique vertex but 0 and 3. Once the agent on 1 takes 0, the
+    # agent on 2 has only its bar 3 left among the unheld vertices, and
+    # moving there would be a swap: both evicted agents move, and at most
+    # one other dropped agent makes room.
     dropped = (1, 2) + tuple(range(4, 53))
     inst, lifted = _eviction_lift(53, 1, (53, 3), ((1, 2),) * 3, dropped, {1: 3, 2: 0})
     assert lifted.makespan == 3
     assert validate_schedule(inst, lifted).ok
-    assert lifted.placements[0] == (1, 2, 3, 0) + dropped[2:]
+    turn1 = lifted.placements[0]
+    assert turn1[:2] == (1, 2)
+    moved = {v for v, now in zip(dropped, turn1[2:]) if now != v}
+    assert {1, 2} <= moved and len(moved - {1, 2}) <= 1
 
 
 def test_lift_rotates_a_stayer_onto_a_lone_bar() -> None:
@@ -236,6 +241,13 @@ def test_lift_rejects_a_turn_with_too_few_free_clique_vertices() -> None:
     rows = ((0, 1), (60, 0), (60, 0))
     with pytest.raises(PreconditionError, match="turn 1 leaves fewer free"):
         _eviction_lift(60, 0, (60, 0), rows, tuple(range(1, 60)), {})
+
+
+def test_lift_rejects_a_dropped_agent_bound_for_the_modulator() -> None:
+    # clique 0..52 plus vertex 53 joined to 1; the core agent waits on 0,
+    # and the dropped agent on 52 is bound for the modulator vertex 53
+    with pytest.raises(PreconditionError, match="start and end in the clique part"):
+        _eviction_lift(53, 1, (0,), ((0,),) * 2, tuple(range(1, 53)), {52: 53})
 
 
 def test_lift_rejects_small_drop_pools() -> None:
@@ -273,7 +285,7 @@ def _finish_on_clique(
     """Turns m - 1 and m that the finish gives agents standing on `starts`
     in K_n with no core agent, as a schedule from `starts`."""
     agents = range(len(starts))
-    x = fpt._finish(agents, dict(enumerate(starts)), targets, ((), (), ()), range(n))
+    x = fpt._lift_turn(agents, dict(enumerate(starts)), targets, ((), (), ()), range(n))
     return Schedule((tuple(x[a] for a in agents), targets)), x
 
 
@@ -389,9 +401,9 @@ def _two_turn_reference(
     targets: Tuple[int, ...],
     free: List[int],
 ) -> Optional[Tuple[int, ...]]:
-    """Brute force for the finish: the first injective X from the dropped
-    agents into `free` such that C0 + P -> C1 + X -> C2 + T has no
-    exchange, or None when there is none."""
+    """Brute force for one lift turn: the first injective X from the
+    dropped agents into `free` such that C0 + P -> C1 + X -> C2 + T has
+    no exchange, or None when there is none."""
     c0, c1, c2 = window
     for x in itertools.permutations(free, len(pos)):
         mid = c1 + x
@@ -400,34 +412,46 @@ def _two_turn_reference(
     return None
 
 
-def test_finish_agrees_with_a_brute_force_reference() -> None:
-    # the finish places exactly the frames the reference can place, and
-    # what it places is injective, inside F and free of exchanges
+def test_lift_turn_agrees_with_a_brute_force_reference() -> None:
+    # the lift turn places exactly the frames the reference can place, and
+    # what it places is injective, inside F and free of exchanges. Each
+    # frame runs in two shapes: turn m - 1, bound for the targets T under
+    # the window (C0, C1, C2), and a turn before it, whose goal is P itself
+    # under the window (C0, C1, C0)
     rng = random.Random(808)
-    placed = infeasible = 0
+    placed = {"finish": 0, "stay": 0}
+    infeasible = {"finish": 0, "stay": 0}
     for _ in range(6000):
-        window, pos, targets, free = _finish_frame(rng)
-        n_core = len(window[0])
+        frame, pos, frame_targets, free = _finish_frame(rng)
+        n_core = len(frame[0])
         dropped = range(n_core, n_core + len(pos))
-        reference = _two_turn_reference(window, pos, targets, free)
-        try:
-            x = fpt._finish(
-                dropped, dict(zip(dropped, pos)), window[2] + targets, window, free
-            )
-        except MapfError as exc:
-            assert reference is None, (window, pos, targets)
-            assert "no swap-free placement" in str(exc)
-            infeasible += 1
-            continue
-        assert reference is not None, (window, pos, targets)
-        row = tuple(x[a] for a in dropped)
-        assert len(set(row)) == len(row) and set(row) <= set(free)
-        mid = window[1] + row
-        assert not _exchanges(window[0] + pos, mid)
-        assert not _exchanges(mid, window[2] + targets)
-        placed += 1
-    assert placed > 5000 and infeasible > 0
-
+        stay = (frame[0], frame[1], frame[0])
+        for shape, window, targets in (
+            ("finish", frame, frame_targets),
+            ("stay", stay, pos),
+        ):
+            reference = _two_turn_reference(window, pos, targets, free)
+            try:
+                x = fpt._lift_turn(
+                    dropped, dict(zip(dropped, pos)), window[2] + targets, window, free
+                )
+            except MapfError as exc:
+                assert reference is None, (shape, window, pos, targets)
+                assert "no swap-free placement" in str(exc)
+                infeasible[shape] += 1
+                continue
+            assert reference is not None, (shape, window, pos, targets)
+            row = tuple(x[a] for a in dropped)
+            assert len(set(row)) == len(row) and set(row) <= set(free)
+            mid = window[1] + row
+            assert not _exchanges(window[0] + pos, mid)
+            assert not _exchanges(mid, window[2] + targets)
+            placed[shape] += 1
+    assert placed["finish"] > 5000 and infeasible["finish"] > 0
+    # F has at least two vertices (q >= 4, at most two core agents) and one
+    # per dropped agent, so by the eviction argument of lift_schedule every
+    # stay frame has a row
+    assert placed["stay"] == 6000 and infeasible["stay"] == 0
 
 
 def test_lift_avoids_an_exchange_that_drift_then_jump_would_make() -> None:
@@ -762,7 +786,7 @@ def test_lift_validates_on_random_moving_cores() -> None:
         assert lifted.makespan == ksched.makespan
         assert validate_schedule(inst, lifted).ok
         # up to turn m - 2 only agents whose vertex a core agent enters
-        # move, plus at most one stayer rotated onto a bar
+        # move, plus at most one stayer that makes room
         rows = (inst.starts,) + lifted.placements
         n_core = len(kernel.core_agents)
         for prev, row in zip(rows, rows[1 : ksched.makespan - 1]):
