@@ -299,8 +299,7 @@ def solve_with_stats(
     answer is None when no schedule meets the instance's makespan limit;
     the limit is also the search's only depth cap.
 
-    Splits off a minimum modulator first, so that a distance to clique past
-    the split's budget aborts before any answer. Then one chain of steps:
+    One chain of steps, each of which answers or passes on to the next:
 
     - target row: the only one-turn schedule, so it answers 1 when the
       validator accepts it;
@@ -313,6 +312,10 @@ def solve_with_stats(
       vertices, it always finds one (see its docstring). A refutation, or
       a search that runs out of backtracking steps, passes on to the next
       step, which answers as if it had not run;
+    - clique split: only the last step reads the minimum modulator, so it
+      is split off here and not before. A distance to clique past the
+      split's budget raises ResourceLimitError, but only for an instance
+      that the steps above did not answer;
     - whole search or kernel plus lift: when the kernel would be the
       instance itself (`kernel_is_instance`), the answer is the
       whole-instance search of `oracle.solve_with_stats`, with no floor.
@@ -324,7 +327,6 @@ def solve_with_stats(
       answers."""
     if inst.starts == inst.targets:
         return (0, Schedule(())), 0
-    split = clique_split(inst.graph)
     direct = Schedule((inst.targets,))
     if validate_schedule(inst, direct).ok:
         return (1, direct), 0
@@ -333,6 +335,7 @@ def solve_with_stats(
     two_turns = _two_turn_schedule(inst)
     if two_turns is not None:
         return (2, two_turns), 0
+    split = clique_split(inst.graph)
     if kernel_is_instance(inst, split):
         return oracle.solve_with_stats(inst, state_guard)
     return _solve_kernel(inst, split, state_guard)

@@ -183,13 +183,31 @@ def test_bench_rejects_a_guard_below_one(tmp_path, capsys) -> None:
 
 def test_solve_exits_three_beyond_the_distance_ceiling(tmp_path, capsys) -> None:
     # K4 plus 21 pendant vertices is 21 deletions from a clique, beyond the
-    # clique split's budget of 20
+    # clique split's budget of 20; pendants 4 and 5 hang off 0 and 1, so
+    # the target row fails and N[4] & N[5] is empty: only the steps after
+    # the split could answer
     edges = [(u, v) for u in range(4) for v in range(u + 1, 4)]
     edges.extend((v, v % 4) for v in range(4, 25))
     ipath = tmp_path / "far.mapf"
-    _write_instance(ipath, Instance(Graph(25, edges), (4,), (0,)))
+    _write_instance(ipath, Instance(Graph(25, edges), (4,), (5,)))
     assert cli.main(["solve", str(ipath)]) == 3
     assert "distance to clique exceeds budget 20" in capsys.readouterr().err
+
+
+def test_solve_answers_the_target_row_beyond_the_distance_ceiling(tmp_path, capsys) -> None:
+    # the same dc = 21 graph, but the agent's target is its pendant's
+    # anchor: the target row answers before any step needs the split
+    edges = [(u, v) for u in range(4) for v in range(u + 1, 4)]
+    edges.extend((v, v % 4) for v in range(4, 25))
+    ipath = tmp_path / "near.mapf"
+    spath = tmp_path / "near.sched"
+    _write_instance(ipath, Instance(Graph(25, edges), (4,), (0,)))
+    assert cli.main(["solve", str(ipath), "-o", str(spath)]) == 0
+    assert "\tfpt\tyes\t1\t0\t" in capsys.readouterr().err
+    inst = parse_instance(ipath.read_text())
+    sched = parse_schedule(spath.read_text(), inst)
+    assert validate_schedule(inst, sched).ok
+    assert sched.makespan == 1
 
 
 def test_solve_state_guard_exit_code(tmp_path, capsys) -> None:
@@ -505,11 +523,12 @@ def test_bench_reports_agreement(tmp_path, capsys) -> None:
 
 def test_bench_records_an_aborted_run_and_goes_on(tmp_path, capsys) -> None:
     # a.mapf is K4 plus 21 pendant vertices, dc = 21 beyond the clique
-    # split's budget of 20: fpt aborts, the oracle answers; b.mapf must
-    # still run
+    # split's budget of 20, with one agent from pendant 4 to pendant 5
+    # (three edges apart), so no step before the split answers: fpt
+    # aborts, the oracle answers; b.mapf must still run
     edges = [(u, v) for u in range(4) for v in range(u + 1, 4)]
     edges.extend((v, v % 4) for v in range(4, 25))
-    _write_instance(tmp_path / "a.mapf", Instance(Graph(25, edges), (4,), (0,)))
+    _write_instance(tmp_path / "a.mapf", Instance(Graph(25, edges), (4,), (5,)))
     _write_instance(tmp_path / "b.mapf", cli_random(6, 1, 2, 3))
     assert cli.main(["bench", str(tmp_path)]) == 3
     captured = capsys.readouterr()

@@ -5,7 +5,10 @@ import random
 from dataclasses import replace
 from typing import Optional, Tuple
 
+import pytest
+
 from mapfdc import fpt, oracle
+from mapfdc.errors import ResourceLimitError
 from mapfdc.graphs import Graph, clique_split, complete_graph
 from mapfdc.model import Instance, Schedule, validate_schedule
 
@@ -144,6 +147,100 @@ def test_agents_inside_k4_take_the_clique_part_answer_at_distance_to_clique_13()
     result, states = fpt.solve_with_stats(inst)
     assert result is not None and result[0] == 2 and states == 0
     assert validate_schedule(inst, result[1]).ok
+
+
+def test_agents_inside_k4_take_the_two_turn_answer_beyond_the_distance_ceiling() -> None:
+    # K4 plus 21 pendant vertices is 21 deletions from a clique, past the
+    # split's budget of 20; the two-turn step answers before the split
+    edges = [(u, v) for u in range(4) for v in range(u + 1, 4)]
+    edges.extend((v, v % 4) for v in range(4, 25))
+    inst = Instance(Graph(25, edges), (0, 1, 2), (1, 0, 3))
+    with pytest.raises(ResourceLimitError):
+        clique_split(inst.graph)
+    result, states = fpt.solve_with_stats(inst)
+    assert result is not None and result[0] == 2 and states == 0
+    assert validate_schedule(inst, result[1]).ok
+
+
+def test_a_long_path_takes_the_two_turn_answer_without_the_split() -> None:
+    # a path of 3,000 vertices is far past the split's budget; agent i
+    # walks from 3i to 3i + 2, so the middle row 3i + 1 answers 2
+    n = 3000
+    inst = Instance(
+        Graph(n, [(v, v + 1) for v in range(n - 1)]),
+        tuple(range(0, n, 3)),
+        tuple(range(2, n, 3)),
+    )
+    result, states = fpt.solve_with_stats(inst)
+    assert result is not None and result[0] == 2 and states == 0
+    assert validate_schedule(inst, result[1]).ok
+
+
+def _near_clique_shape(n: int, dc: int, agents: int, draw: int) -> Instance:
+    """A clique on n - dc vertices plus dc vertices joined to every other
+    vertex by a coin flip, redrawn until the distance to clique is dc, with
+    uniform starts and targets; the shape of the kernel-search benchmark's
+    slots."""
+    rng = random.Random(draw)
+    while True:
+        mods = set(rng.sample(range(n), dc))
+        edges = [
+            (u, v)
+            for u in range(n)
+            for v in range(u + 1, n)
+            if not (u in mods or v in mods) or rng.random() < 0.5
+        ]
+        g = Graph(n, edges)
+        if clique_split(g).dc == dc:
+            starts = tuple(rng.sample(range(n), agents))
+            return Instance(g, starts, tuple(rng.sample(range(n), agents)))
+
+
+def _dense_near_clique(rng: random.Random) -> Instance:
+    """dc = 1: clique 0..309 plus vertex 310 joined to 302..309. Agents
+    0..99 stand still; 150 more cross 100..301, four pairs of them
+    exchanging vertices."""
+    clique = 310
+    edges = [(u, v) for u in range(clique) for v in range(u + 1, clique)]
+    edges += [(v, clique) for v in range(clique - 8, clique)]
+    starts = rng.sample(range(100, clique - 8), 150)
+    rest = [v for v in range(100, clique - 8) if v not in starts[:8]]
+    targets = [starts[i ^ 1] for i in range(8)] + rng.sample(rest, 142)
+    core = tuple(range(100))
+    return Instance(Graph(clique + 1, edges), core + tuple(starts), core + tuple(targets))
+
+
+def test_the_split_is_built_only_for_the_steps_that_read_it(monkeypatch) -> None:
+    two_turn = [
+        _near_clique_shape(*shape)
+        for shape in (
+            (8, 3, 5, 2), (7, 2, 7, 1), (8, 2, 7, 3), (8, 1, 6, 2), (9, 1, 7, 2),
+            (9, 2, 6, 3), (9, 3, 6, 1), (10, 3, 6, 2), (10, 3, 5, 1), (10, 3, 4, 0),
+        )
+    ]
+    # optimum 3: the two-turn step refutes 2 and the whole instance is searched
+    searched = _near_clique_shape(7, 3, 5, 3)
+
+    def no_split(*args, **kwargs):
+        raise AssertionError("clique_split ran")
+
+    monkeypatch.setattr(fpt, "clique_split", no_split)
+    for inst in two_turn + [_dense_near_clique(random.Random(7))]:
+        result, states = fpt.solve_with_stats(inst)
+        assert result is not None and result[0] == 2 and states == 0
+        assert validate_schedule(inst, result[1]).ok
+
+    calls = []
+
+    def counted(g, *args, **kwargs):
+        calls.append(g)
+        return clique_split(g, *args, **kwargs)
+
+    monkeypatch.setattr(fpt, "clique_split", counted)
+    result, states = fpt.solve_with_stats(searched)
+    assert result is not None and result[0] == 3 and states > 0
+    assert validate_schedule(searched, result[1]).ok
+    assert calls == [searched.graph]
 
 
 def test_clique_part_answers_match_the_oracle_on_near_cliques() -> None:
