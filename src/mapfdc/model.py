@@ -283,16 +283,23 @@ _EDGE_BLOCK = 1 << 16  # characters per bulk step; its token list stays small
 _EDGE_RUN_END = re.compile(r"\n(?!edge )")
 
 
+def _stretches(text: str) -> Iterator[Tuple[int, int]]:
+    """Bounds (p, q) of the stretches of `text` that `_lines` splits: each
+    ends just after a "\\n", the last at the end of the text."""
+    p, end = 0, len(text)
+    while p < end:
+        q = text.find("\n", p) + 1 or end
+        yield p, q
+        p = q
+
+
 def _lines(text: str) -> Iterator[str]:
     """`text.splitlines()` one line at a time, never a copy of the whole
     text. Every "\\n" ends a line break ("\\r\\n" included), so cutting
     after each one cuts no break, and splitting the stretches between the
     cuts gives the lines of the whole text."""
-    p, end = 0, len(text)
-    while p < end:
-        q = text.find("\n", p) + 1 or end
+    for p, q in _stretches(text):
         yield from text[p:q].splitlines()
-        p = q
 
 
 def _content_lines(lines: Iterable[str], start: int = 1) -> Iterator[Tuple[int, List[str]]]:
@@ -569,35 +576,174 @@ def parse_schedule(text: str, inst) -> Schedule:
     vertex rows in agent order. Rows are read lazily and each is converted
     as it is read; a wrong turn count is reported ahead of the first bad
     row. Vertex ids come from one table per call (`_vertex_ids`), so the
-    rows share their int objects."""
+    rows share their int objects.
+
+    A turn line in the writers' layout, `turn <i>: ` and canonical ids
+    separated by single spaces, is read in place in `text`: whole
+    (`_read_whole_turn`), or, after a turn that changed fewer than half of
+    its _SLICE-agent slices, slice by slice (`_read_sparse_turn`), which
+    splits only the slices that differ from the row before. Any other line
+    is split as `_lines` splits it and read by `_parse_turn`, which names
+    the fault."""
     n_agents = inst.n_agents
     n_verts = inst.graph.n
-    lines = _content_lines(_lines(text))
-    first = next(lines, None)
-    if first is None:
-        raise ParseError(1, "empty schedule file")
-    no, toks = first
-    if toks[0] != "schedule" or len(toks) != 2:
-        raise ParseError(no, "expected header 'schedule <m>'")
-    m = _int_tok(no, toks[1], "makespan")
-    if m < 0:
-        raise ParseError(no, "makespan must be non-negative")
     ids = _vertex_ids(n_verts).__getitem__
+    span = _SLICE * (len(str(max(n_verts - 1, 0))) + 1)  # longest slice text
+    m = -1  # the turn count, once the header is read
     placements: List[Placement] = []
     bad_row: Optional[ParseError] = None
     found = 0
-    for no, toks in lines:
-        found += 1
-        if bad_row is None and found <= m:
-            try:
-                placements.append(_parse_turn(no, toks, found, n_agents, n_verts, ids))
-            except ParseError as exc:
-                bad_row = exc
+    prev: Optional[Placement] = None
+    texts: Optional[List[str]] = None  # `_slice_texts` of prev, on a sparse turn
+    seen = last = 0  # lines read, and the number of the last content line
+    for p, q in _stretches(text):
+        if found < m and bad_row is None:
+            stop = q - 1 if text[q - 1] == "\n" else q
+            if text.endswith("\r", p, stop):
+                stop -= 1
+            head = f"turn {found + 1}: "
+            if texts is None:
+                read = _read_whole_turn(text, p, stop, head, prev, ids, n_agents)
+            else:
+                read = _read_sparse_turn(text, p, stop, head, prev, texts, ids, span)
+            if read is not None:
+                seen = last = seen + 1
+                found += 1
+                prev, texts = read
+                placements.append(prev)
+                continue
+        lines = text[p:q].splitlines()
+        for no, toks in _content_lines(lines, seen + 1):
+            last = no
+            if m < 0:
+                if toks[0] != "schedule" or len(toks) != 2:
+                    raise ParseError(no, "expected header 'schedule <m>'")
+                m = _int_tok(no, toks[1], "makespan")
+                if m < 0:
+                    raise ParseError(no, "makespan must be non-negative")
+                continue
+            found += 1
+            if bad_row is None and found <= m:
+                try:
+                    row = _parse_turn(no, toks, found, n_agents, n_verts, ids)
+                except ParseError as exc:
+                    bad_row = exc
+                    continue
+                placements.append(row)
+                few = prev is not None and _few_changed(prev, row)
+                texts = _slice_texts(toks[2:]) if few else None
+                prev = row
+        seen += len(lines)
+    if m < 0:
+        raise ParseError(1, "empty schedule file")
     if found != m:
-        raise ParseError(no, f"expected {m} turn lines, found {found}")
+        raise ParseError(last, f"expected {m} turn lines, found {found}")
     if bad_row is not None:
         raise bad_row
     return Schedule(tuple(placements))
+
+
+def _few_changed(prev: Sequence[int], cur: Sequence[int]) -> bool:
+    """Whether rows of equal length differ in fewer than half of their
+    _SLICE-agent slices. The slices whose first agent moved are counted
+    first, and counting stops at half, so a row on which nearly every agent
+    moves is told apart in a few index lookups, without a slice copy."""
+    n = len(cur)
+    if len(prev) != n or n <= _SLICE:  # one slice: nothing to share but the row
+        return False
+    spare = (n - 1) // (2 * _SLICE)  # changed slices allowed: under half of them
+    for i in range(0, n, _SLICE):
+        if prev[i] != cur[i]:
+            if not spare:
+                return False
+            spare -= 1
+    return 2 * len(_changed_slices(prev, cur)) < -(-n // _SLICE)
+
+
+def _changed_slices(prev: Sequence[int], cur: Sequence[int]) -> List[int]:
+    """Start agent of each _SLICE-agent slice where rows of equal length differ."""
+    return [i for i in range(0, len(cur), _SLICE) if prev[i : i + _SLICE] != cur[i : i + _SLICE]]
+
+
+def _slice_texts(names: Sequence[str]) -> List[str]:
+    """The row text `" ".join(names)` cut after every _SLICE-th name: each
+    piece but the last ends in its separating space."""
+    texts = [" ".join(names[i : i + _SLICE]) + " " for i in range(0, len(names), _SLICE)]
+    if texts:
+        texts[-1] = texts[-1][:-1]
+    return texts
+
+
+# a row read from a turn line, and `_slice_texts` of it when the turn
+# changed fewer than half of its slices, else None
+_Turn = Tuple[Placement, Optional[List[str]]]
+
+
+def _read_whole_turn(
+    text: str, p: int, stop: int, head: str, prev: Optional[Placement],
+    ids: Callable[[str], int], n_agents: int,
+) -> Optional[_Turn]:
+    """The line `text[p:stop]` read as a row of `n_agents` ids when it is
+    `head` followed by canonical ids separated by single spaces; else None.
+    Every character of an accepted line is then proved to be a head, id or
+    single-space character, so the line holds no other line break and no
+    comment."""
+    if not text.startswith(head, p, stop):
+        return None
+    toks = text[p + len(head) : stop].split(" ")
+    if len(toks) != n_agents:
+        return None
+    try:
+        row = tuple(map(ids, toks))
+    except KeyError:
+        return None
+    return row, (_slice_texts(toks) if prev is not None and _few_changed(prev, row) else None)
+
+
+def _read_sparse_turn(
+    text: str, p: int, stop: int, head: str, prev: Placement, texts: List[str],
+    ids: Callable[[str], int], span: int,
+) -> Optional[_Turn]:
+    """`_read_whole_turn` for the row that follows `prev`, whose ids' slice
+    texts `texts` holds (`_slice_texts`); returns None changing nothing.
+    A slice whose text recurs at its place is taken from `prev`; only the
+    others are split and looked up (`ids`), and their texts replace the old
+    ones in `texts`. A slice text is at most `span` characters long."""
+    if not text.startswith(head, p, stop):
+        return None
+    off = p + len(head)
+    last = len(texts) - 1
+    row: Optional[List[int]] = None
+    new: List[Tuple[int, str]] = []
+    for k, piece in enumerate(texts):
+        if k < last:
+            if text.startswith(piece, off, stop):
+                off += len(piece)
+                continue
+            chunk = text[off : off + span]  # a line break is no id or space
+            toks = chunk.split(" ", _SLICE)
+            if len(toks) <= _SLICE:
+                return None
+            piece = chunk[: len(chunk) - len(toks.pop())]
+        else:
+            if stop - off == len(piece) and text.startswith(piece, off):
+                break
+            piece = text[off:stop]
+            toks = piece.split(" ")
+            if len(toks) != len(prev) - _SLICE * last:
+                return None
+        try:
+            vals = list(map(ids, toks))
+        except KeyError:
+            return None
+        if row is None:
+            row = list(prev)
+        row[k * _SLICE : k * _SLICE + len(vals)] = vals
+        new.append((k, piece))
+        off += len(piece)
+    for k, piece in new:
+        texts[k] = piece
+    return (prev if row is None else tuple(row)), (texts if 2 * len(new) < len(texts) else None)
 
 
 def _parse_turn(
@@ -639,8 +785,33 @@ class _Names(dict):
 
 
 def serialize_schedule(sched: Schedule) -> str:
-    name = _Names().__getitem__  # one str() per distinct id, not per token
+    """Schedule text, one `turn <i>: v ...` line per row. After a turn that
+    changed fewer than half of its _SLICE-agent slices (`_few_changed`),
+    the text of each slice is kept, and only the slices that differ from
+    the row before are joined again."""
+    rows = sched.placements
+    first = rows[0] if rows else ()
+    # one str() per distinct id, not per token; the first row's ids in one go
+    name = _Names(zip(first, map(str, first))).__getitem__
     out = [f"schedule {sched.makespan}"]
-    for i, pl in enumerate(sched.placements, start=1):
-        out.append(f"turn {i}: " + " ".join(map(name, pl)))
-    return "\n".join(out) + "\n"
+    prev: Placement = ()
+    texts: Optional[List[str]] = None  # `_slice_texts` of prev, on a sparse turn
+    for i, pl in enumerate(rows, start=1):
+        if texts is not None and len(prev) == len(pl):
+            changed = _changed_slices(prev, pl)
+            for j in changed:
+                cut = " ".join(map(name, pl[j : j + _SLICE]))
+                texts[j // _SLICE] = cut + " " if j + _SLICE < len(pl) else cut
+            row = "".join(texts)
+            if 2 * len(changed) >= len(texts):
+                texts = None
+        elif _few_changed(prev, pl):
+            texts = _slice_texts(list(map(name, pl)))
+            row = "".join(texts)
+        else:
+            texts = None
+            row = " ".join(map(name, pl))
+        out.append(f"turn {i}: {row}")
+        prev = pl
+    out.append("")  # the last line's break, without a second copy of the text
+    return "\n".join(out)

@@ -11,6 +11,13 @@ from hypothesis import strategies as st
 
 from mapfdc import model
 from mapfdc.errors import ParseError, PreconditionError
+from mapfdc.gadgets import (
+    build_pancake_instance,
+    build_three_partition_instance,
+    pancake_forward_schedule,
+    preprocess_three_partition,
+    three_partition_forward_schedule,
+)
 from mapfdc.graphs import Graph, complete_graph
 from mapfdc.model import (
     ColoredGroup,
@@ -562,23 +569,28 @@ def test_parse_schedule_reports_the_turn_count_before_a_bad_row(
 
 def test_parse_schedule_peak_memory_stays_near_the_result() -> None:
     # rows are converted as they are read, so the parse never holds every
-    # row's tokens at once: 2,000 agents over 300 turns
+    # row's tokens at once: 2,000 agents over 300 turns, on which every
+    # agent moves, or a handful do (read slice by slice)
     n_agents, turns = 2000, 300
     inst = Instance(_path(4000), tuple(range(n_agents)), tuple(range(n_agents)))
     rng = random.Random(3)
-    text = serialize_schedule(
-        Schedule(tuple(
-            tuple(rng.sample(range(256, 4000), n_agents)) for _ in range(turns)
-        ))
-    )
-    tracemalloc.start()
-    try:
-        sched = parse_schedule(text, inst)
-        retained, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert sched.makespan == turns
-    assert peak <= 1.5 * retained
+    dense = [tuple(rng.sample(range(256, 4000), n_agents)) for _ in range(turns)]
+    row = list(dense[0])
+    sparse = []
+    for _ in range(turns):
+        for a in rng.sample(range(n_agents), 12):
+            row[a] = rng.randrange(256, 4000)
+        sparse.append(tuple(row))
+    for rows in (dense, sparse):
+        text = serialize_schedule(Schedule(tuple(rows)))
+        tracemalloc.start()
+        try:
+            sched = parse_schedule(text, inst)
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert sched.placements == tuple(rows)
+        assert peak <= 1.5 * retained
 
 
 def test_schedule_round_trip() -> None:
@@ -721,6 +733,244 @@ def test_serialize_schedule_writes_str_of_every_id() -> None:
             + [f"turn {i}: " + " ".join(map(str, pl)) for i, pl in enumerate(sched.placements, 1)]
         ) + "\n"
         assert serialize_schedule(sched) == want
+
+
+def _sparse_rows(
+    rng: random.Random, ids: Sequence[int], agents: int, turns: int
+) -> List[Tuple[int, ...]]:
+    """Rows of `agents` ids drawn from `ids`: most turns move a few agents
+    (none, now and then), some move every agent, and some half of them."""
+    row = [rng.choice(ids) for _ in range(agents)]
+    rows = []
+    for _ in range(turns):
+        kind = rng.random()
+        if kind < 0.15:
+            movers = range(agents)
+        elif kind < 0.25:
+            movers = rng.sample(range(agents), agents // 2)
+        else:
+            movers = rng.sample(range(agents), rng.randrange(5))
+        for a in movers:
+            row[a] = rng.choice(ids)
+        rows.append(tuple(row))
+    return rows
+
+
+def test_serialize_schedule_matches_a_plain_join_on_rows_wider_than_a_slice(
+    monkeypatch: pytest.MonkeyPatch,
+) -> None:
+    # rows of 65-700 agents, written slice by slice on the turns after one
+    # that changed few slices; ids whose digit count changes from
+    # turn to turn, negative ids and ids above 10**6
+    ids = [0, 5, 9, 10, 11, 99, 100, 101, 999, 1000, -1, -9, -10, -100,
+           10**6 - 1, 10**6, 10**6 + 1, 123_456_789, 10**20]
+    sparse_turns: List[int] = []
+    changed = model._changed_slices
+
+    def counted(prev: Sequence[int], cur: Sequence[int]) -> List[int]:
+        sparse_turns.append(1)
+        return changed(prev, cur)
+
+    monkeypatch.setattr(model, "_changed_slices", counted)
+    rng = random.Random(28)
+    for _ in range(60):
+        agents = rng.randrange(65, 701)
+        rows = _sparse_rows(rng, ids, agents, rng.randrange(1, 12))
+        if rng.random() < 0.2:  # a row of another width ends the sparse run
+            narrow = tuple(rng.choice(ids) for _ in range(agents - 1))
+            rows.insert(rng.randrange(len(rows) + 1), narrow)
+        want = "\n".join(
+            [f"schedule {len(rows)}"]
+            + [f"turn {i}: " + " ".join(map(str, pl)) for i, pl in enumerate(rows, 1)]
+        ) + "\n"
+        assert serialize_schedule(Schedule(tuple(rows))) == want
+    assert len(sparse_turns) > 100
+
+
+def _edit_late_slice(kind: str, lines: List[str], n_verts: int, rng: random.Random) -> str:
+    """Schedule text `lines` (header first, in the writers' layout) with one
+    edit of `kind` placed in a late slice of a late turn."""
+    lines = list(lines)
+    t = rng.randrange(max(1, len(lines) - 3), len(lines))
+    head, _, body = lines[t].partition(": ")
+    toks = body.split(" ")
+    slices = -(-len(toks) // model._SLICE)
+    late = rng.randrange(max(0, slices - 2), slices)
+    at = min(len(toks) - 1, model._SLICE * late + rng.randrange(model._SLICE))
+    sep = [" "] * (len(toks) - 1)
+    tail = ""
+    if kind == "zeros":
+        toks[at] = "00" + toks[at]
+    elif kind == "plus":
+        toks[at] = "+" + toks[at]
+    elif kind == "out of range":
+        toks[at] = rng.choice((str(n_verts), str(n_verts + 70), "-1"))
+    elif kind == "tab":
+        sep[at - 1] = "\t"
+    elif kind == "double space":
+        sep[at - 1] = "  "
+    elif kind == "trailing space":
+        tail = " "
+    elif kind == "comment":
+        tail = rng.choice((" # note", "#"))
+    elif kind == "comment inside":
+        toks[at] += "#"
+    elif kind == "length":
+        toks[at] = str(rng.choice([v for v in (9, 10, 99, 100, 999, 1000) if v < n_verts]))
+    elif kind == "repeat":
+        toks = lines[t - 1].partition(": ")[2].split(" ") if t > 1 else toks
+        sep = [" "] * (len(toks) - 1)
+    elif kind == "extra":
+        toks.append(str(rng.randrange(n_verts)))
+        sep.append(" ")
+    elif kind == "missing":
+        del toks[at]
+        del sep[-1]
+    body = toks[0] + "".join(s + tok for s, tok in zip(sep, toks[1:]))
+    lines[t] = f"{head}: {body}{tail}"
+    return "\n".join(lines) + "\n"
+
+
+_LATE_EDITS = ["zeros", "plus", "out of range", "tab", "double space", "trailing space",
+               "comment", "comment inside", "length", "repeat", "extra", "missing"]
+
+
+def test_schedule_reader_matches_the_int_reader_on_edited_sparse_schedules(
+    monkeypatch: pytest.MonkeyPatch,
+) -> None:
+    # multi-slice schedules on which few agents move per turn, one edit in
+    # a late slice of a late turn, "\n" or "\r\n" line ends, and now and
+    # then no break after the last line: the slice-by-slice reader and the
+    # whole-row readers must give the rows or the (line, message) of the
+    # plain int() reader
+    sparse = {"read": 0, "declined": 0}
+    read_sparse = model._read_sparse_turn
+
+    def counted(*args):
+        got = read_sparse(*args)
+        sparse["read" if got is not None else "declined"] += 1
+        return got
+
+    monkeypatch.setattr(model, "_read_sparse_turn", counted)
+    rng = random.Random(17)
+    outcomes = {"rows": 0, "errors": 0}
+    for trial in range(240):
+        n_verts = rng.choice((420, 1100, 1500))
+        agents = rng.choice((129, 192, 193, 256, 257, 321, rng.randrange(65, 400)))
+        inst = Instance(_path(n_verts), tuple(range(agents)), tuple(range(agents)))
+        rows = _sparse_rows(rng, range(n_verts), agents, rng.randrange(3, 9))
+        lines = serialize_schedule(Schedule(tuple(rows))).split("\n")[:-1]
+        text = _edit_late_slice(_LATE_EDITS[trial % len(_LATE_EDITS)], lines, n_verts, rng)
+        if rng.random() < 0.3:
+            text = text.replace("\n", "\r\n")
+        if rng.random() < 0.3:  # no break after the last line
+            text = text.rstrip("\r\n")
+        got = _parse_or_error(parse_schedule, text, inst)
+        assert got == _parse_or_error(_reference_parse_schedule, text, inst), repr(text[-300:])
+        outcomes["rows" if isinstance(got, Schedule) else "errors"] += 1
+    assert min(outcomes.values()) > 60, outcomes
+    assert sparse["read"] > 200 and sparse["declined"] > 50, sparse
+
+
+def _witnesses() -> Dict[str, Tuple[Instance, Schedule]]:
+    spec = preprocess_three_partition((1, 1, 1, 1, 1, 1))
+    tp, reg = build_three_partition_instance(spec)
+    pk, pk_reg = build_pancake_instance((3, 5, 1, 4, 2), 5)
+    return {
+        "three-partition": (
+            tp, three_partition_forward_schedule(spec, tp, reg, ((1, 2, 3), (4, 5, 6)))
+        ),
+        "pancake": (pk, pancake_forward_schedule(pk, pk_reg, (4, 3, 5, 3, 4))),
+    }
+
+
+def test_witness_turns_take_the_reader_their_sparsity_calls_for(
+    monkeypatch: pytest.MonkeyPatch,
+) -> None:
+    # A three-partition witness (1,781 agents, 28 slices) moves a few agents
+    # per turn: after the first two turns, read whole, every turn is read
+    # slice by slice, and the writer joins the changed slices alone. On a
+    # pancake witness (390 agents) nearly every agent moves: every turn is
+    # read and written whole. No line of the writers' layout reaches
+    # `_parse_turn`. A silent fallback would keep the answers and lose the
+    # gain; this test sees it.
+    turns: Dict[str, List[int]] = {}
+
+    def spy(name: str, turn_of: Callable[..., int]) -> None:
+        real = getattr(model, name)
+        turns[name] = []
+
+        def counted(*args):
+            got = real(*args)
+            if got is not None and got is not False:
+                turns[name].append(turn_of(*args))
+            return got
+
+        monkeypatch.setattr(model, name, counted)
+
+    head_turn = lambda text, p, stop, head, *rest: int(head[5:-2])  # noqa: E731
+    spy("_read_whole_turn", head_turn)
+    spy("_read_sparse_turn", head_turn)
+    spy("_parse_turn", lambda no, toks, idx, *rest: idx)
+    spy("_few_changed", lambda prev, cur: 0)
+    spy("_changed_slices", lambda prev, cur: 0)
+    for kind, (inst, sched) in _witnesses().items():
+        m = sched.makespan
+        for name in turns:
+            turns[name] = []
+        text = serialize_schedule(sched)
+        written = (len(turns["_few_changed"]), len(turns["_changed_slices"]))
+        assert parse_schedule(text, inst) == sched
+        assert validate_schedule(inst, sched).ok
+        assert turns["_parse_turn"] == []
+        if kind == "pancake":
+            assert written == (0, 0)
+            assert turns["_read_whole_turn"] == list(range(1, m + 1))
+            assert turns["_read_sparse_turn"] == []
+        else:
+            # turn 2 is counted exactly and starts the run; turns 3.. compare slices
+            assert written == (1, m - 1)
+            assert turns["_read_whole_turn"] == [1, 2]
+            assert turns["_read_sparse_turn"] == list(range(3, m + 1))
+
+
+def test_a_sparse_run_ends_after_a_turn_that_changes_half_the_slices(
+    monkeypatch: pytest.MonkeyPatch,
+) -> None:
+    # 300 agents (5 slices): turns 1-4 and 7-9 move one agent, turns 5-6
+    # move all. The reader reads turns 1-2 and 6-7 whole: turn 5 changed
+    # every slice, so turn 6 is read whole and found dense, and turn 7 whole
+    # again, found sparse. The writer decides the same turns by
+    # `_few_changed`: dense, sparse, dense, sparse.
+    agents = 300
+    inst = Instance(_path(1000), tuple(range(agents)), tuple(range(agents)))
+    rng = random.Random(6)
+    row = list(range(agents))
+    rows = []
+    for turn in range(1, 10):
+        for a in range(agents) if turn in (5, 6) else (rng.randrange(agents),):
+            row[a] = rng.randrange(300, 1000)
+        rows.append(tuple(row))
+    sched = Schedule(tuple(rows))
+    calls: Dict[str, List[object]] = {
+        "_few_changed": [], "_read_whole_turn": [], "_read_sparse_turn": []
+    }
+    for name, log in calls.items():
+        real = getattr(model, name)
+
+        def counted(*args, real=real, log=log, name=name):
+            got = real(*args)
+            log.append(got if name == "_few_changed" else int(args[3][5:-2]))
+            return got
+
+        monkeypatch.setattr(model, name, counted)
+    text = serialize_schedule(sched)
+    assert calls["_few_changed"] == [False, True, False, True]
+    calls["_few_changed"].clear()
+    assert parse_schedule(text, inst) == sched
+    assert calls["_read_whole_turn"] == [1, 2, 6, 7]
+    assert calls["_read_sparse_turn"] == [3, 4, 5, 8, 9]
+    assert calls["_few_changed"] == [True, False, True]  # turns 2, 6 and 7
 
 
 def test_schedule_round_trip_shares_one_int_per_vertex() -> None:
