@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from itertools import compress
 from operator import ne
@@ -280,7 +279,6 @@ _OTHER_BREAKS = "\r\v\f\x1c\x1d\x1e"  # the ASCII line breaks of splitlines but 
 # fixed cost in cold caches (fresh process) exceeds what it saves there.
 _BULK_MIN = 1 << 11
 _EDGE_BLOCK = 1 << 16  # characters per bulk step; its token list stays small
-_EDGE_RUN_END = re.compile(r"\n(?!edge )")
 
 
 def _stretches(text: str) -> Iterator[Tuple[int, int]]:
@@ -326,29 +324,32 @@ def _vertex_ids(n: int) -> Dict[str, int]:
     return {str(v): v for v in range(n)}
 
 
-def _read_edge_block(block: str, ids: Dict[str, int], adj: List[List[int]]) -> int:
-    """Append the k lines of `block` to the neighbour lists `adj` and return
-    k; return 0, changing nothing, unless each line is proved to be
-    `edge u v`. Loops and repeated edges are left to the caller. Proof: each
-    line begins `edge ` and ends in "\\n", the only line break. Demand 3k
-    tokens with an id (never `edge`, never holding `#`) at every place but
-    the multiples of three. Each line's first token, `edge`, then sits at a
-    multiple of three, so each line holds a positive multiple of three
-    tokens, and k of them sharing 3k hold three."""
-    k = block.count("\n")
-    toks = block.split()
-    if len(toks) != 3 * k:
+def _read_edge_block(
+    block: str, ids: Dict[str, int], ends: Dict[str, int], adj: List[List[int]]
+) -> int:
+    """Append the k lines of `block`, which ends in "\\n", to the neighbour
+    lists `adj` and return k; return 0, changing nothing, unless each line is
+    proved to be `edge u v`. Loops and repeated edges are left to the caller.
+    `ends` maps `f"{v}\\nedge"` to v for each id v of `ids`. Proof: split on
+    single spaces, the block is `edge`, then pairs of an id and an id
+    followed by "\\nedge", the last pair's second token being an id followed
+    by the block's final "\\n". Ids hold digits alone, so joining the tokens
+    back with single spaces gives k lines `edge u v` and nothing else."""
+    toks = block.split(" ")
+    if toks[0] != "edge" or not len(toks) & 1:
         return 0
+    last = toks.pop()
     try:
-        us = list(map(ids.__getitem__, toks[1::3]))
-        vs = list(map(ids.__getitem__, toks[2::3]))
+        us = list(map(ids.__getitem__, toks[1::2]))
+        vs = list(map(ends.__getitem__, toks[2::2]))
+        vs.append(ids[last[:-1]])
     except KeyError:
         return 0
     del toks
     for u, v in zip(us, vs):
         adj[u].append(v)
         adj[v].append(u)
-    return k
+    return len(us)
 
 
 # graph, the directive lines after the graph, and the last content line
@@ -365,8 +366,9 @@ def _parse_graph_lines(text: str, header: str) -> _Head:
 def _read_written_head(text: str, header: str) -> Optional[_Head]:
     """`_parse_graph_lines` for a text laid out as the writers lay it out,
     else None; it never raises. The text must be ASCII with "\\n" its only
-    line break and open `<header> 1`, `vertices <n>` with n in digits, then
-    one run of edge lines, read in blocks (`_read_edge_block`) into
+    line break and open `<header> 1`, `vertices <n>` with n in digits and no
+    larger than the text is long, then one run of edge lines, up to the last
+    line that begins `edge `, read in blocks (`_read_edge_block`) into
     per-vertex neighbour lists: a list append stays in cache where a set add
     lands anywhere in a table of twice the final size. The lists are checked
     for loops and repeats once, as they are frozen. No line after the run
@@ -382,15 +384,19 @@ def _read_written_head(text: str, header: str) -> Optional[_Head]:
     if not (text.startswith(lead) and start and count.isdigit() and len(count) < 19):
         return None
     n = int(count)  # as the line reader reads it, leading zeros and all
-    run = _EDGE_RUN_END.search(text, start - 1)
-    if run is None:  # an edge line ends the text
+    if n > len(text):  # the id tables and the lists are O(n) before any edge is read
+        return None
+    last = text.rfind("\nedge ", start - 1) + 1  # the last edge line, or 0
+    end = text.find("\n", last) + 1 if last else start
+    if not end:  # an edge line ends the text
         return None
     ids = _vertex_ids(n)
+    ends = {t + "\nedge": v for t, v in ids.items()}
     lists: List[List[int]] = [[] for _ in range(n)]
-    p, end, no = start, run.start() + 1, 2
+    p, no = start, 2
     while p < end:
-        q = text.rfind("\n", p, min(p + _EDGE_BLOCK, end)) + 1 or text.find("\n", p) + 1
-        k = _read_edge_block(text[p:q], ids, lists)
+        q = text.rfind("\n", p, min(p + _EDGE_BLOCK, end)) + 1
+        k = _read_edge_block(text[p:q], ids, ends, lists)
         if not k:
             return None
         p, no = q, no + k
@@ -408,10 +414,13 @@ def _read_written_head(text: str, header: str) -> Optional[_Head]:
 
 def _read_graph_lines(text: str, header: str) -> _Head:
     """`_parse_graph_lines` line by line, each edge going straight into
-    per-vertex neighbour sets; raises ParseError at the first fault."""
+    per-vertex neighbour sets; raises ParseError at the first fault. A
+    vertex's set is made at its first edge, so a declared count costs one
+    slot per vertex until edges arrive, and every isolated vertex shares one
+    empty frozenset."""
     head = False
     n: Optional[int] = None
-    nbr: List[Set[int]] = []
+    nbr: List[Optional[Set[int]]] = []
     rest: List[Tuple[int, List[str]]] = []
     no = 0  # last content line
     for no, toks in _content_lines(text.splitlines()):
@@ -435,10 +444,15 @@ def _read_graph_lines(text: str, header: str) -> _Head:
                 raise ParseError(no, f"self-loop at vertex {u}")
             if not (0 <= u < n and 0 <= v < n):
                 raise ParseError(no, f"unknown vertex id in edge {u} {v}")
-            if v in nbr[u]:
+            su, sv = nbr[u], nbr[v]
+            if su is None:
+                su = nbr[u] = set()
+            elif v in su:
                 raise ParseError(no, f"duplicate edge {u} {v}")
-            nbr[u].add(v)
-            nbr[v].add(u)
+            if sv is None:
+                sv = nbr[v] = set()
+            su.add(v)
+            sv.add(u)
         elif key == "vertices":
             if n is not None:
                 raise ParseError(no, "duplicate vertices line")
@@ -447,14 +461,15 @@ def _read_graph_lines(text: str, header: str) -> _Head:
             n = _int_tok(no, toks[1], "vertex count")
             if n < 0:
                 raise ParseError(no, "vertex count must be non-negative")
-            nbr = [set() for _ in range(n)]
+            nbr = [None] * n
         else:
             rest.append((no, toks))
     if not head:
         raise ParseError(1, "empty file")
     if n is None:
         raise ParseError(no, "missing vertices line")
-    return Graph._from_neighbor_sets(n, nbr), rest, no
+    empty = frozenset()
+    return Graph._from_neighbor_sets(n, [empty if a is None else a for a in nbr]), rest, no
 
 
 def _read_limit(no: int, toks: List[str], limit: Optional[int]) -> int:

@@ -284,11 +284,12 @@ HEAD_MUTATIONS = [
     "vertices twice", "crlf", "tabs", "comments", "leading zero", "plus sign",
     "agents interleaved", "blank lines", "long line", "form feed",
     "non-ascii digit", "no final newline", "one endpoint last",
-    "three endpoints last",
+    "three endpoints last", "one and three endpoints in a block",
+    "double space", "trailing space", "edge as an endpoint",
 ]
-# the only mutations that keep the writers' layout: every other text goes
+# the only mutation that keeps the writers' layout: every other text goes
 # to the line reader
-IN_BULK = {"clean", "long line"}
+IN_BULK = {"clean"}
 # lines added after the valid section of an IN_BULK text, with whether the
 # bulk reader keeps it: a later edge or vertices line belongs to the graph,
 # so such a text goes to the line reader. Every other mutation is declined
@@ -359,6 +360,15 @@ def _mutated_head(kind: str, lines: List[str], n: int, rng: random.Random) -> st
         out[-1] = " ".join(out[-1].split()[:2])
     elif kind == "three endpoints last":
         out[-1] += " " + out[-1].split()[1]
+    elif kind == "one and three endpoints in a block":  # tokens as many as two good lines
+        out[deep - 1] = " ".join(out[deep - 1].split()[:2])
+        out[deep] += f" {u}"
+    elif kind == "double space":
+        out[deep] = f"edge {u}  {v}"
+    elif kind == "trailing space":
+        out[deep] += " "
+    elif kind == "edge as an endpoint":
+        out[deep] = f"edge {u} edge"
     text = "\n".join(out) + "\n"
     if kind == "crlf":
         text = text.replace("\n", "\r\n")
@@ -387,8 +397,8 @@ def _read_both_ways(monkeypatch: pytest.MonkeyPatch, parse, text: str):
             heads.append(parse_head(text, header))
             return heads[-1]
 
-        def counted_block(block: str, ids, nbr) -> int:
-            block_lines.append(read_block(block, ids, nbr))
+        def counted_block(block: str, ids, ends, nbr) -> int:
+            block_lines.append(read_block(block, ids, ends, nbr))
             return block_lines[-1]
 
         with monkeypatch.context() as mp:
@@ -469,6 +479,47 @@ def test_parse_instance_peak_memory_stays_near_the_graph(monkeypatch) -> None:
     for v in range(n):
         assert sys.getsizeof(inst.graph.neighbor_set(v)) <= sys.getsizeof(built.neighbor_set(v))
     assert peak <= 1.5 * retained  # 1.16x; sets filled edge by edge peak at 2.7x
+
+
+def test_edge_block_proof_takes_each_line_as_edge_u_v() -> None:
+    ids = model._vertex_ids(12)
+    ends = {t + "\nedge": v for t, v in ids.items()}
+    adj: List[List[int]] = [[] for _ in range(12)]
+    assert model._read_edge_block("edge 0 1\nedge 11 2\n", ids, ends, adj) == 2
+    assert adj[0] == [1] and adj[11] == [2] and adj[2] == [11]
+    for block in (
+        "edge 3\nedge 4 5 6\n",  # as many tokens as two lines of two endpoints
+        "edge 3 4 5\nedge 6\n", "edge 3 4\nedge 5\n", "agent 3 4\n", "edges 3 4\n",
+        "edge 3  4\n", "edge 3 4 \nedge 5 6\n", " edge 3 4\n", "edge 3 4\n\nedge 5 6\n",
+        "edge 3 4\n\n",
+        "edge 3 edge\n", "edge edge 4\n", "edge 3 4\nedge edge 5\n", "edge 3 12\n",
+        "edge 03 4\n", "edge 3 4\nvertices 5 6\n", "edge 3 4\tedge 5 6\n", "edge\n", "",
+    ):
+        assert model._read_edge_block(block, ids, ends, adj) == 0, block
+    assert sum(map(len, adj)) == 4  # nothing appended by a declined block
+
+
+@pytest.mark.parametrize("parse, header, tail", [
+    (parse_instance, "mapf", "agent 0 1\n"),
+    (parse_colored_instance, "cmapf", "group 1\nstarts 0\ntargets 1\n"),
+])
+@pytest.mark.parametrize("filler", [0, 300])
+def test_a_declared_vertex_count_costs_one_slot_per_vertex(parse, header, tail, filler) -> None:
+    # 200,000 vertices, no edges; with 300 comment lines the text is long
+    # enough for the bulk reader, which declines a count above the text's length
+    n = 200_000
+    text = f"{header} 1\nvertices {n}\n" + "# filler\n" * filler + tail
+    assert (len(text) >= model._BULK_MIN) == bool(filler)
+    assert model._read_written_head(text, header) is None
+    tracemalloc.start()
+    try:
+        inst = parse(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert inst.graph == Graph(n, [])
+    assert len({id(inst.graph.neighbor_set(v)) for v in range(n)}) == 1  # one shared empty set
+    assert peak <= 40 * n  # 25 bytes a vertex; a set per vertex, then a frozenset, took 450
 
 
 def test_colored_instance_round_trip() -> None:
