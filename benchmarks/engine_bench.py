@@ -1,4 +1,4 @@
-"""Time the joint search on seven fixed cases.
+"""Time the joint search on six fixed cases.
 
 Each case calls `mapfdc.engine.joint_bfs` directly and reports the
 makespan (`-` when none exists), the placements kept (`states`), the
@@ -13,7 +13,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from mapfdc.cli import _int_at_least
 from mapfdc.engine import joint_bfs
@@ -25,39 +25,32 @@ def _cycle(n: int) -> Graph:
     return Graph(n, [(i, (i + 1) % n) for i in range(n)])
 
 
-def _cases() -> List[Tuple[str, Graph, Tuple[int, ...], Tuple[int, ...], Optional[Tuple[int, ...]], int]]:
+def _cases() -> List[Tuple[str, Graph, Tuple[int, ...], Tuple[int, ...]]]:
     cases = []
 
     g = complete_graph(8)
     starts = tuple(range(6))
     targets = tuple((i + 1) % 6 for i in range(6))
-    cases.append(("clique-rotation-8v-6a", g, starts, targets, None, 0))
+    cases.append(("clique-rotation-8v-6a", g, starts, targets))
 
     inst = random_instance(9, 2, 4, 1)
-    cases.append(("near-clique-9v-4a", inst.graph, inst.starts, inst.targets, None, 0))
+    cases.append(("near-clique-9v-4a", inst.graph, inst.starts, inst.targets))
 
     inst = random_instance(11, 2, 5, 3)
-    cases.append(("near-clique-11v-5a", inst.graph, inst.starts, inst.targets, None, 0))
+    cases.append(("near-clique-11v-5a", inst.graph, inst.starts, inst.targets))
 
     g = _cycle(12)
-    cases.append(("cycle-12v-3a", g, (0, 4, 8), (4, 8, 0), None, 0))
+    cases.append(("cycle-12v-3a", g, (0, 4, 8), (4, 8, 0)))
 
-    g = Graph(9, [(i, j) for i in range(8) for j in range(i + 1, 8)] + [(8, 0), (8, 1)])
-    cases.append(
-        ("occupancy-floor-9v-5a", g, (8, 1, 2, 3, 4), (8, 2, 1, 4, 3), (8,), 1)
-    )
-
-    # packed kernel with no schedule: two agents must trade the ends of the
+    # packed instance with no schedule: two agents must trade the ends of the
     # bridge 0-5, so the bridge test answers before any search
     g = Graph(7, [(0, 5), (1, 4), (1, 6), (2, 3), (2, 4), (2, 5), (2, 6), (3, 4), (3, 5), (4, 5)])
-    cases.append(
-        ("infeasible-packed-7v-7a", g, (4, 6, 1, 0, 2, 3, 5), (3, 4, 6, 5, 1, 2, 0), (0, 1, 6), 3)
-    )
+    cases.append(("infeasible-packed-7v-7a", g, (4, 6, 1, 0, 2, 3, 5), (3, 4, 6, 5, 1, 2, 0)))
 
     # packed and bridgeless with no schedule: the search must exhaust every
     # placement it can reach
     g = Graph(5, [(0, 2), (0, 3), (1, 3), (1, 4), (2, 3), (3, 4)])
-    cases.append(("infeasible-bridgeless-5v-5a", g, (2, 1, 0, 4, 3), (4, 2, 0, 3, 1), None, 0))
+    cases.append(("infeasible-bridgeless-5v-5a", g, (2, 1, 0, 4, 3), (4, 2, 0, 3, 1)))
     return cases
 
 
@@ -70,11 +63,11 @@ def main(argv=None) -> int:
 
     header = ("case", "makespan", "states", "generated", "ms")
     rows = [header]
-    for name, g, starts, targets, floor_vertices, min_occ in _cases():
+    for name, g, starts, targets in _cases():
         best = float("inf")
         for _ in range(args.repeats):
             t0 = time.perf_counter()
-            res = joint_bfs(g, starts, targets, floor_vertices, min_occ)
+            res = joint_bfs(g, starts, targets)
             best = min(best, (time.perf_counter() - t0) * 1000.0)
         makespan = "-" if res.path is None else str(len(res.path) - 1)
         rows.append((name, makespan, str(res.states), str(res.generated), f"{best:.2f}"))

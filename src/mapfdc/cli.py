@@ -359,7 +359,11 @@ def build_parser() -> argparse.ArgumentParser:
         "--algo",
         choices=("fpt", "oracle"),
         default="fpt",
-        help="fpt: parameterized by distance to clique; oracle: exhaustive search",
+        help=(
+            "fpt: target row, two-turn step, then one search on the graph "
+            "with each clique vertex type trimmed; oracle: one search on "
+            "the whole graph"
+        ),
     )
     p_solve.add_argument(
         "--cap",

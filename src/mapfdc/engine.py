@@ -152,22 +152,17 @@ def joint_bfs(
     graph: Graph,
     starts: Placement,
     targets: Placement,
-    occupancy_vertices=None,
-    min_occupancy: int = 0,
     depth_cap: Optional[int] = None,
     state_guard: int = DEFAULT_STATE_GUARD,
 ) -> BfsResult:
     """Shortest schedule over joint placements under simultaneous-move,
     per-turn-injective, swap-free semantics.
 
-    occupancy_vertices/min_occupancy: every placement other than the start
-    and target must keep at least min_occupancy agents on the given
-    vertices. The returned path starts with the start placement, and is None
-    when no schedule exists within depth_cap turns. Raises
-    ResourceLimitError once the search would keep more than state_guard
-    states, and PreconditionError for a vertex id outside 0..n-1 (an
-    occupancy vertex is read only when min_occupancy > 0) or two agents
-    sharing a start.
+    The returned path starts with the start placement, and is None when no
+    schedule exists within depth_cap turns. Raises ResourceLimitError once
+    the search would keep more than state_guard states, and
+    PreconditionError for a vertex id outside 0..n-1 or two agents sharing
+    a start.
 
     Some answers come before any search, with states == 1: repeated
     targets, a target some agent cannot reach, and a packed instance (as
@@ -177,7 +172,7 @@ def joint_bfs(
     vertices. A 2-cycle of that permutation is a swap, which is forbidden,
     and every longer cycle is a simple cycle of the graph. So every edge
     crossed lies on a cycle and is not a bridge, and no agent ever leaves
-    its 2-edge-connected component, whatever the floor and the depth cap.
+    its 2-edge-connected component, whatever the depth cap.
 
     The search is f-layered with distance pruning. With dist(v, t) the hop
     distance in `graph`, h(P) = max_a dist(P[a], t_a) is a consistent lower
@@ -215,9 +210,9 @@ def joint_bfs(
        F > depth_cap thus proves that no schedule fits within depth_cap.
     3. An empty queue means every reachable placement was fully expanded:
        no layer holds a state only when every kept placement was expanded
-       with nothing cut, so every placement that is reachable, meets the
-       floor, and leaves each agent able to reach its target was kept, and
-       the target is not among them.
+       with nothing cut, so every placement that is reachable and leaves
+       each agent able to reach its target was kept, and the target is not
+       among them.
     """
     if len(starts) != len(targets):
         raise PreconditionError("start and target maps differ in length")
@@ -259,16 +254,6 @@ def joint_bfs(
     layer = max(options[a].dist[starts[a]] for a in range(n_agents))
     if layer >= n_verts or (depth_cap is not None and layer > depth_cap):
         return BfsResult(None, 1, 0)
-    occupancy_mask: Optional[bytes] = None
-    if min_occupancy > 0:
-        mask = bytearray(n_verts)
-        for v in occupancy_vertices or ():
-            if not 0 <= v < n_verts:
-                raise PreconditionError(
-                    f"occupancy vertex {v} outside 0..{n_verts - 1}"
-                )
-            mask[v] = 1
-        occupancy_mask = bytes(mask)
 
     visited: Set[Tuple[int, ...]] = {starts}
     states: List[Tuple[int, ...]] = [starts]
@@ -369,9 +354,6 @@ def joint_bfs(
                             key = unpermute(new)
                             if key in visited:
                                 continue
-                            if occupancy_mask is not None and key != targets:
-                                if sum(occupancy_mask[w] for w in new) < min_occupancy:
-                                    continue
                             kid = keep(key, sid)
                             if key == targets:
                                 hit = kid

@@ -21,12 +21,7 @@ from mapfdc.gadgets import (
     three_partition_forward_schedule,
 )
 from mapfdc.graphs import Graph, clique_split, complete_graph, min_vertex_cover
-from mapfdc.kernelize import (
-    build_kernel,
-    classify_types,
-    makespan_bound,
-    select_core_agents,
-)
+from mapfdc.kernelize import kernel_graph, makespan_bound
 from mapfdc.model import (
     Instance,
     validate_colored_schedule,
@@ -174,20 +169,8 @@ def test_feasible_makespans_respect_the_distance_bound(suite2) -> None:
 def test_kernel_preserves_the_optimum_when_all_agents_are_core(suite2) -> None:
     for inst, _, ref in suite2:
         split = clique_split(inst.graph, budget=inst.graph.n)
-        types, agent_types = classify_types(inst, split)
-        core = select_core_agents(inst, split, types, agent_types)
-        assert core == frozenset(inst.agents)
-        kern = build_kernel(inst, split, core, types)
-        # the kernel speaks the instance's vertex ids
-        assert (kern.starts, kern.targets) == (inst.starts, inst.targets)
-        assert kern.modulator == split.modulator
-        res = engine.joint_bfs(
-            kern.graph,
-            kern.starts,
-            kern.targets,
-            occupancy_vertices=kern.modulator,
-            min_occupancy=kern.k,
-        )
+        # the trimmed graph speaks the instance's vertex ids
+        res = engine.joint_bfs(kernel_graph(inst, split), inst.starts, inst.targets)
         kernel_opt = None if res.path is None else len(res.path) - 1
         assert kernel_opt == (None if ref is None else ref[0])
 

@@ -66,10 +66,6 @@ def _no_search(*args, **kwargs):
     raise AssertionError("joint_bfs ran")
 
 
-def _no_lift(*args):
-    raise AssertionError("lift_schedule ran")
-
-
 def test_solve_answers_a_complete_graph_without_a_search(
     tmp_path, capsys, monkeypatch
 ) -> None:
@@ -91,9 +87,9 @@ def test_solve_finishes_a_full_near_clique(tmp_path, capsys, monkeypatch) -> Non
     # dc = 1: clique 0..304 plus vertex 305 joined to 304. Agents 0..99 stand
     # still; the others fill 100..303, two pairs of them exchange vertices
     # and the rest shift one place along a cycle, so no vertex is spare.
-    # Every agent lies in the clique part: no search and no lift.
+    # Every agent lies in the clique part: the two-turn step answers with
+    # no search.
     monkeypatch.setattr(cli.fpt, "joint_bfs", _no_search)
-    monkeypatch.setattr(cli.fpt, "lift_schedule", _no_lift)
     clique = 305
     edges = [(u, v) for u in range(clique) for v in range(u + 1, clique)]
     edges.append((clique - 1, clique))

@@ -57,21 +57,14 @@ def _moves(g: Graph, cur: Tuple[int, ...]) -> List[Tuple[int, ...]]:
     return out
 
 
-def _reference_optimum(
-    inst: Instance,
-    cap: int,
-    floor_vertices: Sequence[int] = (),
-    min_occupancy: int = 0,
-) -> Optional[int]:
+def _reference_optimum(inst: Instance, cap: int) -> Optional[int]:
     """Independent exhaustive check: breadth-first over joint placements
     from both ends (a turn played backwards is a turn), one layer of the
-    smaller frontier at a time. Placements other than the start and target
-    must keep min_occupancy agents on floor_vertices. Small inputs only."""
+    smaller frontier at a time. Small inputs only."""
     start = tuple(inst.starts)
     goal = tuple(inst.targets)
     if start == goal:
         return 0
-    floor = set(floor_vertices)
     seen = [{start}, {goal}]
     fronts = [[start], [goal]]
     for length in range(1, cap + 1):
@@ -81,7 +74,7 @@ def _reference_optimum(
             for cand in _moves(inst.graph, cur):
                 if cand in seen[1 - side]:
                     return length
-                if cand not in seen[side] and sum(v in floor for v in cand) >= min_occupancy:
+                if cand not in seen[side]:
                     seen[side].add(cand)
                     nxt.append(cand)
         if not nxt:
@@ -198,18 +191,6 @@ def test_solve_with_stats_counts_states() -> None:
     assert absent is None and states2 > 0
 
 
-def test_occupancy_floor_is_enforced_between_endpoints() -> None:
-    # crossing K4 while keeping at least one agent on {2, 3} at every
-    # intermediate placement: direct 2-step trades through those vertices
-    g = complete_graph(4)
-    res = engine.joint_bfs(
-        g, (0, 1), (1, 0), occupancy_vertices=(2, 3), min_occupancy=1
-    )
-    assert res.path is not None
-    for placement in res.path[1:-1]:
-        assert any(v in (2, 3) for v in placement)
-
-
 def _near_clique(rng: random.Random, n: int, dc: int) -> Tuple[Graph, List[int]]:
     """A clique on n - dc vertices plus dc vertices joined to every other
     vertex by a coin flip; returns the graph and those dc vertices."""
@@ -228,50 +209,44 @@ def _assert_legal_path(
     path: Sequence[Tuple[int, ...]],
     starts: Tuple[int, ...],
     targets: Tuple[int, ...],
-    floor: Sequence[int],
-    k: int,
 ) -> None:
     assert path[0] == starts and path[-1] == targets
     for prev, cur in zip(path, path[1:]):
         assert len(set(cur)) == len(cur)
         assert all(u == v or g.has_edge(u, v) for u, v in zip(prev, cur))
         assert not detect_swaps(prev, cur)
-    for placement in path[1:-1]:
-        assert sum(v in floor for v in placement) >= k
 
 
 def _differential_cases(rng: random.Random):
-    """(graph, agents, floor vertices, floor k): 240 near-cliques, then 30
-    paths and 30 cycles."""
+    """(graph, agents): 240 near-cliques, then 30 paths and 30 cycles."""
     for _ in range(240):
-        g, mods = _near_clique(rng, rng.randint(7, 9), rng.randint(1, 3))
-        yield g, rng.randint(4, 6), mods, rng.choice((0, 1, 2))
+        g, _ = _near_clique(rng, rng.randint(7, 9), rng.randint(1, 3))
+        yield g, rng.randint(4, 6)
     for i in range(60):
         n = rng.randint(3, 8)
         g = _path(n) if i % 2 else _cycle(n)
-        floor = rng.sample(range(n), rng.randint(1, 2))
-        yield g, rng.randint(1, min(3, n)), floor, rng.choice((0, 1))
+        yield g, rng.randint(1, min(3, n))
 
 
-def test_pruned_search_matches_the_reference_with_floors_and_caps() -> None:
+def test_pruned_search_matches_the_reference_with_caps() -> None:
     cap = 8
     rng = random.Random(2024)
     infeasible = capped = 0
-    for g, agents, floor, k in _differential_cases(rng):
+    for g, agents in _differential_cases(rng):
         starts = tuple(rng.sample(range(g.n), agents))
         targets = tuple(rng.sample(range(g.n), agents))
-        expected = _reference_optimum(Instance(g, starts, targets), cap, floor, k)
-        res = engine.joint_bfs(g, starts, targets, floor, k, depth_cap=cap)
+        expected = _reference_optimum(Instance(g, starts, targets), cap)
+        res = engine.joint_bfs(g, starts, targets, depth_cap=cap)
         assert res.generated >= res.states - 1
         if expected is None:
             infeasible += 1
             assert res.path is None
             continue
         assert res.path is not None and len(res.path) - 1 == expected
-        _assert_legal_path(g, res.path, starts, targets, floor, k)
+        _assert_legal_path(g, res.path, starts, targets)
         if expected > 0:
             capped += 1
-            below = engine.joint_bfs(g, starts, targets, floor, k, depth_cap=expected - 1)
+            below = engine.joint_bfs(g, starts, targets, depth_cap=expected - 1)
             assert below.path is None
     assert infeasible >= 20 and capped >= 200
 
@@ -289,16 +264,6 @@ def test_pruned_search_matches_the_reference_with_floors_and_caps() -> None:
 def test_joint_bfs_rejects_shared_or_unknown_vertices(starts, targets) -> None:
     with pytest.raises(PreconditionError):
         engine.joint_bfs(complete_graph(4), starts, targets)
-
-
-@pytest.mark.parametrize("occupancy", [(-1,), (7,)])
-def test_joint_bfs_rejects_unknown_occupancy_vertices(occupancy) -> None:
-    # (-1,) used to act as vertex 3 and (7,) leaked IndexError
-    with pytest.raises(PreconditionError, match="occupancy vertex"):
-        engine.joint_bfs(
-            complete_graph(4), (0, 1), (1, 0),
-            occupancy_vertices=occupancy, min_occupancy=1,
-        )
 
 
 def test_joint_bfs_answers_repeated_targets_without_a_search() -> None:
@@ -420,7 +385,7 @@ def test_packed_instances_match_the_reference() -> None:
                 searched_infeasible += 1
             continue
         assert res.path is not None and len(res.path) - 1 == expected
-        _assert_legal_path(g, res.path, starts, targets, (), 0)
+        _assert_legal_path(g, res.path, starts, targets)
     assert decided_early >= 50 and searched_infeasible >= 1
 
 
@@ -457,7 +422,7 @@ def test_packed_bridge_crossing_is_decided_without_a_search() -> None:
     # pendant vertex 0 hangs on the bridge 0-5, and the agents on 0 and 5
     # must trade them
     inst = parse_instance(_PACKED_INFEASIBLE_TEXT)
-    res = engine.joint_bfs(inst.graph, inst.starts, inst.targets, (0, 1, 6), 3)
+    res = engine.joint_bfs(inst.graph, inst.starts, inst.targets)
     assert res == engine.BfsResult(None, 1, 0)
     assert fpt.solve_with_stats(inst) == (None, 1)
 

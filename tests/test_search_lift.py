@@ -1,307 +1,43 @@
 from __future__ import annotations
 
 import functools
-import itertools
 import random
 from dataclasses import replace
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import pytest
 
-from mapfdc import fpt, oracle
-from mapfdc.engine import DEFAULT_STATE_GUARD
-from mapfdc.errors import MapfError, PreconditionError, ResourceLimitError
-from mapfdc.fpt import _config_search, _solve_kernel, lift_schedule, solve_with_stats
+from mapfdc import engine, fpt, oracle
+from mapfdc.errors import ResourceLimitError
+from mapfdc.fpt import solve_with_stats
 from mapfdc.gadgets import random_instance
-from mapfdc.graphs import CliqueSplit, Graph, clique_split, complete_graph
-from mapfdc.kernelize import (
-    Kernel,
-    build_kernel,
-    classify_types,
-    kernel_is_instance,
-    select_core_agents,
-)
+from mapfdc.graphs import Graph, clique_split, complete_graph
+from mapfdc.kernelize import kernel_graph
 from mapfdc.model import Instance, Schedule, detect_swaps, validate_schedule
-
-
-def _k4_kernel(starts: Tuple[int, ...], targets: Tuple[int, ...], k: int = 0) -> Kernel:
-    g = complete_graph(4)
-    return Kernel(
-        g,
-        tuple(range(len(starts))),
-        starts,
-        targets,
-        k,
-        frozenset(range(4)),
-        frozenset(),
-    )
-
-
-def _kernel(inst: Instance, split: CliqueSplit, core: FrozenSet[int]) -> Kernel:
-    types, _ = classify_types(inst, split)
-    return build_kernel(inst, split, core, types)
-
-
-def _kernel_schedule(kernel: Kernel, cap: Optional[int] = None) -> Optional[Schedule]:
-    """Shortest kernel schedule within `cap` turns under the kernel's own
-    occupancy floor, as the solver searches it."""
-    return _config_search(kernel, cap, DEFAULT_STATE_GUARD)[0]
-
-
-def test_config_search_settled_agents_cost_nothing() -> None:
-    kernel = _k4_kernel((0, 1), (0, 1))
-    sched = _kernel_schedule(kernel, 10)
-    assert sched is not None
-    assert sched.makespan == 0
-
-
-def test_config_search_matches_clique_and_oracle_on_a_swap() -> None:
-    kernel = _k4_kernel((0, 1), (1, 0))
-    sched = _kernel_schedule(kernel, 10)
-    assert sched is not None
-    assert sched.makespan == 2
-    inst = Instance(complete_graph(4), (0, 1), (1, 0))
-    assert validate_schedule(inst, sched).ok
-    fpt_result, fpt_states = solve_with_stats(inst)
-    oracle_result = oracle.solve_with_stats(inst)[0]
-    assert fpt_result is not None and oracle_result is not None
-    assert fpt_states == 0
-    assert sched.makespan == fpt_result[0] == oracle_result[0]
-
-
-def test_config_search_absence_within_bound() -> None:
-    kernel = _k4_kernel((0, 1), (1, 0))
-    assert _kernel_schedule(kernel, 1) is None
-
-
-def test_config_search_keeps_agents_on_the_modulator() -> None:
-    g = Graph(5, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (4, 0), (4, 1)])
-    kernel = Kernel(
-        g,
-        (0, 1),
-        (0, 1),
-        (1, 0),
-        1,
-        frozenset(range(5)),
-        frozenset({4}),
-    )
-    sched = _kernel_schedule(kernel, 10)
-    assert sched is not None
-    assert sched.makespan == 2
-    for placement in sched.placements[:-1]:
-        assert any(v == 4 for v in placement)
-    # the same exchange with the occupancy constraint switched off may
-    # resolve through the spare clique vertices instead
-    free = _kernel_schedule(replace(kernel, k=0), 10)
-    assert free is not None and free.makespan == 2
-
-
-def test_lift_with_full_core_is_a_relabeling() -> None:
-    g = Graph(5, [(0, 1)] + [(u, v) for u in range(1, 5) for v in range(u + 1, 5)])
-    split = clique_split(g)
-    assert split.modulator == frozenset({0})
-    inst = Instance(g, (0, 2), (2, 3), makespan_limit=None)
-    kernel = _kernel(inst, split, frozenset(inst.agents))
-    # no type is trimmed, so the kernel searches the instance's own graph
-    assert kernel.graph is inst.graph
-    ksched = _kernel_schedule(kernel)
-    assert ksched is not None
-    lifted = lift_schedule(inst, split, kernel, ksched)
-    assert lifted is ksched
-    assert validate_schedule(inst, lifted).ok
-
-
-def _drop_instance() -> Tuple[Instance, CliqueSplit]:
-    """Hub plus a 60-vertex clique; one hub-crossing agent and 51 clique
-    dwellers that stay in place, enough to outnumber max(core, 50)."""
-    clique = list(range(1, 61))
-    edges = [(u, v) for i, u in enumerate(clique) for v in clique[i + 1 :]]
-    edges.extend([(0, 1), (0, 2)])
-    g = Graph(61, edges)
-    starts = tuple([0] + list(range(1, 52)))
-    targets = tuple([60] + list(range(1, 52)))
-    inst = Instance(g, starts, targets)
-    return inst, clique_split(g)
-
-
-def test_lift_extends_a_kernel_schedule_to_dropped_agents() -> None:
-    inst, split = _drop_instance()
-    core = frozenset({0})
-    kernel = _kernel(inst, split, core)
-    assert len(kernel.vertices) < inst.graph.n
-    ksched = _kernel_schedule(kernel)
-    assert ksched is not None
-    assert ksched.makespan == 2
-    # the trimmed kernel keeps the instance's ids: its rows stay on the
-    # kept vertices, and every other vertex has lost its edges
-    assert all(kernel.vertices.issuperset(row) for row in ksched.placements)
-    outside = set(range(inst.graph.n)) - kernel.vertices
-    assert outside and all(not kernel.graph.neighbor_set(v) for v in outside)
-    lifted = lift_schedule(inst, split, kernel, ksched)
-    assert lifted.makespan == 2
-    assert validate_schedule(inst, lifted).ok
-    # the core agent replays its kernel route
-    for placement, kernel_row in zip(lifted.placements, ksched.placements):
-        assert placement[0] == kernel_row[0]
-
-
-def test_lift_drifts_around_a_forbidden_core_move() -> None:
-    # clique 1..60 plus vertex 0 joined to 1 only; three core agents move
-    # inside the clique while 51 dropped agents stay on the lowest other
-    # clique vertices. At turn 1 core agents enter 2 and 3, and the one
-    # entering 3 leaves 10, the lowest spare: the dropped agent on 3,
-    # evicted first, must not take 10, which would be a swap.
-    clique = list(range(1, 61))
-    edges = [(u, v) for i, u in enumerate(clique) for v in clique[i + 1 :]]
-    edges.append((0, 1))
-    g = Graph(61, edges)
-    dwellers = [3, 2] + [v for v in clique if v not in (1, 2, 3, 10, 11, 30)][:49]
-    starts = tuple([1, 0, 10] + dwellers)
-    targets = tuple([0, 30, 11] + dwellers)
-    inst = Instance(g, starts, targets)
-    split = clique_split(g)
-    kernel = _kernel(inst, split, frozenset({0, 1, 2}))
-    found = _kernel_schedule(kernel)
-    assert found is not None and found.makespan == 3
-    # The search may return any optimal schedule; in this one the core
-    # agent entering 3 at turn 1 leaves 10.
-    ksched = Schedule(((2, 1, 3), (1, 3, 2), (0, 30, 11)))
-    kinst = Instance(kernel.graph, kernel.starts, kernel.targets)
-    assert kernel.k == 0 and validate_schedule(kinst, ksched).ok
-    lifted = lift_schedule(inst, split, kernel, ksched)
-    assert lifted.makespan == 3
-    assert validate_schedule(inst, lifted).ok
-    turn1 = lifted.placements[0]
-    assert turn1[:3] == (2, 1, 3)
-    # the agent on 3 skips its bar 10 for 11; the agent on 2 takes 10
-    assert (turn1[3], turn1[4]) == (11, 10)
-    assert turn1[5:] == starts[5:]
-
-
-def _eviction_lift(
-    clique: int,
-    hub: int,
-    core_starts: Tuple[int, ...],
-    core_rows: Tuple[Tuple[int, ...], ...],
-    dropped: Tuple[int, ...],
-    moves: Dict[int, int],
-) -> Tuple[Instance, Schedule]:
-    """Clique 0..clique-1 plus vertex `clique` joined to `hub`. Core agents
-    start on `core_starts` and follow the kernel schedule `core_rows`;
-    dropped agents start on `dropped`, and those at the keys of `moves`
-    end on its values, the others at home. Returns the instance and the
-    lift; the kernel is the whole graph."""
-    edges = [(u, v) for u in range(clique) for v in range(u + 1, clique)]
-    edges.append((hub, clique))
-    g = Graph(clique + 1, edges)
-    nc = len(core_starts)
-    targets = tuple(moves.get(v, v) for v in dropped)
-    inst = Instance(g, core_starts + dropped, core_rows[-1] + targets)
-    kernel = Kernel(
-        g, tuple(range(nc)), core_starts, core_rows[-1], 0,
-        frozenset(range(clique + 1)), frozenset({clique}),
-    )
-    split = CliqueSplit(frozenset({clique}), frozenset(range(clique)))
-    return inst, lift_schedule(inst, split, kernel, Schedule(core_rows))
-
-
-def test_lift_keeps_the_last_evicted_agent_off_its_bar() -> None:
-    # clique 0..52 plus vertex 53 joined to 1. At turn 1 core agent 0 enters
-    # 1 from 53 and core agent 1 enters 2 from 3; the dropped agents fill
-    # every clique vertex but 0 and 3. Once the agent on 1 takes 0, the
-    # agent on 2 has only its bar 3 left among the unheld vertices, and
-    # moving there would be a swap: both evicted agents move, and at most
-    # one other dropped agent makes room.
-    dropped = (1, 2) + tuple(range(4, 53))
-    inst, lifted = _eviction_lift(53, 1, (53, 3), ((1, 2),) * 3, dropped, {1: 3, 2: 0})
-    assert lifted.makespan == 3
-    assert validate_schedule(inst, lifted).ok
-    turn1 = lifted.placements[0]
-    assert turn1[:2] == (1, 2)
-    moved = {v for v, now in zip(dropped, turn1[2:]) if now != v}
-    assert {1, 2} <= moved and len(moved - {1, 2}) <= 1
-
-
-def test_lift_rotates_a_stayer_onto_a_lone_bar() -> None:
-    # clique 0..51 plus vertex 52 joined to 0. At turn 1 the core agent
-    # enters 1 from 0, and the dropped agents fill 1..51, so the evicted
-    # agent's only spare is its bar 0: the stayer on 2 moves onto 0 and the
-    # evicted agent takes 2.
-    dropped = tuple(range(1, 52))
-    inst, lifted = _eviction_lift(52, 0, (0,), ((1,),) * 3, dropped, {1: 2, 2: 0})
-    assert lifted.makespan == 3
-    assert validate_schedule(inst, lifted).ok
-    assert lifted.placements[0] == (1, 2, 0) + dropped[2:]
-
-
-def test_lift_rejects_a_turn_with_too_few_free_clique_vertices() -> None:
-    # clique 0..59 plus vertex 60 joined to 0. Core agents 60 -> 0 -> 60
-    # and 0 -> 1 -> 0 hold two clique vertices at turn 1, leaving 58 for
-    # the 59 dropped agents on 1..59.
-    rows = ((0, 1), (60, 0), (60, 0))
-    with pytest.raises(PreconditionError, match="turn 1 leaves fewer free"):
-        _eviction_lift(60, 0, (60, 0), rows, tuple(range(1, 60)), {})
-
-
-def test_lift_rejects_a_dropped_agent_bound_for_the_modulator() -> None:
-    # clique 0..52 plus vertex 53 joined to 1; the core agent waits on 0,
-    # and the dropped agent on 52 is bound for the modulator vertex 53
-    with pytest.raises(PreconditionError, match="start and end in the clique part"):
-        _eviction_lift(53, 1, (0,), ((0,),) * 2, tuple(range(1, 53)), {52: 53})
-
-
-def test_lift_rejects_small_drop_pools() -> None:
-    g = Graph(6, [(0, 1)] + [(u, v) for u in range(1, 6) for v in range(u + 1, 6)])
-    split = clique_split(g)
-    inst = Instance(g, (0, 2, 3, 4), (5, 2, 3, 4))
-    kernel = _kernel(inst, split, frozenset({0}))
-    ksched = _kernel_schedule(kernel)
-    assert ksched is not None
-    with pytest.raises(PreconditionError):
-        lift_schedule(inst, split, kernel, ksched)
-
-
-def test_lift_rejects_one_turn_kernel_schedules() -> None:
-    # clique 1..60 plus vertex 0 joined to 1; the core agent steps from 1
-    # to 0 in one turn while 51 dropped agents stay put, and the finish
-    # needs turns m - 2, m - 1 and m
-    clique = list(range(1, 61))
-    edges = [(u, v) for i, u in enumerate(clique) for v in clique[i + 1 :]]
-    edges.append((0, 1))
-    g = Graph(61, edges)
-    dwellers = clique[1:52]
-    inst = Instance(g, tuple([1] + dwellers), tuple([0] + dwellers))
-    split = clique_split(g)
-    kernel = _kernel(inst, split, frozenset({0}))
-    ksched = _kernel_schedule(kernel)
-    assert ksched is not None and ksched.makespan == 1
-    with pytest.raises(PreconditionError, match="at least two turns"):
-        lift_schedule(inst, split, kernel, ksched)
 
 
 def _finish_on_clique(
     n: int, starts: Tuple[int, ...], targets: Tuple[int, ...]
-) -> Tuple[Schedule, Dict[int, int]]:
-    """Turns m - 1 and m that the finish gives agents standing on `starts`
-    in K_n with no core agent, as a schedule from `starts`."""
-    agents = range(len(starts))
-    x = fpt._lift_turn(agents, dict(enumerate(starts)), targets, ((), (), ()), range(n))
-    return Schedule((tuple(x[a] for a in agents), targets)), x
+) -> Optional[Schedule]:
+    """The two-turn schedule that the two-turn step gives agents standing
+    on `starts` in K_n: one middle row over the pool of every vertex, agents
+    in id order, since every vertex has the same degree."""
+    return fpt._two_turn_schedule(Instance(complete_graph(n), starts, targets))
 
 
 def test_finish_sends_every_agent_home_when_nothing_exchanges() -> None:
     # nothing exchanges, so every agent heads straight home
     targets = (1, 2)
-    sched, _ = _finish_on_clique(5, (0, 1), targets)
-    assert sched.placements == (targets, targets)
+    sched = _finish_on_clique(5, (0, 1), targets)
+    assert sched is not None and sched.placements == (targets, targets)
 
 
 def test_finish_places_four_exchanging_pairs() -> None:
     starts = tuple(range(8))
     targets = (1, 0, 3, 2, 5, 4, 7, 6)
     assert len(detect_swaps(starts, targets)) == 4
-    sched, _ = _finish_on_clique(12, starts, targets)
-    assert validate_schedule(Instance(complete_graph(12), starts, targets), sched).ok
+    sched = _finish_on_clique(12, starts, targets)
+    assert sched is not None and validate_schedule(Instance(complete_graph(12), starts, targets), sched).ok
 
 
 def _record_backtracks(monkeypatch) -> List[int]:
@@ -341,9 +77,10 @@ def test_finish_resolves_exchanges_in_a_packed_clique(monkeypatch, n, pairs) -> 
     starts = tuple(paired + idle)
     targets = tuple([v for u, w in pairs for v in (w, u)] + idle)
     inst = Instance(complete_graph(n), starts, targets)
-    sched, x = _finish_on_clique(n, starts, targets)
-    assert validate_schedule(inst, sched).ok
+    sched = _finish_on_clique(n, starts, targets)
+    assert sched is not None and validate_schedule(inst, sched).ok
     assert len(steps) == 1 and steps[0] < fpt._FINISH_BACKTRACKS // 100
+    x = sched.placements[0]
     moved = sum(x[a] != starts[a] for a in range(len(paired), n))
     assert moved == (2 if len(pairs) == 1 else 0)
     steps.clear()
@@ -356,166 +93,15 @@ def test_finish_resolves_exchanges_in_a_packed_clique(monkeypatch, n, pairs) -> 
 def test_finish_sends_the_second_of_a_pair_to_a_spare_vertex() -> None:
     # agent 0 steps onto its target at once; agent 1 steps aside to the
     # spare vertex 2, and no idle agent is involved
-    sched, _ = _finish_on_clique(4, (0, 1), (1, 0))
-    assert sched.placements == ((1, 2), (1, 0))
+    sched = _finish_on_clique(4, (0, 1), (1, 0))
+    assert sched is not None and sched.placements == ((1, 2), (1, 0))
     assert validate_schedule(Instance(complete_graph(4), (0, 1), (1, 0)), sched).ok
 
 
 def test_finish_raises_when_no_placement_exists() -> None:
-    # K3 full of agents, two of which exchange: no two turns can do it
-    with pytest.raises(MapfError, match="no swap-free placement"):
-        _finish_on_clique(3, (0, 1, 2), (1, 0, 2))
-
-
-def _exchanges(prev: Tuple[int, ...], nxt: Tuple[int, ...]) -> bool:
-    """Whether some two agents trade vertices from `prev` to `nxt`."""
-    return any(
-        prev[a] != nxt[a] and nxt[a] == prev[b] and nxt[b] == prev[a]
-        for a, b in itertools.combinations(range(len(prev)), 2)
-    )
-
-
-def _finish_frame(
-    rng: random.Random,
-) -> Tuple[Tuple[Tuple[int, ...], ...], Tuple[int, ...], Tuple[int, ...], List[int]]:
-    """Random input of the lift's two-turn finish: a clique 0..q-1 (q =
-    4..7) and modulator vertices q and q + 1; 0-2 core agents whose rows
-    C0, C1, C2 are injective and make no exchange; dropped agents on P,
-    clear of C0, bound for T, clear of C2, at most as many as the clique
-    vertices F outside C1, and all of them in half the draws. Returns the
-    core window, P, T and F."""
-    q, n_core = rng.randint(4, 7), rng.randint(0, 2)
-    while True:
-        window = tuple(tuple(rng.sample(range(q + 2), n_core)) for _ in range(3))
-        if not _exchanges(window[0], window[1]) and not _exchanges(window[1], window[2]):
-            break
-    clear = [[v for v in range(q) if v not in row] for row in window]
-    most = min(map(len, clear))
-    d = most if rng.random() < 0.5 else rng.randint(1, most)
-    return window, tuple(rng.sample(clear[0], d)), tuple(rng.sample(clear[2], d)), clear[1]
-
-
-def _two_turn_reference(
-    window: Tuple[Tuple[int, ...], ...],
-    pos: Tuple[int, ...],
-    targets: Tuple[int, ...],
-    free: List[int],
-) -> Optional[Tuple[int, ...]]:
-    """Brute force for one lift turn: the first injective X from the
-    dropped agents into `free` such that C0 + P -> C1 + X -> C2 + T has
-    no exchange, or None when there is none."""
-    c0, c1, c2 = window
-    for x in itertools.permutations(free, len(pos)):
-        mid = c1 + x
-        if not _exchanges(c0 + pos, mid) and not _exchanges(mid, c2 + targets):
-            return x
-    return None
-
-
-def test_lift_turn_agrees_with_a_brute_force_reference() -> None:
-    # the lift turn places exactly the frames the reference can place, and
-    # what it places is injective, inside F and free of exchanges. Each
-    # frame runs in two shapes: turn m - 1, bound for the targets T under
-    # the window (C0, C1, C2), and a turn before it, whose goal is P itself
-    # under the window (C0, C1, C0)
-    rng = random.Random(808)
-    placed = {"finish": 0, "stay": 0}
-    infeasible = {"finish": 0, "stay": 0}
-    for _ in range(6000):
-        frame, pos, frame_targets, free = _finish_frame(rng)
-        n_core = len(frame[0])
-        dropped = range(n_core, n_core + len(pos))
-        stay = (frame[0], frame[1], frame[0])
-        for shape, window, targets in (
-            ("finish", frame, frame_targets),
-            ("stay", stay, pos),
-        ):
-            reference = _two_turn_reference(window, pos, targets, free)
-            try:
-                x = fpt._lift_turn(
-                    dropped, dict(zip(dropped, pos)), window[2] + targets, window, free
-                )
-            except MapfError as exc:
-                assert reference is None, (shape, window, pos, targets)
-                assert "no swap-free placement" in str(exc)
-                infeasible[shape] += 1
-                continue
-            assert reference is not None, (shape, window, pos, targets)
-            row = tuple(x[a] for a in dropped)
-            assert len(set(row)) == len(row) and set(row) <= set(free)
-            mid = window[1] + row
-            assert not _exchanges(window[0] + pos, mid)
-            assert not _exchanges(mid, window[2] + targets)
-            placed[shape] += 1
-    assert placed["finish"] > 5000 and infeasible["finish"] > 0
-    # F has at least two vertices (q >= 4, at most two core agents) and one
-    # per dropped agent, so by the eviction argument of lift_schedule every
-    # stay frame has a row
-    assert placed["stay"] == 6000 and infeasible["stay"] == 0
-
-
-def test_lift_avoids_an_exchange_that_drift_then_jump_would_make() -> None:
-    # clique 0..62, vertex 63 joined to 25, 27, 55, 58, 60 and 64, vertex 64
-    # joined to 18, 35 and 43. Drifting every dropped agent up to turn
-    # m - 1 and then jumping to the targets makes agents 25 and 55 exchange
-    # on this input, and no clique vertex is spare. Only the lift runs here:
-    # solve_with_stats keeps all 60 agents in the core, and that joint
-    # search is far too large.
-    edges = [(u, v) for u in range(63) for v in range(u + 1, 63)]
-    edges.extend((v, 63) for v in (25, 27, 55, 58, 60, 64))
-    edges.extend((v, 64) for v in (18, 35, 43))
-    g = Graph(65, edges)
-    starts = (
-        63, 44, 15, 30, 51, 59, 10, 20, 41, 19, 1, 47, 18, 37, 14, 24, 38, 17,
-        25, 5, 54, 62, 2, 27, 40, 21, 9, 6, 0, 35, 11, 52, 33, 26, 23, 46, 42,
-        60, 58, 57, 4, 31, 49, 39, 56, 32, 34, 8, 55, 28, 43, 3, 48, 53, 36,
-        16, 13, 45, 12, 7,
-    )
-    targets = (
-        52, 63, 30, 15, 12, 40, 59, 49, 62, 16, 53, 43, 55, 35, 23, 34, 39,
-        21, 46, 31, 3, 11, 41, 28, 2, 47, 36, 54, 29, 48, 24, 26, 20, 45, 4,
-        13, 14, 25, 17, 32, 50, 18, 10, 19, 9, 51, 33, 0, 57, 7, 37, 61, 5,
-        60, 27, 42, 38, 8, 6, 1,
-    )
-    inst = Instance(g, starts, targets)
-    split = clique_split(g)
-    kernel = _kernel(inst, split, frozenset({0, 1, 59}))
-    found = _kernel_schedule(kernel)
-    assert found is not None and found.makespan == 2
-    ksched = Schedule(((25, 27, 0), (52, 63, 1)))
-    kinst = Instance(kernel.graph, kernel.starts, kernel.targets)
-    assert kernel.k == 0 and validate_schedule(kinst, ksched).ok
-    lifted = lift_schedule(inst, split, kernel, ksched)
-    assert lifted.makespan == 2
-    assert validate_schedule(inst, lifted).ok
-
-
-def test_lift_finishes_two_exchanges_in_a_full_clique() -> None:
-    # clique 0..60 plus vertex 61 joined to 47; 56 agents, core {10, 15}.
-    # Dropped agents 5 and 14, and 18 and 37, exchange on a direct final
-    # jump, and no clique vertex stays free over the last three turns.
-    edges = [(u, v) for u in range(61) for v in range(u + 1, 61)]
-    edges.append((47, 61))
-    g = Graph(62, edges)
-    starts = (
-        59, 60, 33, 22, 47, 44, 50, 24, 52, 32, 38, 41, 57, 49, 54, 61, 23, 19,
-        0, 10, 48, 3, 5, 21, 13, 17, 25, 18, 12, 29, 36, 7, 46, 4, 45, 35, 15,
-        6, 2, 39, 31, 1, 43, 53, 27, 55, 11, 8, 37, 30, 34, 56, 42, 20, 51, 9,
-    )
-    targets = (
-        40, 36, 24, 50, 53, 54, 37, 46, 49, 9, 61, 27, 41, 38, 16, 1, 58, 45,
-        6, 30, 15, 25, 29, 19, 20, 13, 44, 2, 18, 31, 51, 8, 33, 17, 60, 35,
-        57, 0, 32, 21, 43, 47, 39, 26, 7, 52, 5, 56, 23, 34, 42, 55, 28, 3, 12,
-        48,
-    )
-    inst = Instance(g, starts, targets)
-    split = clique_split(g)
-    kernel = _kernel(inst, split, frozenset({10, 15}))
-    ksched = _kernel_schedule(kernel)
-    assert ksched is not None and ksched.makespan == 3
-    lifted = lift_schedule(inst, split, kernel, ksched)
-    assert lifted.makespan == 3
-    assert validate_schedule(inst, lifted).ok
+    # K3 full of agents, two of which exchange: no two turns can do it, and
+    # the exhaustive middle-row search refutes them
+    assert _finish_on_clique(3, (0, 1, 2), (1, 0, 2)) is None
 
 
 @functools.lru_cache(maxsize=None)
@@ -529,9 +115,9 @@ def _tight_near_clique(
     rng: random.Random, pairs: Optional[int] = None, on_modulator: bool = False
 ) -> Instance:
     """dc = 1: clique 0..c-1 (c = 305..308) plus vertex c joined to the top
-    1-3 clique vertices. Agents 0..99 stand still on 0..99 and make the
-    core; with `on_modulator`, agent 0 starts on c instead, so the instance
-    touches the modulator and the lift runs. The others start on all but
+    1-3 clique vertices. Agents 0..99 stand still on 0..99; with
+    `on_modulator`, agent 0 starts on c instead, two hops from its target,
+    so the instance touches the modulator. The others start on all but
     0-12 of the unattached vertices from 100 on; `pairs` of them (1-3 at
     random when None) exchange vertices and no other pair does. Raises
     ValueError when the last agent is left only a target that would make
@@ -556,15 +142,11 @@ def _tight_near_clique(
                 break
         else:
             raise ValueError(f"no free vertex left for agent {100 + i}")
-    core = tuple(range(100))
-    core_starts = (clique,) + core[1:] if on_modulator else core
+    still = tuple(range(100))
+    still_starts = (clique,) + still[1:] if on_modulator else still
     return Instance(
-        _near_clique(clique, attached), core_starts + tuple(starts), core + tuple(targets)
+        _near_clique(clique, attached), still_starts + tuple(starts), still + tuple(targets)
     )
-
-
-def _no_lift(*args: object) -> Schedule:
-    raise AssertionError("lift_schedule ran")
 
 
 def _no_search(*args: object, **kwargs: object) -> object:
@@ -572,10 +154,9 @@ def _no_search(*args: object, **kwargs: object) -> object:
 
 
 def test_solve_with_stats_finishes_tight_near_cliques(monkeypatch) -> None:
-    # every agent lies in the clique part, so the answer needs neither the
-    # kernel search nor the lift
+    # every agent lies in the clique part, so the two-turn step answers
+    # and no search runs
     monkeypatch.setattr(fpt, "joint_bfs", _no_search)
-    monkeypatch.setattr(fpt, "lift_schedule", _no_lift)
     rng = random.Random(909)
     solved = 0
     while solved < 100:
@@ -593,217 +174,30 @@ def test_solve_with_stats_finishes_tight_near_cliques(monkeypatch) -> None:
         solved += 1
 
 
-def _all_core(inst: Instance) -> bool:
-    """Whether select_core_agents keeps every agent of `inst` as core."""
-    split = clique_split(inst.graph)
-    types, agent_types = classify_types(inst, split)
-    return len(select_core_agents(inst, split, types, agent_types)) == inst.n_agents
-
-
-def test_kernel_path_lifts_tight_near_cliques_with_a_core_agent_on_the_modulator(
-    monkeypatch,
-) -> None:
-    # agent 0 starts on the modulator vertex, two hops from its target.
-    # solve_with_stats answers 2 with its two-turn search and no states; the
-    # kernel path, run directly, searches the kernel, lifts the dropped
-    # agents and answers the same. Draws whose type closure keeps every
-    # agent as core are skipped: there no lift runs, and the joint search
-    # gets the whole instance, which can exhaust memory (the next test).
-    lifts = []
-
-    def spy(*args: object) -> Schedule:
-        lifts.append(1)
-        return lift_schedule(*args)
-
-    monkeypatch.setattr(fpt, "lift_schedule", spy)
-    rng = random.Random(913)
-    solved = 0
-    while solved < 5:
-        try:
-            inst = _tight_near_clique(rng, on_modulator=True)
-        except ValueError:
-            continue
-        if _all_core(inst):
-            continue
-        result, states = solve_with_stats(inst)
-        assert result is not None
-        makespan, sched = result
-        assert makespan == 2 and states == 0
-        assert validate_schedule(inst, sched).ok
-        assert len(lifts) == solved
-        result, states = _solve_kernel(inst, clique_split(inst.graph), DEFAULT_STATE_GUARD)
-        assert result is not None
-        makespan, sched = result
-        assert makespan == 2 and states > 0
-        assert validate_schedule(inst, sched).ok
-        solved += 1
-        assert len(lifts) == solved
-
-
 def test_solve_with_stats_answers_all_core_tight_near_cliques_without_a_search(
     monkeypatch,
 ) -> None:
-    # three of the first twelve draws keep all 291-301 agents as core, and a
-    # joint search of them used up a 3,000-state guard; the two-turn search
-    # answers 2 before any kernel or joint search
+    # the first twelve draws hold 291-305 agents, and on five of them a
+    # joint search of every agent used up a 3,000-state guard; the two-turn
+    # search answers 2 on each before any search
     monkeypatch.setattr(fpt, "joint_bfs", _no_search)
-    monkeypatch.setattr(oracle, "joint_bfs", _no_search)
-    monkeypatch.setattr(fpt, "lift_schedule", _no_lift)
     rng = random.Random(913)
     answered = []
     for _ in range(12):
         inst = _tight_near_clique(rng, on_modulator=True)
-        if not _all_core(inst):
-            continue
         result, states = solve_with_stats(inst, state_guard=3000)
         assert result is not None
         makespan, sched = result
         assert makespan == 2 and states == 0
         assert validate_schedule(inst, sched).ok
         answered.append(inst.n_agents)
-    assert answered == [291, 299, 301]
-
-
-def test_kernel_path_pads_a_short_kernel_schedule_before_the_lift(
-    monkeypatch,
-) -> None:
-    # agent 0 waits on the modulator vertex, so every core agent starts home
-    # and the kernel schedule has under two turns. With exchanging pairs
-    # among the dropped agents the answer is 2: solve_with_stats finds it
-    # with the two-turn search, and the kernel path, run directly, pads the
-    # kernel schedule to two turns, which the lift requires. At a limit of 1
-    # solve_with_stats answers None once the target row fails, before any
-    # search or lift. With no pair the target row answers 1.
-    kernel_turns = []
-
-    def spy(inst: Instance, split: CliqueSplit, kernel: Kernel, ksched: Schedule) -> Schedule:
-        kernel_turns.append(ksched.makespan)
-        return lift_schedule(inst, split, kernel, ksched)
-
-    monkeypatch.setattr(fpt, "lift_schedule", spy)
-    rng = random.Random(913)
-    for pairs in (1, 2, 0):
-        while True:
-            try:
-                inst = _tight_near_clique(rng, pairs=pairs, on_modulator=True)
-            except ValueError:
-                continue
-            if not _all_core(inst):
-                break
-        hub = inst.graph.n - 1
-        inst = replace(inst, targets=(hub,) + inst.targets[1:])
-        result, states = solve_with_stats(inst)
-        assert result is not None
-        makespan, sched = result
-        assert validate_schedule(inst, sched).ok
-        assert states == 0 and not kernel_turns
-        if pairs:
-            assert makespan == 2
-            result, _ = _solve_kernel(inst, clique_split(inst.graph), DEFAULT_STATE_GUARD)
-            assert result is not None
-            assert result[0] == 2 and kernel_turns == [2]
-            assert validate_schedule(inst, result[1]).ok
-            assert solve_with_stats(replace(inst, makespan_limit=1)) == (None, 0)
-            assert kernel_turns == [2]
-            kernel_turns.clear()
-        else:
-            assert makespan == 1
-
-
-def _moving_core_lift(
-    rng: random.Random,
-) -> Optional[Tuple[Instance, CliqueSplit, Kernel, Schedule]]:
-    """Lift inputs with moving core agents, or None when the draw leaves
-    too few dropped agents or starts too many core agents in the clique.
-    A clique of 53-64 vertices plus 1-3 modulator vertices, each joined to
-    1-8 clique vertices and perhaps to the next one. 1-4 core agents take a
-    random walk of 2-6 turns that keeps at most `room` of them in the
-    clique every turn; the dropped agents fill all but `room` + 0-5 clique
-    vertices, with 0-4 planted exchanging pairs and sometimes agents that
-    stay home. The kernel is the whole graph."""
-    dc, nq = rng.randint(1, 3), rng.randint(53, 64)
-    n = nq + dc
-    edges = [(u, v) for u in range(nq) for v in range(u + 1, nq)]
-    for w in range(nq, n):
-        edges.extend((v, w) for v in rng.sample(range(nq), rng.randint(1, 8)))
-        if w + 1 < n and rng.random() < 0.5:
-            edges.append((w, w + 1))
-    g = Graph(n, edges)
-    clique = frozenset(range(nq))
-    n_core = rng.randint(1, 4)
-    room = rng.randint(0, n_core)
-    n_drop = nq - room - rng.choice((0, 0, 0, 1, 2, 3, 5))
-    if n_drop <= 50:
-        return None
-    walk = [tuple(rng.sample(range(n), n_core))]
-    for _ in range(rng.randint(2, 6)):
-        pl = walk[-1]
-        step = tuple(rng.choice((v,) + tuple(sorted(g.neighbor_set(v)))) for v in pl)
-        if (
-            len(set(step)) < n_core
-            or detect_swaps(pl, step)
-            or sum(v in clique for v in step) > room
-        ):
-            step = pl
-        walk.append(step)
-    if sum(v in clique for v in walk[0]) > room:
-        return None
-    core_starts, core_targets = walk[0], walk[-1]
-    starts = rng.sample([v for v in range(nq) if v not in core_starts], n_drop)
-    targets: List[Optional[int]] = [None] * n_drop
-    for p in range(rng.randint(0, 4)):
-        a, b = starts[2 * p], starts[2 * p + 1]
-        if a not in core_targets and b not in core_targets:
-            targets[2 * p], targets[2 * p + 1] = b, a
-    if rng.random() < 0.3:
-        for i, v in enumerate(starts):
-            if targets[i] is None and v not in core_targets and v not in targets:
-                if rng.random() < 0.2:
-                    targets[i] = v
-    pool = [v for v in range(nq) if v not in core_targets and v not in targets]
-    rng.shuffle(pool)
-    full = [t if t is not None else pool.pop() for t in targets]
-    inst = Instance(g, core_starts + tuple(starts), core_targets + tuple(full))
-    core = tuple(range(n_core))
-    kernel = Kernel(
-        g, core, core_starts, core_targets, 0, frozenset(range(n)),
-        frozenset(range(nq, n)),
-    )
-    return inst, CliqueSplit(frozenset(range(nq, n)), clique), kernel, Schedule(
-        tuple(walk[1:])
-    )
-
-
-def test_lift_validates_on_random_moving_cores() -> None:
-    rng = random.Random(1717)
-    lifted_count = 0
-    while lifted_count < 300:
-        drawn = _moving_core_lift(rng)
-        if drawn is None:
-            continue
-        inst, split, kernel, ksched = drawn
-        lifted = lift_schedule(inst, split, kernel, ksched)
-        assert lifted.makespan == ksched.makespan
-        assert validate_schedule(inst, lifted).ok
-        # up to turn m - 2 only agents whose vertex a core agent enters
-        # move, plus at most one stayer that makes room
-        rows = (inst.starts,) + lifted.placements
-        n_core = len(kernel.core_agents)
-        for prev, row in zip(rows, rows[1 : ksched.makespan - 1]):
-            entered = set(row[:n_core])
-            stayers_moved = sum(
-                row[a] != prev[a] and prev[a] not in entered
-                for a in range(n_core, inst.n_agents)
-            )
-            assert stayers_moved <= 1
-        lifted_count += 1
+    assert answered == [297, 291, 299, 296, 300, 295, 304, 301, 298, 296, 305, 304]
 
 
 def test_solve_with_stats_meets_the_limit_on_tight_near_cliques(monkeypatch) -> None:
     # one exchanging pair needs two turns: limit 1 leaves nothing and limit
-    # 2 leaves the optimum, with no search and no lift either way
+    # 2 leaves the optimum, with no search either way
     monkeypatch.setattr(fpt, "joint_bfs", _no_search)
-    monkeypatch.setattr(fpt, "lift_schedule", _no_lift)
     rng = random.Random(911)
     solved = 0
     while solved < 5:
@@ -837,13 +231,30 @@ def test_solve_with_stats_matches_the_oracle_at_distance_to_clique_13() -> None:
     assert validate_schedule(inst, result[1]).ok
 
 
+def test_trimmed_search_answers_a_tail_that_the_whole_search_cannot() -> None:
+    # clique 0..299 plus the modulator path 300-301 hanging off vertex 0
+    # (dc 2). Agent 0 walks 301 -> 300 -> 0 -> 299, and the agents on 1..4
+    # stand still. The clique part splits into vertex 0 and a type of 299
+    # vertices, past the budget of three per agent, which keeps 15 of them:
+    # the search of those 18 vertices answers 3 after 42,594 states, and
+    # the search of the whole graph uses up a 200,000-state guard.
+    c = 300
+    edges = [(u, v) for u in range(c) for v in range(u + 1, c)]
+    edges.extend([(0, c), (c, c + 1)])
+    inst = Instance(Graph(c + 2, edges), (c + 1, 1, 2, 3, 4), (c - 1, 1, 2, 3, 4))
+    result, states = solve_with_stats(inst)
+    assert result is not None and result[0] == 3 and states > 0
+    assert validate_schedule(inst, result[1]).ok
+    with pytest.raises(ResourceLimitError):
+        oracle.solve_with_stats(inst, 200_000)
+
+
 def test_clique_part_answer_plans_one_exchange_among_still_agents(monkeypatch) -> None:
     # dc = 1: clique 0..309, vertex 310 joined to 302..309. Agents 0..99 stand
     # still; agents 100 and 101 exchange vertices, and the rest shift one
     # place along a chain. Every agent lies in the clique part, so the
-    # two-turn plan comes without a joint search or a lift.
+    # two-turn plan comes without a joint search.
     monkeypatch.setattr(fpt, "joint_bfs", _no_search)
-    monkeypatch.setattr(fpt, "lift_schedule", _no_lift)
     clique, attached = 310, 8
     edges = [(u, v) for u in range(clique) for v in range(u + 1, clique)]
     edges.extend((v, clique) for v in range(clique - attached, clique))
@@ -886,11 +297,6 @@ def test_solve_with_stats_finds_no_exchange_on_a_two_vertex_path() -> None:
     assert solve_with_stats(inst)[0] is None
 
 
-def _selected_kernel(inst: Instance, split: CliqueSplit) -> Kernel:
-    types, agent_types = classify_types(inst, split)
-    return build_kernel(inst, split, select_core_agents(inst, split, types, agent_types), types)
-
-
 def _outcome(solve) -> Tuple[object, ...]:
     """Makespan, placements and state count of a solve, or the message and
     state count of the ResourceLimitError it raised."""
@@ -903,87 +309,86 @@ def _outcome(solve) -> Tuple[object, ...]:
     return (result[0], result[1].placements, states)
 
 
+def _record_searches(monkeypatch) -> List[Graph]:
+    """The list to which each later `fpt.joint_bfs` call appends the graph
+    it searches."""
+    graphs: List[Graph] = []
+    search = fpt.joint_bfs
+
+    def spy(graph: Graph, *args: object, **kwargs: object):
+        graphs.append(graph)
+        return search(graph, *args, **kwargs)
+
+    monkeypatch.setattr(fpt, "joint_bfs", spy)
+    return graphs
+
+
 def test_small_instances_search_the_whole_instance_as_the_kernel_would(
     monkeypatch,
 ) -> None:
-    # Where the kernel would be the instance itself, solve_with_stats
-    # searches the whole instance with no floor, unless an earlier step
-    # answers. On every seeded draw where the kernel would be the instance,
-    # the kernel path gives the same makespan, placements and state count
-    # as that search, or trips the state guard with the same message.
-    whole: List[Instance] = []
-    search_whole = oracle.solve_with_stats
-
-    def spy(inst: Instance, state_guard: int):
-        whole.append(inst)
-        return search_whole(inst, state_guard)
-
-    monkeypatch.setattr(oracle, "solve_with_stats", spy)
+    # The last step of solve_with_stats searches every agent on the
+    # trimmed graph, which is the instance's own graph when the clique part
+    # has at most three vertices per agent. On every seeded draw that
+    # reaches it untrimmed, it gives the oracle's makespan, placements and
+    # state count, or trips the state guard with the same message. A
+    # trimmed search, and an earlier step that answers with no search, give
+    # the oracle's makespan wherever neither trips the guard.
+    graphs = _record_searches(monkeypatch)
     guard = 20_000
-    compared = tripped = searched = 0
+    whole = early = tripped = 0
     for i in range(400):
         rng = random.Random(i)
         n = rng.randint(4, 12)
         dc = rng.randint(0, min(3, n - 1))
         inst = random_instance(n, dc, rng.randint(1, n), i)
-        split = clique_split(inst.graph)
-        small = kernel_is_instance(inst, split)
+        graphs.clear()
         got = _outcome(lambda: solve_with_stats(inst, guard))
-        if whole and whole[-1] is inst:
-            assert small
-            searched += 1
-        elif small:
-            # an earlier step answered, so the test searches the instance
-            got = _outcome(lambda: search_whole(inst, guard))
-        else:
+        expected = _outcome(lambda: oracle.solve_with_stats(inst, guard))
+        if graphs and graphs[0] is inst.graph:
+            assert got == expected, i
+            whole += 1
+            tripped += got[0] == "guard"
             continue
-        kernel = _selected_kernel(inst, split)
-        assert kernel.graph is inst.graph
-        assert kernel.core_agents == tuple(inst.agents)
-        assert (kernel.starts, kernel.targets) == (inst.starts, inst.targets)
-        assert got == _outcome(lambda: _solve_kernel(inst, split, guard)), i
-        compared += 1
-        tripped += got[0] == "guard"
-    assert compared >= 150 and tripped >= 1 and searched >= 40
+        if graphs:
+            assert graphs == [kernel_graph(inst, clique_split(inst.graph))], i
+        else:
+            assert got[-1] == 0, i
+            early += 1
+        if "guard" not in (got[0], expected[0]):
+            assert got[0] == expected[0], i
+    assert whole >= 40 and tripped >= 1 and early >= 300
 
 
 def test_solve_with_stats_agrees_with_the_oracle_on_sampled_instances(
     monkeypatch,
 ) -> None:
-    # two draws whose kernel drops vertices of the clique part (12 of 16
-    # and 18 of 20 kept) and whose optimum is 2: solve_with_stats answers
-    # with the two-turn search, and the kernel path, run directly, stays
-    # under the oracle check
+    # two draws whose trimmed graph drops vertices of the clique part and
+    # whose optimum is 2: solve_with_stats answers with the two-turn
+    # search, and the trimmed search, run directly, makes as many states as
+    # the oracle's
     for args in ((16, 1, 2, 3), (20, 1, 3, 5)):
         inst = random_instance(*args)
-        split = clique_split(inst.graph)
-        kernel = _selected_kernel(inst, split)
-        assert len(kernel.vertices) < inst.graph.n
+        trimmed = kernel_graph(inst, clique_split(inst.graph))
+        assert trimmed != inst.graph
         two_turn, two_turn_states = solve_with_stats(inst)
-        fpt_result, fpt_states = _solve_kernel(inst, split, DEFAULT_STATE_GUARD)
+        res = engine.joint_bfs(trimmed, inst.starts, inst.targets)
         oracle_result, oracle_states = oracle.solve_with_stats(inst)
-        assert two_turn is not None and fpt_result is not None
+        assert two_turn is not None and res.path is not None
         assert oracle_result is not None
-        assert two_turn[0] == fpt_result[0] == oracle_result[0] == 2
-        assert two_turn_states == 0 and fpt_states == oracle_states == 3
+        assert two_turn[0] == len(res.path) - 1 == oracle_result[0] == 2
+        assert two_turn_states == 0 and res.states == oracle_states == 3
         assert validate_schedule(inst, two_turn[1]).ok
-        assert validate_schedule(inst, fpt_result[1]).ok
-    # a draw whose kernel drops a vertex of the clique part (14 of 15 kept)
-    # and whose optimum is 3: the two-turn search refutes 2, and
-    # solve_with_stats answers through the kernel path
-    kernel_runs = []
-
-    def spy(*args: object):
-        kernel_runs.append(1)
-        return _solve_kernel(*args)
-
-    monkeypatch.setattr(fpt, "_solve_kernel", spy)
+        assert validate_schedule(inst, Schedule(res.path[1:])).ok
+    # a draw whose trimmed graph drops a vertex of the clique part and
+    # whose optimum is 3: the two-turn search refutes 2, and
+    # solve_with_stats answers with one search of the trimmed graph
+    graphs = _record_searches(monkeypatch)
     inst = random_instance(15, 2, 2, 479)
-    kernel = _selected_kernel(inst, clique_split(inst.graph))
-    assert len(kernel.vertices) < inst.graph.n
+    trimmed = kernel_graph(inst, clique_split(inst.graph))
+    assert trimmed != inst.graph
     fpt_result, fpt_states = solve_with_stats(inst)
     oracle_result, oracle_states = oracle.solve_with_stats(inst)
-    assert kernel_runs == [1] and fpt_states > 0 and oracle_states > 0
+    assert graphs == [trimmed] and fpt_states > 0 and oracle_states > 0
     assert fpt_result is not None and oracle_result is not None
     assert fpt_result[0] == oracle_result[0] == 3
     assert validate_schedule(inst, fpt_result[1]).ok
