@@ -7,7 +7,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, List, Optional, Sequence, Tuple
 
-from . import fpt, oracle
+from . import fpt
 from .engine import DEFAULT_STATE_GUARD
 from .errors import MapfError, ParseError, PreconditionError, ResourceLimitError
 from .gadgets import (
@@ -117,10 +117,10 @@ def _run(
     run with no result and an aborted report of the states kept. Every
     schedule is validated before it is returned; one the validator rejects
     is a failure of the solver and raises MapfError."""
-    solver = fpt if algo == "fpt" else oracle
+    solve = fpt.solve_with_stats if algo == "fpt" else fpt.oracle_with_stats
     started = time.perf_counter()
     try:
-        result, states = solver.solve_with_stats(inst, state_guard)
+        result, states = solve(inst, state_guard)
     except ResourceLimitError as exc:
         millis = (time.perf_counter() - started) * 1000.0
         return None, RunReport(label, algo, None, exc.states, millis, aborted=str(exc))
@@ -361,8 +361,8 @@ def build_parser() -> argparse.ArgumentParser:
         default="fpt",
         help=(
             "fpt: target row, two-turn step, then one search on the graph "
-            "with each clique vertex type trimmed; oracle: one search on "
-            "the whole graph"
+            "with each twin class trimmed; oracle: one search on the "
+            "whole graph"
         ),
     )
     p_solve.add_argument(

@@ -1,11 +1,10 @@
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from .engine import DEFAULT_STATE_GUARD, joint_bfs
 from .errors import MapfError
-from .graphs import clique_split
-from .kernelize import kernel_graph
+from .graphs import Graph, clique_split
 from .model import Instance, Placement, Schedule, validate_schedule
 
 
@@ -13,24 +12,28 @@ from .model import Instance, Placement, Schedule, validate_schedule
 # gives up.
 _FINISH_BACKTRACKS = 10_000
 
+# kernel_graph keeps a twin class whole when it has at most this many
+# vertices per agent, and trims it to that many otherwise.
+VERTICES_PER_AGENT = 3
+
 
 def _middle_row(
+    nbr: Callable[[int], FrozenSet[int]],
     agents: Sequence[int],
-    vertices: Sequence[int],
-    fits: Callable[[int, int], bool],
     pos: Placement,
     targets: Placement,
 ) -> Tuple[Optional[Dict[int, int]], int]:
     """Depth-first search for the vertices X of `agents` at the middle turn
-    of P -> X -> T, with P = `pos` and T = `targets`.
+    of P -> X -> T, with P = `pos`, T = `targets` and `nbr(v)` the
+    neighbours of v, such that each X_b lies in N[P_b] & N[T_b].
 
-    The candidates come from one pool shared by every agent: the
-    `vertices` (ascending) that no agent of `agents` targets, then the
-    targeted ones, in the same order. Agent b tries its target first, then
-    the pool, and takes a candidate v when `fits(b, v)`, no placed agent
-    holds v, and v makes no exchange with a placed agent: neither the agent
-    on v in P is placed on P_b nor the agent bound for v in T is placed on
-    T_b. Agents go in the given order.
+    Agent b tries its target first, then its candidates: the other vertices
+    of N[P_b] & N[T_b], those that no agent of `agents` targets ascending,
+    then the targeted ones ascending, listed on b's first scan past its
+    target. It takes a candidate v when no placed agent holds v and v makes
+    no exchange with a placed agent: neither the agent on v in P is placed
+    on P_b nor the agent bound for v in T is placed on T_b. Agents go in
+    the given order.
 
     Returns X as a dict, or None when the search ran to the end with no
     placement or took more than _FINISH_BACKTRACKS backtracking steps, plus
@@ -38,26 +41,37 @@ def _middle_row(
     Nones apart."""
     at = {pos[a]: a for a in agents}
     owner = {targets[a]: a for a in agents}
-    pool = [v for v in vertices if v not in owner] + [v for v in vertices if v in owner]
     x: Dict[int, int] = {}
     taken: Set[int] = set()
-    # tried[d]: where agent d of `agents` resumes, 0 for its target, i for pool[i - 1]
+    # tried[d]: where agent d of `agents` resumes, 0 for its target, i for
+    # rows[d][i - 1]
     tried = [0] * len(agents)
+    # rows[d]: the candidates of agent d past its target, None until its
+    # first scan past the target, so an agent that takes it lists none
+    rows: List[Optional[List[int]]] = [None] * len(agents)
     backtracks = depth = 0
     while depth < len(agents):
         b = agents[depth]
         p, t = pos[b], targets[b]
-        for i in range(tried[depth], len(pool) + 1):
-            v = pool[i - 1] if i else t
+        row = rows[depth]
+        if row is None and tried[depth]:
+            # N[p] & N(t), which leaves the target out
+            reach = nbr(p) & nbr(t) | ({p} & nbr(t))
+            free = reach.difference(owner)
+            row = rows[depth] = sorted(free) + sorted(reach - free)
+        for i in range(tried[depth], 1 if row is None else len(row) + 1):
+            v = row[i - 1] if i else t
             if (
                 v not in taken
-                and (v != t or not i)
-                and fits(b, v)
+                and (i or v == p or v in nbr(p))
                 and x.get(at.get(v)) != p
                 and x.get(owner.get(v)) != t
             ):
                 break
         else:
+            if row is None:  # the target failed; list the candidates next
+                tried[depth] = 1
+                continue
             if depth == 0:
                 return None, backtracks
             tried[depth] = 0
@@ -79,8 +93,8 @@ def _two_turn_schedule(inst: Instance) -> Optional[Schedule]:
     refutes one or gives up after _FINISH_BACKTRACKS backtracking steps.
 
     X_a lies in N[S_a] & N[T_a], so both of a's moves follow an edge or
-    wait; an empty intersection refutes makespan 2 at once. The search runs
-    over the pool of all vertices with that test, agents ordered by the
+    wait; an empty intersection refutes makespan 2 at once. The search
+    offers each agent that intersection alone, agents ordered by the
     smaller degree of S_a and T_a, ties by id. X is injective, and S and T
     are, so no turn collides, and the exchange checks of `_middle_row`
     against S and T exclude every swap.
@@ -96,21 +110,16 @@ def _two_turn_schedule(inst: Instance) -> Optional[Schedule]:
     agents must exchange vertices, which takes two turns in any graph, and
     four or more vertices leave room to break every exchange into two
     moves, so such a row exists and the exhaustive search finds it."""
-    g = inst.graph
-    nbr = g.neighbor_set
+    nbr = inst.graph.neighbor_set
     starts, targets = inst.starts, inst.targets
     for s, t in zip(starts, targets):
         if s != t and t not in nbr(s) and nbr(s).isdisjoint(nbr(t)):
             return None
 
-    def fits(a: int, v: int) -> bool:
-        s, t = starts[a], targets[a]
-        return (v == s or v in nbr(s)) and (v == t or v in nbr(t))
-
     agents = sorted(
         inst.agents, key=lambda a: (min(len(nbr(starts[a])), len(nbr(targets[a]))), a)
     )
-    x, _ = _middle_row(agents, range(g.n), fits, starts, targets)
+    x, _ = _middle_row(nbr, agents, starts, targets)
     if x is None:
         return None
     sched = Schedule((tuple(x[a] for a in inst.agents), targets))
@@ -118,6 +127,81 @@ def _two_turn_schedule(inst: Instance) -> Optional[Schedule]:
     if not verdict.ok:
         raise MapfError(f"the two-turn middle row is invalid: {verdict.message}")
     return sched
+
+
+def kernel_graph(inst: Instance) -> Graph:
+    """The instance's graph with each true-twin class trimmed, the paper's
+    vertex-type reduction. A class of at most VERTICES_PER_AGENT vertices
+    per agent stays whole, and a larger one keeps the agents' endpoints in
+    it, padded with its lowest other members to that budget. The result
+    keeps the instance's vertex ids and only the edges among the kept
+    vertices, so every trimmed vertex is isolated; it is `inst.graph`
+    itself when nothing is trimmed, which holds at once when the graph has
+    at most the budget's vertices.
+
+    True twins have equal closed neighbourhoods N[v], so a class C is a
+    clique whose vertices see the same outside vertices. With k agents and
+    a kept set K of C that holds the endpoints in C and 3k vertices, any
+    schedule maps onto one of the same makespan inside K: keep the first
+    and last rows, and going forward, move each agent that stands in C on
+    turn i to a vertex of K that no other agent holds on turn i or held on
+    turn i - 1, nor, on the turn before the last, targets. That excludes
+    at most 3(k - 1) vertices, every move stays an edge or a wait, and no
+    two agents collide or exchange.
+
+    The classes need no clique split. On the clique part of a minimum
+    modulator they are the vertex types, the clique vertices with equal
+    modulator neighbourhoods: such vertices are true twins, and no
+    modulator vertex is a true twin of a clique vertex, or it would join
+    the clique and leave a smaller modulator. The rest are twin classes of
+    the modulator, which the same argument trims."""
+    g = inst.graph
+    budget = VERTICES_PER_AGENT * inst.n_agents
+    if g.n <= budget:
+        return g
+    classes: Dict[FrozenSet[int], List[int]] = {}
+    for v in range(g.n):
+        classes.setdefault(g.neighbor_set(v) | {v}, []).append(v)
+    endpoints = set(inst.starts) | set(inst.targets)
+    kept: List[int] = []
+    for members in classes.values():
+        if len(members) <= budget:
+            kept.extend(members)
+        else:
+            fixed = [v for v in members if v in endpoints]
+            pad = [v for v in members if v not in endpoints]
+            kept.extend(fixed + pad[: budget - len(fixed)])
+    return g if len(kept) == g.n else g.restricted(kept)
+
+
+def _search(
+    graph: Graph, inst: Instance, state_guard: int
+) -> Tuple[Optional[Tuple[int, Schedule]], int]:
+    """One `joint_bfs` of every agent of `inst` on `graph`, which keeps the
+    instance's vertex ids, with the instance's makespan limit as its only
+    depth cap: the answer, None when no schedule meets the limit, and the
+    states the search kept."""
+    res = joint_bfs(
+        graph,
+        inst.starts,
+        inst.targets,
+        depth_cap=inst.makespan_limit,
+        state_guard=state_guard,
+    )
+    if res.path is None:
+        return None, res.states
+    sched = Schedule(res.path[1:])
+    return (sched.makespan, sched), res.states
+
+
+def oracle_with_stats(
+    inst: Instance,
+    state_guard: int = DEFAULT_STATE_GUARD,
+) -> Tuple[Optional[Tuple[int, Schedule]], int]:
+    """Exhaustive shortest-schedule search of the whole graph, the exact
+    baseline, plus the explored-state count. The answer is None when no
+    schedule meets the instance's makespan limit."""
+    return _search(inst.graph, inst, state_guard)
 
 
 def solve_with_stats(
@@ -142,15 +226,16 @@ def solve_with_stats(
       vertices, it always finds one (see its docstring). A refutation, or
       a search that runs out of backtracking steps, passes on to the next
       step, which answers as if it had not run;
-    - clique split: only the last step reads the minimum modulator, so it
-      is split off here and not before. A distance to clique past the
-      split's budget raises ResourceLimitError, but only for an instance
-      that the steps above did not answer;
+    - distance ceiling: `clique_split` raises ResourceLimitError when the
+      distance to clique is past its budget, but only for an instance that
+      the steps above did not answer. Nothing reads the split. It stays
+      because the search's only guard counts states, not bytes or time: a
+      graph far from a clique, such as the three-partition tree, would
+      otherwise start a search that runs out of memory before the state
+      guard trips;
     - trimmed search: one `joint_bfs` over every agent on the
-      `kernel_graph` of the instance, the paper's vertex-type reduction:
-      each vertex type of the clique part keeps at most three vertices per
-      agent, the agents' endpoints among them, and nothing is trimmed when
-      the clique part has at most three vertices per agent. The graph keeps
+      `kernel_graph` of the instance, each true-twin class trimmed to three
+      vertices per agent, the agents' endpoints among them. The graph keeps
       the instance's vertex ids, so the schedule found is the instance's
       own."""
     if inst.starts == inst.targets:
@@ -163,14 +248,5 @@ def solve_with_stats(
     two_turns = _two_turn_schedule(inst)
     if two_turns is not None:
         return (2, two_turns), 0
-    res = joint_bfs(
-        kernel_graph(inst, clique_split(inst.graph)),
-        inst.starts,
-        inst.targets,
-        depth_cap=inst.makespan_limit,
-        state_guard=state_guard,
-    )
-    if res.path is None:
-        return None, res.states
-    sched = Schedule(res.path[1:])
-    return (sched.makespan, sched), res.states
+    clique_split(inst.graph)
+    return _search(kernel_graph(inst), inst, state_guard)

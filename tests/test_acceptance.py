@@ -9,7 +9,7 @@ from typing import Dict, List, Set, Tuple
 
 import pytest
 
-from mapfdc import engine, fpt, oracle
+from mapfdc import engine, fpt
 from mapfdc.gadgets import (
     build_colored_pancake_instance,
     build_pancake_instance,
@@ -21,7 +21,6 @@ from mapfdc.gadgets import (
     three_partition_forward_schedule,
 )
 from mapfdc.graphs import Graph, clique_split, complete_graph, min_vertex_cover
-from mapfdc.kernelize import kernel_graph, makespan_bound
 from mapfdc.model import (
     Instance,
     validate_colored_schedule,
@@ -61,7 +60,7 @@ def suite2():
         dc = rng.randint(0, 2)
         a = rng.randint(1, min(4, v))
         inst = random_instance(v, dc, a, seed=1000 + i)
-        out.append((inst, dc, oracle.solve_with_stats(inst)[0]))
+        out.append((inst, dc, fpt.oracle_with_stats(inst)[0]))
     return out
 
 
@@ -79,7 +78,7 @@ def test_clique_part_answer_is_exact_on_small_complete_graphs() -> None:
                     inst = Instance(g, starts, targets)
                     got, states = fpt.solve_with_stats(inst)
                     assert states == 0
-                    ref = oracle.solve_with_stats(replace(inst, makespan_limit=2))[0]
+                    ref = fpt.oracle_with_stats(replace(inst, makespan_limit=2))[0]
                     assert got is not None, (starts, targets)
                     assert ref is not None, (starts, targets)
                     assert got[0] == ref[0], (starts, targets)
@@ -98,7 +97,7 @@ def test_clique_part_answer_is_exact_on_small_complete_graphs() -> None:
         inst = Instance(g6, starts, targets)
         got, states = fpt.solve_with_stats(inst)
         assert states == 0
-        ref = oracle.solve_with_stats(replace(inst, makespan_limit=2))[0]
+        ref = fpt.oracle_with_stats(replace(inst, makespan_limit=2))[0]
         assert got is not None and ref is not None
         assert got[0] == ref[0] and got[0] <= 2
         assert validate_schedule(inst, got[1]).ok
@@ -135,7 +134,7 @@ def test_parameterized_solver_matches_the_oracle_under_limits(suite2) -> None:
                 continue
             capped = replace(inst, makespan_limit=limit)
             got = fpt.solve_with_stats(capped)[0]
-            want = oracle.solve_with_stats(capped)[0]
+            want = fpt.oracle_with_stats(capped)[0]
             if limit < opt:
                 assert got is None and want is None
             else:
@@ -147,6 +146,13 @@ def test_parameterized_solver_matches_the_oracle_under_limits(suite2) -> None:
 
 
 # --- criterion 3: the structural makespan bound holds ----------------------------
+
+
+def makespan_bound(dc: int) -> int:
+    """The paper's upper bound on the optimal makespan of any feasible
+    instance whose graph is dc vertex deletions from a clique:
+    3(2 dc + 2)^dc + 2. No search is capped by it."""
+    return 3 * (2 * dc + 2) ** dc + 2
 
 
 def test_feasible_makespans_respect_the_distance_bound(suite2) -> None:
@@ -168,9 +174,8 @@ def test_feasible_makespans_respect_the_distance_bound(suite2) -> None:
 
 def test_kernel_preserves_the_optimum_when_all_agents_are_core(suite2) -> None:
     for inst, _, ref in suite2:
-        split = clique_split(inst.graph, budget=inst.graph.n)
         # the trimmed graph speaks the instance's vertex ids
-        res = engine.joint_bfs(kernel_graph(inst, split), inst.starts, inst.targets)
+        res = engine.joint_bfs(fpt.kernel_graph(inst), inst.starts, inst.targets)
         kernel_opt = None if res.path is None else len(res.path) - 1
         assert kernel_opt == (None if ref is None else ref[0])
 

@@ -7,7 +7,7 @@ from typing import Optional, Tuple
 
 import pytest
 
-from mapfdc import fpt, oracle
+from mapfdc import fpt
 from mapfdc.errors import ResourceLimitError
 from mapfdc.graphs import Graph, clique_split, complete_graph
 from mapfdc.model import Instance, Schedule, validate_schedule
@@ -61,7 +61,7 @@ def test_two_swapping_pairs_resolve_in_two_turns() -> None:
     assert result is not None
     assert result[0] == 2
     assert validate_schedule(inst, result[1]).ok
-    oracle_result = oracle.solve_with_stats(replace(inst, makespan_limit=4))[0]
+    oracle_result = fpt.oracle_with_stats(replace(inst, makespan_limit=4))[0]
     assert oracle_result is not None and oracle_result[0] == 2
 
 
@@ -95,7 +95,7 @@ def test_every_k4_assignment_matches_the_oracle() -> None:
         m, sched = result
         assert m <= 2
         assert validate_schedule(inst, sched).ok
-        oracle_result = oracle.solve_with_stats(replace(inst, makespan_limit=2))[0]
+        oracle_result = fpt.oracle_with_stats(replace(inst, makespan_limit=2))[0]
         assert oracle_result is not None
         assert oracle_result[0] == m
         count += 1
@@ -269,7 +269,7 @@ def test_clique_part_answers_match_the_oracle_on_near_cliques() -> None:
         for limit in (None, 1, 2):
             inst = Instance(g, tuple(starts), tuple(targets), makespan_limit=limit)
             got, states = fpt.solve_with_stats(inst)
-            ref = oracle.solve_with_stats(inst)[0]
+            ref = fpt.oracle_with_stats(inst)[0]
             assert states == 0
             assert (got is None) == (ref is None), inst
             if got is not None:

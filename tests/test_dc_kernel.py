@@ -2,12 +2,10 @@ from __future__ import annotations
 
 import random
 
-import pytest
-
-from mapfdc.errors import PreconditionError
+from mapfdc import engine
+from mapfdc.fpt import kernel_graph
 from mapfdc.graphs import Graph, clique_split, complete_graph
-from mapfdc.kernelize import classify_types, kernel_graph, makespan_bound
-from mapfdc.model import Instance
+from mapfdc.model import Instance, Schedule, validate_schedule
 
 
 def _hub_and_clique(clique_size: int, hub_neighbors: int) -> Graph:
@@ -21,38 +19,40 @@ def _hub_and_clique(clique_size: int, hub_neighbors: int) -> Graph:
     return Graph(clique_size + 1, edges)
 
 
-def test_makespan_bound_small_parameters() -> None:
-    assert makespan_bound(0) == 5
-    assert makespan_bound(1) == 14
-    assert makespan_bound(2) == 110
+def test_kernel_graph_on_a_complete_graph() -> None:
+    # K8 is one twin class, past the budget of six for two agents: it keeps
+    # the endpoints 0 and 1, padded with 2..5
+    g = complete_graph(8)
+    assert kernel_graph(Instance(g, (0, 1), (1, 0))) == g.restricted(range(6))
 
 
-def test_makespan_bound_guards() -> None:
-    with pytest.raises(PreconditionError):
-        makespan_bound(-1)
+def test_kernel_graph_half_attached_hub() -> None:
+    # the hub 0 splits the clique 1..8 into the twin classes {1, 2} and
+    # {3..8}, past the budget of three for one agent; the hub is a class of
+    # its own
+    g = _hub_and_clique(8, 2)
+    assert clique_split(g).modulator == frozenset({0})
+    kept = kernel_graph(Instance(g, (1,), (4,)))
+    assert kept == g.restricted((0, 1, 2, 3, 4, 5))
 
 
-def test_classify_types_on_a_complete_graph() -> None:
-    g = complete_graph(5)
-    split = clique_split(g)
-    types = classify_types(Instance(g, (0, 1), (1, 0)), split)
-    assert len(types) == 1
-    assert types[0].members == (0, 1, 2, 3, 4)
-    assert types[0].signature == frozenset()
-
-
-def test_classify_types_half_attached_hub() -> None:
-    g = _hub_and_clique(4, 2)
-    split = clique_split(g)
-    assert split.modulator == frozenset({0})
-    inst = Instance(g, (1, 3), (2, 4))
-    types = classify_types(inst, split)
-    assert len(types) == 2
-    assert types[0].members == (1, 2) and types[0].signature == frozenset({0})
-    assert types[1].members == (3, 4) and types[1].signature == frozenset()
+def test_kernel_graph_trims_a_modulator_twin_class() -> None:
+    # K6 on 0..5, a K4 on 6..9 joined to vertex 0, and vertex 10 joined to
+    # 1: the modulator is 6..10 (dc 5), and its twin class {6, 7, 8, 9}
+    # loses 9, as the clique's class {2, 3, 4, 5} loses 5, for one agent
+    edges = [(u, v) for u in range(6) for v in range(u + 1, 6)]
+    edges += [(u, v) for u in range(6, 10) for v in range(u + 1, 10)]
+    edges += [(0, v) for v in range(6, 10)] + [(1, 10)]
+    g = Graph(11, edges)
+    assert clique_split(g).modulator == frozenset(range(6, 11))
+    inst = Instance(g, (6,), (10,))
+    assert kernel_graph(inst) == g.restricted((0, 1, 2, 3, 4, 6, 7, 8, 10))
 
 
 def test_same_type_means_equal_closed_neighborhoods() -> None:
+    # kernel_graph groups vertices by closed neighbourhood; on the clique
+    # part of a minimum modulator those classes are the vertex types (equal
+    # modulator neighbourhoods), and no class mixes in a modulator vertex
     rng = random.Random(88)
     for _ in range(25):
         n = rng.randint(1, 10)
@@ -66,24 +66,20 @@ def test_same_type_means_equal_closed_neighborhoods() -> None:
             ],
         )
         split = clique_split(g, budget=n)
-        inst = Instance(g, (0,), (0,))
-        types = classify_types(inst, split)
-        seen = set()
-        for t in types:
-            hoods = {g.neighbor_set(v) | {v} for v in t.members}
-            assert len(hoods) == 1
-            seen.update(t.members)
-        assert seen == set(split.clique)
-        for a, b in zip(types, types[1:]):
-            assert a.members[0] < b.members[0]
+        for u in split.clique:
+            for v in range(n):
+                twins = g.neighbor_set(u) | {u} == g.neighbor_set(v) | {v}
+                same_type = v in split.clique and (
+                    g.neighbor_set(u) & split.modulator == g.neighbor_set(v) & split.modulator
+                )
+                assert twins == same_type
 
 
 def test_build_kernel_small_instance_is_the_whole_graph() -> None:
     g = _hub_and_clique(4, 2)
-    split = clique_split(g)
     inst = Instance(g, (0, 3), (1, 4))
-    # four clique vertices, at most three per agent: nothing is trimmed
-    assert kernel_graph(inst, split) is g
+    # five vertices, at most three per agent: nothing is trimmed
+    assert kernel_graph(inst) is g
 
 
 def test_build_kernel_trims_each_type_to_three_per_core_agent() -> None:
@@ -93,7 +89,7 @@ def test_build_kernel_trims_each_type_to_three_per_core_agent() -> None:
     split = clique_split(g)
     assert split.modulator == frozenset({0})
     inst = Instance(g, (1, 2), (3, 4))
-    kept = kernel_graph(inst, split)
+    kept = kernel_graph(inst)
     # the hub, the endpoints 1..4 and the padding 5, 6: the graph keeps the
     # instance's ids, and the trimmed vertices 7..10 stay with no edges
     assert kept.n == g.n
@@ -119,13 +115,54 @@ def test_build_kernel_size_bound() -> None:
         starts = tuple(rng.sample(range(n), agents))
         targets = tuple(rng.sample(range(n), agents))
         inst = Instance(g, starts, targets)
-        kept = kernel_graph(inst, split)
+        kept = kernel_graph(inst)
         limit = len(split.modulator) + 2 ** len(split.modulator) * 3 * inst.n_agents
         # a trimmed vertex loses every edge, and every edge kept is one of g
         touched = {v for v in range(n) if kept.neighbor_set(v)}
         assert len(touched | set(starts + targets)) <= limit
         assert all(kept.neighbor_set(v) <= g.neighbor_set(v) for v in range(n))
-        # the endpoints are kept, and with them their edges to the modulator
+        # the endpoints are kept, with their edges to every kept vertex
         for v in starts + targets:
-            assert kept.neighbor_set(v) >= g.neighbor_set(v) & split.modulator
+            assert kept.neighbor_set(v) == g.neighbor_set(v) & touched
         assert (kept is g) == (kept == g)
+
+
+def _blow_up(rng: random.Random) -> Instance:
+    """A random graph on 3-7 vertices with each vertex replaced by a clique
+    of 1-6 true twins, joined wholly to the cliques of its neighbours, and
+    1-3 agents."""
+    base = rng.randint(3, 7)
+    blobs, n = [], 0
+    for _ in range(base):
+        size = rng.randint(1, 6)
+        blobs.append(range(n, n + size))
+        n += size
+    edges = [(u, v) for blob in blobs for u in blob for v in blob if u < v]
+    for i in range(base):
+        for j in range(i + 1, base):
+            if rng.random() < 0.5:
+                edges.extend((u, v) for u in blobs[i] for v in blobs[j])
+    agents = rng.randint(1, 3)
+    return Instance(
+        Graph(n, edges), tuple(rng.sample(range(n), agents)), tuple(rng.sample(range(n), agents))
+    )
+
+
+def test_twin_trimming_keeps_the_optimum_on_blow_ups() -> None:
+    # the search of the trimmed graph answers with the makespan of the
+    # search of the whole graph, and both schedules validate
+    rng = random.Random(31)
+    trimmed = 0
+    for i in range(300):
+        inst = _blow_up(rng)
+        kept = kernel_graph(inst)
+        trimmed += kept is not inst.graph
+        got = engine.joint_bfs(kept, inst.starts, inst.targets)
+        want = engine.joint_bfs(inst.graph, inst.starts, inst.targets)
+        assert (got.path is None) == (want.path is None), i
+        if want.path is None:
+            continue
+        assert len(got.path) == len(want.path), i
+        for path in (got.path, want.path):
+            assert validate_schedule(inst, Schedule(path[1:])).ok, i
+    assert trimmed >= 100

@@ -13,7 +13,7 @@ from mapfdc import engine, fpt
 from mapfdc.errors import PreconditionError, ResourceLimitError
 from mapfdc.graphs import Graph, complete_graph
 from mapfdc.model import Instance, Schedule, detect_swaps, parse_instance, validate_schedule
-from mapfdc.oracle import solve_with_stats
+from mapfdc.fpt import oracle_with_stats
 
 
 def _path(n: int) -> Graph:
@@ -29,7 +29,7 @@ def _optimum(inst: Instance, limit: Optional[int] = None) -> Optional[Tuple[int,
     when one is given."""
     if limit is not None:
         inst = replace(inst, makespan_limit=limit)
-    return solve_with_stats(inst)[0]
+    return oracle_with_stats(inst)[0]
 
 
 def _moves(g: Graph, cur: Tuple[int, ...]) -> List[Tuple[int, ...]]:
@@ -174,18 +174,18 @@ def test_state_guard_trips_on_tiny_budget() -> None:
     # three agents rotate a third of the way round a 12-cycle: makespan 4,
     # so the search keeps at least the start and three placements between
     inst = Instance(_cycle(12), (0, 4, 8), (4, 8, 0))
-    result, states = solve_with_stats(inst)
+    result, states = oracle_with_stats(inst)
     assert result is not None and result[0] == 4 and states > 3
     with pytest.raises(ResourceLimitError):
-        solve_with_stats(inst, state_guard=3)
+        oracle_with_stats(inst, state_guard=3)
 
 
 def test_solve_with_stats_counts_states() -> None:
     inst = Instance(complete_graph(4), (0, 1), (1, 0))
-    result, states = solve_with_stats(replace(inst, makespan_limit=5))
+    result, states = oracle_with_stats(replace(inst, makespan_limit=5))
     assert result is not None and result[0] == 2
     assert states > 0
-    absent, states2 = solve_with_stats(
+    absent, states2 = oracle_with_stats(
         Instance(_path(2), (0, 1), (1, 0), makespan_limit=6)
     )
     assert absent is None and states2 > 0
@@ -424,7 +424,7 @@ def test_packed_bridge_crossing_is_decided_without_a_search() -> None:
     inst = parse_instance(_PACKED_INFEASIBLE_TEXT)
     res = engine.joint_bfs(inst.graph, inst.starts, inst.targets)
     assert res == engine.BfsResult(None, 1, 0)
-    assert fpt.solve_with_stats(inst) == (None, 1)
+    assert fpt.oracle_with_stats(inst) == (None, 1)
 
 
 def test_long_packed_path_exchange_is_decided_without_recursion() -> None:

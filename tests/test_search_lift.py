@@ -2,17 +2,17 @@ from __future__ import annotations
 
 import functools
 import random
+import time
 from dataclasses import replace
 from typing import List, Optional, Tuple
 
 import pytest
 
-from mapfdc import engine, fpt, oracle
+from mapfdc import engine, fpt
 from mapfdc.errors import ResourceLimitError
-from mapfdc.fpt import solve_with_stats
+from mapfdc.fpt import kernel_graph, oracle_with_stats, solve_with_stats
 from mapfdc.gadgets import random_instance
 from mapfdc.graphs import Graph, clique_split, complete_graph
-from mapfdc.kernelize import kernel_graph
 from mapfdc.model import Instance, Schedule, detect_swaps, validate_schedule
 
 
@@ -102,6 +102,20 @@ def test_finish_raises_when_no_placement_exists() -> None:
     # K3 full of agents, two of which exchange: no two turns can do it, and
     # the exhaustive middle-row search refutes them
     assert _finish_on_clique(3, (0, 1, 2), (1, 0, 2)) is None
+
+
+def test_two_turn_step_offers_each_agent_its_own_candidates() -> None:
+    # a 12,000-vertex path, far past the clique split's budget, with agent
+    # i walking from 3i to 3i + 2: each agent's only middle vertex is
+    # 3i + 1, so the two-turn step answers at once, without scanning every
+    # vertex for every agent
+    path = Graph(12_000, [(v, v + 1) for v in range(11_999)])
+    inst = Instance(path, tuple(range(0, 12_000, 3)), tuple(range(2, 12_000, 3)))
+    started = time.perf_counter()
+    result, states = solve_with_stats(inst)
+    assert time.perf_counter() - started < 1.0
+    assert result is not None and result[0] == 2 and states == 0
+    assert result[1].placements[0] == tuple(range(1, 12_000, 3))
 
 
 @functools.lru_cache(maxsize=None)
@@ -225,7 +239,7 @@ def test_solve_with_stats_matches_the_oracle_at_distance_to_clique_13() -> None:
     assert clique_split(g).dc == 13
     inst = Instance(g, (4,), (0,))
     result, _ = solve_with_stats(inst)
-    expected, _ = oracle.solve_with_stats(inst)
+    expected, _ = oracle_with_stats(inst)
     assert result is not None and expected is not None
     assert result[0] == expected[0] == 1
     assert validate_schedule(inst, result[1]).ok
@@ -246,7 +260,7 @@ def test_trimmed_search_answers_a_tail_that_the_whole_search_cannot() -> None:
     assert result is not None and result[0] == 3 and states > 0
     assert validate_schedule(inst, result[1]).ok
     with pytest.raises(ResourceLimitError):
-        oracle.solve_with_stats(inst, 200_000)
+        oracle_with_stats(inst, 200_000)
 
 
 def test_clique_part_answer_plans_one_exchange_among_still_agents(monkeypatch) -> None:
@@ -271,7 +285,7 @@ def test_clique_part_answer_plans_one_exchange_among_still_agents(monkeypatch) -
 
 def test_clique_part_answer_covers_complete_graphs_without_a_search(monkeypatch) -> None:
     inst = Instance(complete_graph(5), (0, 1, 2), (1, 0, 2))
-    oracle_result = oracle.solve_with_stats(inst)[0]
+    oracle_result = oracle_with_stats(inst)[0]
     monkeypatch.setattr(fpt, "joint_bfs", _no_search)
     fpt_result, states = solve_with_stats(inst)
     assert fpt_result is not None and oracle_result is not None
@@ -288,7 +302,7 @@ def test_solve_with_stats_star_leaf_exchange_costs_four() -> None:
     m, sched = result
     assert m == 4
     assert validate_schedule(inst, sched).ok
-    oracle_result = oracle.solve_with_stats(inst)[0]
+    oracle_result = oracle_with_stats(inst)[0]
     assert oracle_result is not None and oracle_result[0] == 4
 
 
@@ -341,16 +355,16 @@ def test_small_instances_search_the_whole_instance_as_the_kernel_would(
         n = rng.randint(4, 12)
         dc = rng.randint(0, min(3, n - 1))
         inst = random_instance(n, dc, rng.randint(1, n), i)
+        expected = _outcome(lambda: oracle_with_stats(inst, guard))
         graphs.clear()
         got = _outcome(lambda: solve_with_stats(inst, guard))
-        expected = _outcome(lambda: oracle.solve_with_stats(inst, guard))
         if graphs and graphs[0] is inst.graph:
             assert got == expected, i
             whole += 1
             tripped += got[0] == "guard"
             continue
         if graphs:
-            assert graphs == [kernel_graph(inst, clique_split(inst.graph))], i
+            assert graphs == [kernel_graph(inst)], i
         else:
             assert got[-1] == 0, i
             early += 1
@@ -368,11 +382,11 @@ def test_solve_with_stats_agrees_with_the_oracle_on_sampled_instances(
     # the oracle's
     for args in ((16, 1, 2, 3), (20, 1, 3, 5)):
         inst = random_instance(*args)
-        trimmed = kernel_graph(inst, clique_split(inst.graph))
+        trimmed = kernel_graph(inst)
         assert trimmed != inst.graph
         two_turn, two_turn_states = solve_with_stats(inst)
         res = engine.joint_bfs(trimmed, inst.starts, inst.targets)
-        oracle_result, oracle_states = oracle.solve_with_stats(inst)
+        oracle_result, oracle_states = oracle_with_stats(inst)
         assert two_turn is not None and res.path is not None
         assert oracle_result is not None
         assert two_turn[0] == len(res.path) - 1 == oracle_result[0] == 2
@@ -384,11 +398,12 @@ def test_solve_with_stats_agrees_with_the_oracle_on_sampled_instances(
     # solve_with_stats answers with one search of the trimmed graph
     graphs = _record_searches(monkeypatch)
     inst = random_instance(15, 2, 2, 479)
-    trimmed = kernel_graph(inst, clique_split(inst.graph))
+    trimmed = kernel_graph(inst)
     assert trimmed != inst.graph
     fpt_result, fpt_states = solve_with_stats(inst)
-    oracle_result, oracle_states = oracle.solve_with_stats(inst)
-    assert graphs == [trimmed] and fpt_states > 0 and oracle_states > 0
+    assert graphs == [trimmed]
+    oracle_result, oracle_states = oracle_with_stats(inst)
+    assert fpt_states > 0 and oracle_states > 0
     assert fpt_result is not None and oracle_result is not None
     assert fpt_result[0] == oracle_result[0] == 3
     assert validate_schedule(inst, fpt_result[1]).ok
@@ -416,7 +431,7 @@ def test_solve_with_stats_agrees_with_the_oracle_on_sampled_instances(
             tuple(rng.sample(range(n), agents)),
         )
         fpt_result = solve_with_stats(inst)[0]
-        oracle_result = oracle.solve_with_stats(inst)[0]
+        oracle_result = oracle_with_stats(inst)[0]
         if oracle_result is None:
             assert fpt_result is None
         else:
@@ -447,12 +462,12 @@ def test_two_turn_search_agrees_with_the_oracle_on_small_draws(monkeypatch) -> N
         steps.clear()
         sched = fpt._two_turn_schedule(inst)
         two_turns = replace(inst, makespan_limit=2)
-        expected = _outcome(lambda: oracle.solve_with_stats(two_turns, guard))
+        expected = _outcome(lambda: oracle_with_stats(two_turns, guard))
         if sched is not None:
             assert sched.makespan == 2 and validate_schedule(inst, sched).ok
             if expected[0] == "guard":
                 # draw 556: the oracle needs 27,513 states to answer
-                expected = _outcome(lambda: oracle.solve_with_stats(two_turns, 30_000))
+                expected = _outcome(lambda: oracle_with_stats(two_turns, 30_000))
             assert expected[0] == 2, i
             found += 1
         elif steps and steps[0] > fpt._FINISH_BACKTRACKS:
