@@ -424,7 +424,7 @@ def test_packed_bridge_crossing_is_decided_without_a_search() -> None:
     inst = parse_instance(_PACKED_INFEASIBLE_TEXT)
     res = engine.joint_bfs(inst.graph, inst.starts, inst.targets)
     assert res == engine.BfsResult(None, 1, 0)
-    assert fpt.oracle_with_stats(inst) == (None, 1)
+    assert fpt.solve_with_stats(inst) == (None, 1)
 
 
 def test_long_packed_path_exchange_is_decided_without_recursion() -> None:
