@@ -75,9 +75,16 @@ def _info(message: str) -> None:
 
 
 def _read_text(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    return Path(path).read_text()
+    """The text of the file `path`, or of stdin for -. Bytes that are not
+    UTF-8 raise ParseError naming their line: the whole input is decoded at
+    once, so the error holds every byte before them."""
+    try:
+        if path == "-":
+            return sys.stdin.buffer.read().decode("utf-8")
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        line = exc.object.count(b"\n", 0, exc.start) + 1
+        raise ParseError(line, "not UTF-8 text") from None
 
 
 def _write_text(path: str, text: str) -> None:
@@ -272,7 +279,7 @@ def _cmd_generate_random(args: argparse.Namespace) -> int:
 def _bench_one(
     path: Path, state_guard: int
 ) -> Tuple[List[RunReport], List[str]]:
-    inst = parse_instance(path.read_text())
+    inst = parse_instance(_read_text(str(path)))
     reports = [_run(path.name, inst, algo, state_guard)[1] for algo in ("oracle", "fpt")]
     by_oracle, by_fpt = (rep.makespan for rep in reports)
     if by_oracle == by_fpt or any(rep.aborted is not None for rep in reports):
@@ -281,7 +288,10 @@ def _bench_one(
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
-    paths = sorted(Path(args.directory).glob("*.mapf"))
+    directory = Path(args.directory)
+    if not directory.is_dir():
+        raise OSError(f"{args.directory} is not a directory")
+    paths = sorted(directory.glob("*.mapf"))
     print("\t".join(("instance", "algo", "feasible", "makespan", "states", "ms")))
     if not paths:
         _info(f"no .mapf instances under {args.directory}")

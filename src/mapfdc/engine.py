@@ -182,11 +182,13 @@ def joint_bfs(
     vertices v of N[P[a]] with dist(v, t_a) <= F - g - 1, so every successor
     has g + 1 + h <= F and joins layer F at depth g + 1. A state that had an
     option cut goes back into layer F + 1 at the same depth, where it
-    produces only the successors that the wider budget newly admits. The
-    visited set is kept across layers; a placement is kept when first
-    discovered. A placement discovered at depth F - 1 of layer F has every
-    agent within one edge of its target, and when no two agents would trade
-    vertices on the way, the target follows it at once.
+    produces only the successors that the wider budget newly admits. One
+    table, kept across layers, maps each kept placement to the one it was
+    discovered from; a placement is kept when first discovered, and the
+    path is read back through the table. A placement discovered at depth
+    F - 1 of layer F has every agent within one edge of its target, and
+    when no two agents would trade vertices on the way, the target follows
+    it at once.
 
     Why the answer is optimal, with d(s) the least depth of placement s:
 
@@ -255,25 +257,22 @@ def joint_bfs(
     if layer >= n_verts or (depth_cap is not None and layer > depth_cap):
         return BfsResult(None, 1, 0)
 
-    visited: Set[Tuple[int, ...]] = {starts}
-    states: List[Tuple[int, ...]] = [starts]
-    parents: List[int] = [-1]
+    # parent[P]: the placement P was discovered from (None for the start);
+    # its keys are the kept states
+    parent: Dict[Tuple[int, ...], Optional[Tuple[int, ...]]] = {starts: None}
     generated = 0
 
-    def keep(key: Tuple[int, ...], parent: int) -> int:
-        if len(states) >= state_guard:
+    def keep(key: Tuple[int, ...], prev: Tuple[int, ...]) -> None:
+        if len(parent) >= state_guard:
             raise ResourceLimitError(
-                f"state guard of {state_guard} states exhausted", len(states)
+                f"state guard of {state_guard} states exhausted", len(parent)
             )
-        visited.add(key)
-        states.append(key)
-        parents.append(parent)
-        return len(states) - 1
+        parent[key] = prev
 
-    # buckets[g]: ids of states at depth g waiting in the current layer; a
+    # buckets[g]: states at depth g waiting in the current layer; a
     # state at depth `layer` would be the target, so g stays below it. The
     # first repeats[g] of them were deferred by a cut in the layer before.
-    buckets: List[List[int]] = [[0]] + [[] for _ in range(layer)]
+    buckets: List[List[Tuple[int, ...]]] = [[starts]] + [[] for _ in range(layer)]
     repeats = [0] * (layer + 1)
 
     # Successors are enumerated depth-first, one agent per level, from
@@ -302,16 +301,15 @@ def joint_bfs(
 
     while True:
         if depth_cap is not None and layer > depth_cap:
-            return BfsResult(None, len(states), generated)
-        deferred: List[List[int]] = [[] for _ in range(layer + 2)]
+            return BfsResult(None, len(parent), generated)
+        deferred: List[List[Tuple[int, ...]]] = [[] for _ in range(layer + 2)]
         for g in range(layer):
             slack = min(layer - g - 1, n_verts - 1)
             grown = buckets[g + 1]
-            for rank, sid in enumerate(buckets[g]):
-                prev = states[sid]
+            for rank, prev in enumerate(buckets[g]):
                 rows = [options[a].row(slack, prev[a]) for a in agents]
                 if any(row[3] for row in rows):
-                    deferred[g].append(sid)
+                    deferred[g].append(prev)
                 if rank < repeats[g]:
                     plans = []
                     held: Set[int] = set()
@@ -326,7 +324,7 @@ def joint_bfs(
                             held.add(a)
                 else:
                     plans = [sorted(((a, rows[a][0]) for a in agents), key=_width)]
-                hit = -1
+                hit: Optional[Tuple[int, ...]] = None
                 for plan in plans:
                     for level, (a, row) in enumerate(plan):
                         opts[level] = row
@@ -352,37 +350,38 @@ def joint_bfs(
                                 break
                             generated += 1
                             key = unpermute(new)
-                            if key in visited:
+                            if key in parent:
                                 continue
-                            kid = keep(key, sid)
+                            keep(key, prev)
                             if key == targets:
-                                hit = kid
+                                hit = key
                                 break
                             if g + 2 == layer and _steps_home(key, homes, targets):
                                 generated += 1
-                                hit = keep(targets, kid)
+                                keep(targets, key)
+                                hit = targets
                                 break
-                            grown.append(kid)
+                            grown.append(key)
                         else:
                             level -= 1
                             if level >= 0:
                                 occupied[new[level]] = 0
                             continue
-                        if hit >= 0:
+                        if hit is not None:
                             break
-                    if hit >= 0:
+                    if hit is not None:
                         break
                 for v in prev:
                     prev_occ[v] = -1
-                if hit >= 0:
+                if hit is not None:
                     path: List[Tuple[int, ...]] = []
-                    while hit >= 0:
-                        path.append(states[hit])
-                        hit = parents[hit]
+                    while hit is not None:
+                        path.append(hit)
+                        hit = parent[hit]
                     path.reverse()
-                    return BfsResult(tuple(path), len(states), generated)
+                    return BfsResult(tuple(path), len(parent), generated)
         buckets = deferred
         repeats = [len(b) for b in deferred]
         layer += 1
         if not any(buckets):
-            return BfsResult(None, len(states), generated)
+            return BfsResult(None, len(parent), generated)

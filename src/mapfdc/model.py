@@ -461,7 +461,10 @@ def _read_graph_lines(text: str, header: str) -> _Head:
             n = _int_tok(no, toks[1], "vertex count")
             if n < 0:
                 raise ParseError(no, "vertex count must be non-negative")
-            nbr = [None] * n
+            try:
+                nbr = [None] * n
+            except OverflowError:  # a count past any list index
+                raise ParseError(no, f"vertex count {n} too large") from None
         else:
             rest.append((no, toks))
     if not head:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import io
 import os
 import subprocess
 import sys
@@ -233,6 +234,34 @@ def test_solve_internal_failure_exit_code(tmp_path, capsys, monkeypatch, failure
     err = capsys.readouterr().err
     assert err.count("internal error:") == 1
     assert "infeasible" not in err
+
+
+@pytest.mark.parametrize("command", ["solve", "validate"])
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        (b"mapf 1\n# \xff\nvertices 2\nedge 0 1\nagent 0 1\n", "line 2: not UTF-8 text"),
+        (
+            b"mapf 1\nvertices 100000000000000000000\n",
+            "line 2: vertex count 100000000000000000000 too large",
+        ),
+    ],
+    ids=["not-utf8", "vertex-count"],
+)
+def test_input_faults_are_parse_errors_naming_their_line(
+    tmp_path, capsys, monkeypatch, command, data, message
+) -> None:
+    # exit 2, never the internal-error exit 4, from a file and from stdin
+    ipath = tmp_path / "bad.mapf"
+    ipath.write_bytes(data)
+    spath = tmp_path / "home.sched"
+    spath.write_text("schedule 0\n")
+    extra = [str(spath)] if command == "validate" else []
+    assert cli.main([command, str(ipath)] + extra) == 2
+    assert capsys.readouterr().err == f"parse error: {message}\n"
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(data)))
+    assert cli.main([command, "-"] + extra) == 2
+    assert capsys.readouterr().err == f"parse error: {message}\n"
 
 
 def test_solve_and_bench_reject_a_schedule_the_validator_rejects(
@@ -568,6 +597,16 @@ def test_bench_empty_directory_prints_only_the_header(tmp_path, capsys) -> None:
         "\t".join(("instance", "algo", "feasible", "makespan", "states", "ms"))
     ]
     assert "no .mapf instances" in captured.err
+
+
+@pytest.mark.parametrize("name", ["no-such-dir", "a.mapf"])
+def test_bench_on_a_missing_path_or_a_file_is_an_io_error(tmp_path, capsys, name) -> None:
+    # a mistyped directory must not pass as an empty one
+    _write_instance(tmp_path / "a.mapf", _swap_on_an_edge())
+    assert cli.main(["bench", str(tmp_path / name)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("io error:")
 
 
 # --- entry points ----------------------------------------------------------------

@@ -180,6 +180,19 @@ def test_state_guard_trips_on_tiny_budget() -> None:
         oracle_with_stats(inst, state_guard=3)
 
 
+def test_state_guard_bounds_the_kept_states_exactly() -> None:
+    # the guard is checked before a placement is kept: a guard of exactly
+    # the states a search keeps lets it finish unchanged, and one less
+    # trips it with that many states kept
+    graph, starts, targets = _cycle(12), (0, 4, 8), (4, 8, 0)
+    res = engine.joint_bfs(graph, starts, targets)
+    assert res.path is not None and len(res.path) == 5 and res.states > 3
+    assert engine.joint_bfs(graph, starts, targets, state_guard=res.states) == res
+    with pytest.raises(ResourceLimitError) as trip:
+        engine.joint_bfs(graph, starts, targets, state_guard=res.states - 1)
+    assert trip.value.states == res.states - 1
+
+
 def test_solve_with_stats_counts_states() -> None:
     inst = Instance(complete_graph(4), (0, 1), (1, 0))
     result, states = oracle_with_stats(replace(inst, makespan_limit=5))
