@@ -277,14 +277,13 @@ def _cmd_generate_random(args: argparse.Namespace) -> int:
 
 
 def _bench_one(
-    path: Path, state_guard: int
+    name: str, inst: Instance, state_guard: int
 ) -> Tuple[List[RunReport], List[str]]:
-    inst = parse_instance(_read_text(str(path)))
-    reports = [_run(path.name, inst, algo, state_guard)[1] for algo in ("oracle", "fpt")]
+    reports = [_run(name, inst, algo, state_guard)[1] for algo in ("oracle", "fpt")]
     by_oracle, by_fpt = (rep.makespan for rep in reports)
     if by_oracle == by_fpt or any(rep.aborted is not None for rep in reports):
         return reports, []
-    return reports, [f"{path.name}: oracle says {by_oracle}, fpt says {by_fpt}"]
+    return reports, [f"{name}: oracle says {by_oracle}, fpt says {by_fpt}"]
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
@@ -297,9 +296,18 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         _info(f"no .mapf instances under {args.directory}")
         return EXIT_OK
     problems: List[str] = []
+    faults: List[str] = []
     aborted: List[RunReport] = []
     for path in paths:
-        reports, bad = _bench_one(path, args.state_guard)
+        try:
+            inst = parse_instance(_read_text(str(path)))
+        except ParseError as exc:
+            faults.append(f"parse error: {path.name}: {exc}")
+            continue
+        except OSError as exc:
+            faults.append(f"io error: {path.name}: {exc}")
+            continue
+        reports, bad = _bench_one(path.name, inst, args.state_guard)
         problems.extend(bad)
         for rep in reports:
             print(rep.row())
@@ -307,10 +315,14 @@ def _cmd_bench(args: argparse.Namespace) -> int:
                 aborted.append(rep)
     for message in problems:
         _info(f"mismatch: {message}")
+    for message in faults:
+        _info(message)
     for rep in aborted:
         _info(f"resource limit: {rep.instance} {rep.algo}: {rep.aborted}")
     if problems:
         return EXIT_NEGATIVE
+    if faults:
+        return EXIT_USAGE
     if aborted:
         return EXIT_RESOURCE
     _info(f"{len(paths)} instances, oracle and fpt agree everywhere")

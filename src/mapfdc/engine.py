@@ -9,6 +9,7 @@ from .graphs import Graph
 from .model import Placement
 
 DEFAULT_STATE_GUARD = 50_000_000
+DEFAULT_BYTE_BUDGET = 1 << 30
 
 _Row = Tuple[Tuple[int, ...], Tuple[int, ...], Tuple[int, ...], bool]
 
@@ -133,6 +134,15 @@ class _Options:
         return entry
 
 
+def bytes_per_state(n_agents: int) -> int:
+    """Bytes that one kept placement of `n_agents` agents may cost: its
+    tuple, its entry in the placement table and its bucket slots. An upper
+    bound on the process peak RSS less the RSS before the search, per kept
+    state, measured on draw 328, tail 12/8, bottleneck 1,200/1,000 and the
+    three-partition tree (README, Engine)."""
+    return 12 * n_agents + 200
+
+
 def _width(pair: Tuple[int, Tuple[int, ...]]) -> int:
     return len(pair[1])
 
@@ -154,13 +164,16 @@ def joint_bfs(
     targets: Placement,
     depth_cap: Optional[int] = None,
     state_guard: int = DEFAULT_STATE_GUARD,
+    byte_budget: int = DEFAULT_BYTE_BUDGET,
 ) -> BfsResult:
     """Shortest schedule over joint placements under simultaneous-move,
     per-turn-injective, swap-free semantics.
 
     The returned path starts with the start placement, and is None when no
     schedule exists within depth_cap turns. Raises ResourceLimitError once
-    the search would keep more than state_guard states, and
+    the search would keep more than state_guard states, or more than
+    byte_budget // bytes_per_state(k) states for k agents, whichever is
+    fewer; its message names the limit that tripped. Raises
     PreconditionError for a vertex id outside 0..n-1 or two agents sharing
     a start.
 
@@ -222,6 +235,8 @@ def joint_bfs(
         raise PreconditionError("depth cap must be non-negative")
     if state_guard <= 0:
         raise PreconditionError("state guard must be positive")
+    if byte_budget <= 0:
+        raise PreconditionError("byte budget must be positive")
     starts = tuple(starts)
     targets = tuple(targets)
     n_verts = graph.n
@@ -261,12 +276,17 @@ def joint_bfs(
     # its keys are the kept states
     parent: Dict[Tuple[int, ...], Optional[Tuple[int, ...]]] = {starts: None}
     generated = 0
+    per_state = bytes_per_state(n_agents)
+    cap = min(state_guard, byte_budget // per_state)
 
     def keep(key: Tuple[int, ...], prev: Tuple[int, ...]) -> None:
-        if len(parent) >= state_guard:
-            raise ResourceLimitError(
-                f"state guard of {state_guard} states exhausted", len(parent)
+        if len(parent) >= cap:
+            limit = (
+                f"byte budget of {byte_budget} bytes ({cap} states of {per_state} bytes)"
+                if cap < state_guard
+                else f"state guard of {state_guard} states"
             )
+            raise ResourceLimitError(f"{limit} exhausted", len(parent))
         parent[key] = prev
 
     # buckets[g]: states at depth g waiting in the current layer; a

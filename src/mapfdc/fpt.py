@@ -2,9 +2,9 @@ from __future__ import annotations
 
 from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
-from .engine import DEFAULT_STATE_GUARD, joint_bfs
+from .engine import DEFAULT_BYTE_BUDGET, DEFAULT_STATE_GUARD, joint_bfs
 from .errors import MapfError
-from .graphs import Graph, clique_split
+from .graphs import Graph
 from .model import Instance, Placement, Schedule, validate_schedule
 
 
@@ -175,7 +175,7 @@ def kernel_graph(inst: Instance) -> Graph:
 
 
 def _search(
-    graph: Graph, inst: Instance, state_guard: int
+    graph: Graph, inst: Instance, state_guard: int, byte_budget: int
 ) -> Tuple[Optional[Tuple[int, Schedule]], int]:
     """One `joint_bfs` of every agent of `inst` on `graph`, which keeps the
     instance's vertex ids, with the instance's makespan limit as its only
@@ -187,6 +187,7 @@ def _search(
         inst.targets,
         depth_cap=inst.makespan_limit,
         state_guard=state_guard,
+        byte_budget=byte_budget,
     )
     if res.path is None:
         return None, res.states
@@ -197,16 +198,18 @@ def _search(
 def oracle_with_stats(
     inst: Instance,
     state_guard: int = DEFAULT_STATE_GUARD,
+    byte_budget: int = DEFAULT_BYTE_BUDGET,
 ) -> Tuple[Optional[Tuple[int, Schedule]], int]:
     """Exhaustive shortest-schedule search of the whole graph, the exact
     baseline, plus the explored-state count. The answer is None when no
     schedule meets the instance's makespan limit."""
-    return _search(inst.graph, inst, state_guard)
+    return _search(inst.graph, inst, state_guard, byte_budget)
 
 
 def solve_with_stats(
     inst: Instance,
     state_guard: int = DEFAULT_STATE_GUARD,
+    byte_budget: int = DEFAULT_BYTE_BUDGET,
 ) -> Tuple[Optional[Tuple[int, Schedule]], int]:
     """Exact optimal solve parameterized by distance to clique, plus the
     state count of the search that answered (0 when no search ran). The
@@ -226,18 +229,13 @@ def solve_with_stats(
       vertices, it always finds one (see its docstring). A refutation, or
       a search that runs out of backtracking steps, passes on to the next
       step, which answers as if it had not run;
-    - distance ceiling: `clique_split` raises ResourceLimitError when the
-      distance to clique is past its budget, but only for an instance that
-      the steps above did not answer. Nothing reads the split. It stays
-      because the search's only guard counts states, not bytes or time: a
-      graph far from a clique, such as the three-partition tree, would
-      otherwise start a search that runs out of memory before the state
-      guard trips;
     - trimmed search: one `joint_bfs` over every agent on the
       `kernel_graph` of the instance, each true-twin class trimmed to three
       vertices per agent, the agents' endpoints among them. The graph keeps
       the instance's vertex ids, so the schedule found is the instance's
-      own."""
+      own. Its state guard or byte budget raises ResourceLimitError when
+      it trips. No step reads the distance to clique, so the chain runs
+      at every distance."""
     if inst.starts == inst.targets:
         return (0, Schedule(())), 0
     direct = Schedule((inst.targets,))
@@ -248,5 +246,4 @@ def solve_with_stats(
     two_turns = _two_turn_schedule(inst)
     if two_turns is not None:
         return (2, two_turns), 0
-    clique_split(inst.graph)
-    return _search(kernel_graph(inst), inst, state_guard)
+    return _search(kernel_graph(inst), inst, state_guard, byte_budget)

@@ -178,22 +178,28 @@ def test_bench_rejects_a_guard_below_one(tmp_path, capsys) -> None:
     capsys.readouterr()
 
 
-def test_solve_exits_three_beyond_the_distance_ceiling(tmp_path, capsys) -> None:
+def test_solve_searches_beyond_the_old_distance_ceiling(tmp_path, capsys) -> None:
     # K4 plus 21 pendant vertices is 21 deletions from a clique, beyond the
     # clique split's budget of 20; pendants 4 and 5 hang off 0 and 1, so
-    # the target row fails and N[4] & N[5] is empty: only the steps after
-    # the split could answer
+    # the target row fails and N[4] & N[5] is empty: the trimmed search
+    # answers 3 (4 -> 0 -> 1 -> 5), since no step reads the split
     edges = [(u, v) for u in range(4) for v in range(u + 1, 4)]
     edges.extend((v, v % 4) for v in range(4, 25))
     ipath = tmp_path / "far.mapf"
+    spath = tmp_path / "far.sched"
     _write_instance(ipath, Instance(Graph(25, edges), (4,), (5,)))
-    assert cli.main(["solve", str(ipath)]) == 3
-    assert "distance to clique exceeds budget 20" in capsys.readouterr().err
+    assert cli.main(["solve", str(ipath), "-o", str(spath)]) == 0
+    row = capsys.readouterr().err.strip().split("\t")
+    assert row[1:4] == ["fpt", "yes", "3"] and int(row[4]) > 0
+    inst = parse_instance(ipath.read_text())
+    sched = parse_schedule(spath.read_text(), inst)
+    assert validate_schedule(inst, sched).ok
+    assert sched.makespan == 3
 
 
 def test_solve_answers_the_target_row_beyond_the_distance_ceiling(tmp_path, capsys) -> None:
     # the same dc = 21 graph, but the agent's target is its pendant's
-    # anchor: the target row answers before any step needs the split
+    # anchor: the target row answers 1 before any search
     edges = [(u, v) for u in range(4) for v in range(u + 1, 4)]
     edges.extend((v, v % 4) for v in range(4, 25))
     ipath = tmp_path / "near.mapf"
@@ -547,24 +553,39 @@ def test_bench_reports_agreement(tmp_path, capsys) -> None:
 
 
 def test_bench_records_an_aborted_run_and_goes_on(tmp_path, capsys) -> None:
-    # a.mapf is K4 plus 21 pendant vertices, dc = 21 beyond the clique
-    # split's budget of 20, with one agent from pendant 4 to pendant 5
-    # (three edges apart), so no step before the split answers: fpt
-    # aborts, the oracle answers; b.mapf must still run
-    edges = [(u, v) for u in range(4) for v in range(u + 1, 4)]
-    edges.extend((v, v % 4) for v in range(4, 25))
-    _write_instance(tmp_path / "a.mapf", Instance(Graph(25, edges), (4,), (5,)))
+    # a.mapf is K20 plus the path 20-21 off vertex 0, with one agent from 21
+    # to 19 and two standing on 1 and 2 (optimum 3): the oracle searches
+    # the whole graph and uses up a 100-state guard, while fpt searches the
+    # graph with the 19-vertex twin class trimmed to 9 and answers after 92
+    # states; b.mapf must still run
+    c = 20
+    edges = [(u, v) for u in range(c) for v in range(u + 1, c)] + [(0, c), (c, c + 1)]
+    _write_instance(
+        tmp_path / "a.mapf", Instance(Graph(c + 2, edges), (c + 1, 1, 2), (c - 1, 1, 2))
+    )
     _write_instance(tmp_path / "b.mapf", cli_random(6, 1, 2, 3))
-    assert cli.main(["bench", str(tmp_path)]) == 3
+    assert cli.main(["bench", str(tmp_path), "--state-guard", "100"]) == 3
     captured = capsys.readouterr()
     rows = [line.split("\t") for line in captured.out.strip().splitlines()[1:]]
     assert [row[:2] for row in rows] == [
         ["a.mapf", "oracle"], ["a.mapf", "fpt"], ["b.mapf", "oracle"], ["b.mapf", "fpt"]
     ]
-    assert [row[2] for row in rows] == ["yes", "aborted", "yes", "yes"]
-    assert rows[2][3] == rows[3][3]
-    assert "distance to clique exceeds budget 20" in captured.err
+    assert [row[2] for row in rows] == ["aborted", "yes", "yes", "yes"]
+    assert rows[1][3] == "3" and rows[2][3] == rows[3][3]
+    assert "a.mapf oracle: state guard of 100 states exhausted" in captured.err
     assert "mismatch" not in captured.err
+
+
+def test_bench_names_a_file_it_cannot_parse_and_goes_on(tmp_path, capsys) -> None:
+    # a.mapf holds a byte that is not UTF-8 on line 2; b.mapf must still
+    # run, and the bench exits 2 after its summary
+    (tmp_path / "a.mapf").write_bytes(b"mapf 1\n# \xff\nvertices 2\nedge 0 1\nagent 0 1\n")
+    _write_instance(tmp_path / "b.mapf", cli_random(6, 1, 2, 3))
+    assert cli.main(["bench", str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    rows = [line.split("\t") for line in captured.out.strip().splitlines()[1:]]
+    assert [row[:3] for row in rows] == [["b.mapf", "oracle", "yes"], ["b.mapf", "fpt", "yes"]]
+    assert captured.err.splitlines() == ["parse error: a.mapf: line 2: not UTF-8 text"]
 
 
 def test_bench_reports_the_states_of_an_aborted_run(tmp_path, capsys) -> None:

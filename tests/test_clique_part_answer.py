@@ -7,7 +7,7 @@ from typing import Optional, Tuple
 
 import pytest
 
-from mapfdc import fpt
+from mapfdc import fpt, graphs
 from mapfdc.errors import ResourceLimitError
 from mapfdc.graphs import Graph, clique_split, complete_graph
 from mapfdc.model import Instance, Schedule, validate_schedule
@@ -151,7 +151,7 @@ def test_agents_inside_k4_take_the_clique_part_answer_at_distance_to_clique_13()
 
 def test_agents_inside_k4_take_the_two_turn_answer_beyond_the_distance_ceiling() -> None:
     # K4 plus 21 pendant vertices is 21 deletions from a clique, past the
-    # split's budget of 20; the two-turn step answers before the split
+    # split's budget of 20; the two-turn step answers 2 before any search
     edges = [(u, v) for u in range(4) for v in range(u + 1, 4)]
     edges.extend((v, v % 4) for v in range(4, 25))
     inst = Instance(Graph(25, edges), (0, 1, 2), (1, 0, 3))
@@ -210,7 +210,7 @@ def _dense_near_clique(rng: random.Random) -> Instance:
     return Instance(Graph(clique + 1, edges), core + tuple(starts), core + tuple(targets))
 
 
-def test_the_split_is_built_only_for_the_steps_that_read_it(monkeypatch) -> None:
+def test_the_solve_path_never_builds_the_split(monkeypatch) -> None:
     two_turn = [
         _near_clique_shape(*shape)
         for shape in (
@@ -218,29 +218,27 @@ def test_the_split_is_built_only_for_the_steps_that_read_it(monkeypatch) -> None
             (9, 2, 6, 3), (9, 3, 6, 1), (10, 3, 6, 2), (10, 3, 5, 1), (10, 3, 4, 0),
         )
     ]
-    # optimum 3: the two-turn step refutes 2 and the whole instance is searched
-    searched = _near_clique_shape(7, 3, 5, 3)
+    # optimum 3: the two-turn step refutes 2 and the trimmed graph is
+    # searched, at dc 3 and at dc 21 (K4 plus 21 pendant vertices, one
+    # agent from pendant 4 to pendant 5)
+    edges = [(u, v) for u in range(4) for v in range(u + 1, 4)]
+    edges.extend((v, v % 4) for v in range(4, 25))
+    searched = [_near_clique_shape(7, 3, 5, 3), Instance(Graph(25, edges), (4,), (5,))]
 
     def no_split(*args, **kwargs):
-        raise AssertionError("clique_split ran")
+        raise AssertionError("the split was built")
 
-    monkeypatch.setattr(fpt, "clique_split", no_split)
+    assert not hasattr(fpt, "clique_split")
+    monkeypatch.setattr(graphs, "clique_split", no_split)
+    monkeypatch.setattr(graphs, "min_vertex_cover", no_split)
     for inst in two_turn + [_dense_near_clique(random.Random(7))]:
         result, states = fpt.solve_with_stats(inst)
         assert result is not None and result[0] == 2 and states == 0
         assert validate_schedule(inst, result[1]).ok
-
-    calls = []
-
-    def counted(g, *args, **kwargs):
-        calls.append(g)
-        return clique_split(g, *args, **kwargs)
-
-    monkeypatch.setattr(fpt, "clique_split", counted)
-    result, states = fpt.solve_with_stats(searched)
-    assert result is not None and result[0] == 3 and states > 0
-    assert validate_schedule(searched, result[1]).ok
-    assert calls == [searched.graph]
+    for inst in searched:
+        result, states = fpt.solve_with_stats(inst)
+        assert result is not None and result[0] == 3 and states > 0
+        assert validate_schedule(inst, result[1]).ok
 
 
 def test_clique_part_answers_match_the_oracle_on_near_cliques() -> None:

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import importlib.util
 import random
+import time
 from collections import deque
 from dataclasses import replace
 from pathlib import Path
@@ -191,6 +192,42 @@ def test_state_guard_bounds_the_kept_states_exactly() -> None:
     with pytest.raises(ResourceLimitError) as trip:
         engine.joint_bfs(graph, starts, targets, state_guard=res.states - 1)
     assert trip.value.states == res.states - 1
+
+
+def test_byte_budget_bounds_the_kept_states_exactly() -> None:
+    # the budget is a cap of byte_budget // bytes_per_state(k) states for
+    # k agents, checked where the state guard is: a budget of exactly the
+    # bytes of the states a search keeps lets it finish unchanged, and one
+    # state's bytes less trips it with that many states kept, naming the
+    # budget rather than the guard
+    graph, starts, targets = _cycle(12), (0, 4, 8), (4, 8, 0)
+    res = engine.joint_bfs(graph, starts, targets)
+    per_state = engine.bytes_per_state(len(starts))
+    assert engine.joint_bfs(graph, starts, targets, byte_budget=res.states * per_state) == res
+    with pytest.raises(ResourceLimitError, match="^byte budget of ") as trip:
+        engine.joint_bfs(
+            graph, starts, targets, byte_budget=(res.states - 1) * per_state
+        )
+    assert trip.value.states == res.states - 1
+    with pytest.raises(PreconditionError):
+        engine.joint_bfs(graph, starts, targets, byte_budget=0)
+
+
+def test_byte_budget_stops_a_wide_search_within_a_second() -> None:
+    # tail 300/250: K300 plus the path 300-301 off vertex 0, one agent from
+    # 301 to 299 and 249 standing on 1..249. The whole-graph search keeps
+    # 250-agent placements of 3,200 bytes each, so 16 MB caps it at 5,242
+    # states
+    c, k = 300, 250
+    edges = [(u, v) for u in range(c) for v in range(u + 1, c)] + [(0, c), (c, c + 1)]
+    still = tuple(range(1, k))
+    inst = Instance(Graph(c + 2, edges), (c + 1,) + still, (c - 1,) + still)
+    budget = 16 << 20
+    started = time.perf_counter()
+    with pytest.raises(ResourceLimitError, match="^byte budget of ") as trip:
+        oracle_with_stats(inst, byte_budget=budget)
+    assert time.perf_counter() - started < 1.0
+    assert trip.value.states == budget // engine.bytes_per_state(k) == 5242
 
 
 def test_solve_with_stats_counts_states() -> None:

@@ -245,6 +245,53 @@ def test_solve_with_stats_matches_the_oracle_at_distance_to_clique_13() -> None:
     assert validate_schedule(inst, result[1]).ok
 
 
+@pytest.mark.parametrize("dc", [21, 22, 23, 24])
+def test_solve_with_stats_matches_the_oracle_beyond_the_old_distance_ceiling(dc) -> None:
+    # past the clique split's budget of 20, which no step reads. K4 plus dc
+    # pendant vertices, pendant v hanging off v % 4: up to four agents go
+    # from a pendant of anchor a to a pendant of anchor a + shift, a
+    # rotation with no exchange, so the target row and the two-turn step
+    # fail and the last step's search (nothing to trim) answers 3. A star with dc + 1 leaves:
+    # one pair of leaves exchanges (4 turns) while other agents stand on
+    # leaves
+    rng = random.Random(2412 + dc)
+    pendants = Graph(
+        dc + 4,
+        [(u, v) for u in range(4) for v in range(u + 1, 4)]
+        + [(v, v % 4) for v in range(4, dc + 4)],
+    )
+    star = Graph(dc + 2, [(0, v) for v in range(1, dc + 2)])
+    for g in (pendants, star):
+        assert clique_split(g, budget=g.n).dc == dc
+    by_anchor = [range(4 + a, dc + 4, 4) for a in range(4)]
+    for _ in range(6):
+        shift = rng.choice((1, 3))
+        anchors = rng.sample(range(4), rng.randint(1, 4))
+        starts = tuple(rng.choice(by_anchor[a]) for a in anchors)
+        targets = tuple(
+            rng.choice([v for v in by_anchor[(a + shift) % 4] if v not in starts])
+            for a in anchors
+        )
+        leaves = rng.sample(range(1, dc + 2), 2 + rng.randint(0, 2))
+        swapped = (leaves[1], leaves[0]) + tuple(leaves[2:])
+        for inst, optimum in (
+            (Instance(pendants, starts, targets), 3),
+            (Instance(star, tuple(leaves), swapped), 4),
+        ):
+            for limit in (None, optimum - 1):
+                limited = replace(inst, makespan_limit=limit)
+                result, states = solve_with_stats(limited)
+                expected, _ = oracle_with_stats(limited)
+                assert states > 0
+                if limit is not None:
+                    assert result is None and expected is None
+                    continue
+                assert result is not None and expected is not None
+                assert result[0] == expected[0] == optimum
+                assert validate_schedule(inst, result[1]).ok
+                assert validate_schedule(inst, expected[1]).ok
+
+
 def test_trimmed_search_answers_a_tail_that_the_whole_search_cannot() -> None:
     # clique 0..299 plus the modulator path 300-301 hanging off vertex 0
     # (dc 2). Agent 0 walks 301 -> 300 -> 0 -> 299, and the agents on 1..4
