@@ -352,7 +352,11 @@ def _add_guard_opt(p: argparse.ArgumentParser) -> None:
         "--state-guard",
         type=_int_at_least(1),
         default=DEFAULT_STATE_GUARD,
-        help="abort after discovering this many search states",
+        help=(
+            "abort after keeping this many search states, or fewer: the search"
+            " also stops at a byte budget of 1 GiB, which at 12k + 200 bytes a"
+            " state caps k agents at 2^30 // (12k + 200) states"
+        ),
     )
 
 

@@ -9,7 +9,10 @@ from .graphs import Graph
 from .model import Placement
 
 DEFAULT_STATE_GUARD = 50_000_000
-DEFAULT_BYTE_BUDGET = 1 << 30
+# The bytes one search may spend on kept placements, as bytes_per_state
+# counts them; joint_bfs reads it at call time. Its cap is below the
+# default state guard for every agent count (3,627,506 states for 8)
+BYTE_BUDGET = 1 << 30
 
 _Row = Tuple[Tuple[int, ...], Tuple[int, ...], Tuple[int, ...], bool]
 
@@ -164,7 +167,6 @@ def joint_bfs(
     targets: Placement,
     depth_cap: Optional[int] = None,
     state_guard: int = DEFAULT_STATE_GUARD,
-    byte_budget: int = DEFAULT_BYTE_BUDGET,
 ) -> BfsResult:
     """Shortest schedule over joint placements under simultaneous-move,
     per-turn-injective, swap-free semantics.
@@ -172,7 +174,7 @@ def joint_bfs(
     The returned path starts with the start placement, and is None when no
     schedule exists within depth_cap turns. Raises ResourceLimitError once
     the search would keep more than state_guard states, or more than
-    byte_budget // bytes_per_state(k) states for k agents, whichever is
+    BYTE_BUDGET // bytes_per_state(k) states for k agents, whichever is
     fewer; its message names the limit that tripped. Raises
     PreconditionError for a vertex id outside 0..n-1 or two agents sharing
     a start.
@@ -235,8 +237,6 @@ def joint_bfs(
         raise PreconditionError("depth cap must be non-negative")
     if state_guard <= 0:
         raise PreconditionError("state guard must be positive")
-    if byte_budget <= 0:
-        raise PreconditionError("byte budget must be positive")
     starts = tuple(starts)
     targets = tuple(targets)
     n_verts = graph.n
@@ -277,12 +277,13 @@ def joint_bfs(
     parent: Dict[Tuple[int, ...], Optional[Tuple[int, ...]]] = {starts: None}
     generated = 0
     per_state = bytes_per_state(n_agents)
-    cap = min(state_guard, byte_budget // per_state)
+    budget = BYTE_BUDGET
+    cap = min(state_guard, budget // per_state)
 
     def keep(key: Tuple[int, ...], prev: Tuple[int, ...]) -> None:
         if len(parent) >= cap:
             limit = (
-                f"byte budget of {byte_budget} bytes ({cap} states of {per_state} bytes)"
+                f"byte budget of {budget} bytes ({cap} states of {per_state} bytes)"
                 if cap < state_guard
                 else f"state guard of {state_guard} states"
             )

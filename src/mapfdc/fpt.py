@@ -2,7 +2,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
-from .engine import DEFAULT_BYTE_BUDGET, DEFAULT_STATE_GUARD, joint_bfs
+from .engine import DEFAULT_STATE_GUARD, joint_bfs
 from .errors import MapfError
 from .graphs import Graph
 from .model import Instance, Placement, Schedule, validate_schedule
@@ -175,7 +175,7 @@ def kernel_graph(inst: Instance) -> Graph:
 
 
 def _search(
-    graph: Graph, inst: Instance, state_guard: int, byte_budget: int
+    graph: Graph, inst: Instance, state_guard: int
 ) -> Tuple[Optional[Tuple[int, Schedule]], int]:
     """One `joint_bfs` of every agent of `inst` on `graph`, which keeps the
     instance's vertex ids, with the instance's makespan limit as its only
@@ -187,7 +187,6 @@ def _search(
         inst.targets,
         depth_cap=inst.makespan_limit,
         state_guard=state_guard,
-        byte_budget=byte_budget,
     )
     if res.path is None:
         return None, res.states
@@ -198,18 +197,16 @@ def _search(
 def oracle_with_stats(
     inst: Instance,
     state_guard: int = DEFAULT_STATE_GUARD,
-    byte_budget: int = DEFAULT_BYTE_BUDGET,
 ) -> Tuple[Optional[Tuple[int, Schedule]], int]:
     """Exhaustive shortest-schedule search of the whole graph, the exact
     baseline, plus the explored-state count. The answer is None when no
     schedule meets the instance's makespan limit."""
-    return _search(inst.graph, inst, state_guard, byte_budget)
+    return _search(inst.graph, inst, state_guard)
 
 
 def solve_with_stats(
     inst: Instance,
     state_guard: int = DEFAULT_STATE_GUARD,
-    byte_budget: int = DEFAULT_BYTE_BUDGET,
 ) -> Tuple[Optional[Tuple[int, Schedule]], int]:
     """Exact optimal solve parameterized by distance to clique, plus the
     state count of the search that answered (0 when no search ran). The
@@ -246,4 +243,4 @@ def solve_with_stats(
     two_turns = _two_turn_schedule(inst)
     if two_turns is not None:
         return (2, two_turns), 0
-    return _search(kernel_graph(inst), inst, state_guard, byte_budget)
+    return _search(kernel_graph(inst), inst, state_guard)

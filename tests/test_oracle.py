@@ -194,8 +194,8 @@ def test_state_guard_bounds_the_kept_states_exactly() -> None:
     assert trip.value.states == res.states - 1
 
 
-def test_byte_budget_bounds_the_kept_states_exactly() -> None:
-    # the budget is a cap of byte_budget // bytes_per_state(k) states for
+def test_byte_budget_bounds_the_kept_states_exactly(monkeypatch: pytest.MonkeyPatch) -> None:
+    # the budget is a cap of BYTE_BUDGET // bytes_per_state(k) states for
     # k agents, checked where the state guard is: a budget of exactly the
     # bytes of the states a search keeps lets it finish unchanged, and one
     # state's bytes less trips it with that many states kept, naming the
@@ -203,17 +203,17 @@ def test_byte_budget_bounds_the_kept_states_exactly() -> None:
     graph, starts, targets = _cycle(12), (0, 4, 8), (4, 8, 0)
     res = engine.joint_bfs(graph, starts, targets)
     per_state = engine.bytes_per_state(len(starts))
-    assert engine.joint_bfs(graph, starts, targets, byte_budget=res.states * per_state) == res
+    monkeypatch.setattr(engine, "BYTE_BUDGET", res.states * per_state)
+    assert engine.joint_bfs(graph, starts, targets) == res
+    monkeypatch.setattr(engine, "BYTE_BUDGET", (res.states - 1) * per_state)
     with pytest.raises(ResourceLimitError, match="^byte budget of ") as trip:
-        engine.joint_bfs(
-            graph, starts, targets, byte_budget=(res.states - 1) * per_state
-        )
+        engine.joint_bfs(graph, starts, targets)
     assert trip.value.states == res.states - 1
-    with pytest.raises(PreconditionError):
-        engine.joint_bfs(graph, starts, targets, byte_budget=0)
 
 
-def test_byte_budget_stops_a_wide_search_within_a_second() -> None:
+def test_byte_budget_stops_a_wide_search_within_a_second(
+    monkeypatch: pytest.MonkeyPatch,
+) -> None:
     # tail 300/250: K300 plus the path 300-301 off vertex 0, one agent from
     # 301 to 299 and 249 standing on 1..249. The whole-graph search keeps
     # 250-agent placements of 3,200 bytes each, so 16 MB caps it at 5,242
@@ -223,9 +223,10 @@ def test_byte_budget_stops_a_wide_search_within_a_second() -> None:
     still = tuple(range(1, k))
     inst = Instance(Graph(c + 2, edges), (c + 1,) + still, (c - 1,) + still)
     budget = 16 << 20
+    monkeypatch.setattr(engine, "BYTE_BUDGET", budget)
     started = time.perf_counter()
     with pytest.raises(ResourceLimitError, match="^byte budget of ") as trip:
-        oracle_with_stats(inst, byte_budget=budget)
+        oracle_with_stats(inst)
     assert time.perf_counter() - started < 1.0
     assert trip.value.states == budget // engine.bytes_per_state(k) == 5242
 
