@@ -110,7 +110,9 @@ class _Options:
     into the vertices closer than `slack` and those exactly at it (all
     three ascending by vertex id), and `cut` tells whether some vertex of
     N[u] that can still reach the target was left out. Rows are built on
-    first use.
+    first use and kept per slack in a dict of the vertices asked for, not
+    a list of n slots: a search of many agents on a large graph asks for
+    few vertices per target.
     """
 
     __slots__ = ("graph", "dist", "rows")
@@ -118,13 +120,13 @@ class _Options:
     def __init__(self, graph: Graph, target: int) -> None:
         self.graph = graph
         self.dist = _distances(graph, target)
-        self.rows: Dict[int, List[Optional[_Row]]] = {}
+        self.rows: Dict[int, Dict[int, _Row]] = {}
 
     def row(self, slack: int, u: int) -> _Row:
         by_vertex = self.rows.get(slack)
         if by_vertex is None:
-            by_vertex = self.rows[slack] = [None] * self.graph.n
-        entry = by_vertex[u]
+            by_vertex = self.rows[slack] = {}
+        entry = by_vertex.get(u)
         if entry is None:
             dist = self.dist
             closed = self.graph.neighbor_set(u) | {u}

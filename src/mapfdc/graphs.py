@@ -58,6 +58,12 @@ class Graph:
         """N(v) as a set, for membership tests and set algebra."""
         return self._nbr[v]
 
+    @property
+    def neighbor_sets(self) -> Tuple[FrozenSet[int], ...]:
+        """N(v) for every vertex v, indexed by v: for loops that index
+        rather than call `neighbor_set` once per vertex."""
+        return self._nbr
+
     def has_edge(self, u: int, v: int) -> bool:
         return 0 <= u < self.n and v in self._nbr[u]
 
@@ -154,7 +160,7 @@ def min_vertex_cover(g: Graph, budget: int = 20) -> Optional[FrozenSet[int]]:
     """
     if budget < 0:
         return None
-    nbr = [g.neighbor_set(v) for v in range(g.n)]
+    nbr = g.neighbor_sets
     # packing from low degree up finds more disjoint edges in sparse parts
     order = sorted((v for v in range(g.n) if nbr[v]), key=lambda v: len(nbr[v]))
     for k in range(_packing_bound(nbr, order, frozenset()), budget + 1):

@@ -121,7 +121,16 @@ def detect_swaps(prev: Sequence[int], nxt: Sequence[int]) -> List[Tuple[int, int
     """
     if len(prev) != len(nxt):
         raise PreconditionError("placements cover different agent sets")
-    return _swaps_among(prev, nxt, _movers(prev, nxt))
+    # Both members of an exchange move, and with prev injective an agent
+    # that waits can be no member, so the movers are the only candidates.
+    movers = _movers(prev, nxt)
+    at_prev = {prev[b]: b for b in movers}
+    out: List[Tuple[int, int]] = []
+    for a in movers:
+        b = at_prev.get(nxt[a])
+        if b is not None and a < b and nxt[b] == prev[a]:
+            out.append((a, b))
+    return out
 
 
 def _movers(prev: Sequence[int], nxt: Sequence[int]) -> List[int]:
@@ -145,61 +154,66 @@ def _slice_movers(prev: Sequence[int], nxt: Sequence[int]) -> List[int]:
     return out
 
 
-def _swaps_among(
-    prev: Sequence[int], nxt: Sequence[int], movers: Sequence[int]
-) -> List[Tuple[int, int]]:
-    # Both members of an exchange move, and with prev injective an agent
-    # that waits can be no member, so the movers are the only candidates.
-    at_prev = {prev[b]: b for b in movers}
-    out: List[Tuple[int, int]] = []
-    for a in movers:
-        b = at_prev.get(nxt[a])
-        if b is not None and a < b and nxt[b] == prev[a]:
-            out.append((a, b))
-    return out
-
-
 def _validate_turns(
     graph: Graph, starts: Placement, placements: Sequence[Placement]
 ) -> Optional[Verdict]:
     """First motion-rule breach, checking per turn the neighbourhood rule,
-    then injectivity, then swaps. Rows are compared in C; the Python loops
-    run over the agents that move. An agent that waits sits on a vertex
-    already checked, so it breaks neither the range nor the edge rule, and
-    no neighbour set holds a vertex out of range.
+    then injectivity, then swaps, in one Python pass over the agents that
+    move. An agent that waits sits on a vertex already checked, so it
+    breaks neither the range nor the edge rule, and no neighbour set holds
+    a vertex out of range.
 
-    `occ` holds the vertices of the last row accepted. The first turn, and
-    any turn after one that moved n/8 agents or more, compares the rows
-    agent by agent and checks injectivity on `set(cur)`. Any other turn
-    finds its movers by `_slice_movers` and updates `occ` with their old
-    and new vertices alone: with the previous row injective, the new row is
-    injective exactly when the movers land on distinct vertices that no
-    waiting agent holds. Only a breach runs the scan that names the pair."""
+    `at` maps each vertex of the last row accepted to its agent. A move
+    u -> v needs v in N(u), and is half of an exchange when the agent
+    b = at[v] that left v now stands on u. Movers are met in agent order,
+    so the first failed edge test names the first breach; an exchange is
+    only noted, and reported after injectivity. The first turn, and any
+    turn after one that moved n/8 agents or more, walks both rows whole,
+    skipping agents that wait, then builds the next `at` from the new row
+    in C: the row is injective exactly when `at` has n keys. Any other
+    turn finds its movers by `_slice_movers` and updates `at` with them
+    alone: with the previous row injective, the new row is injective
+    exactly when the movers land on distinct vertices that no waiting
+    agent holds. Only a breach runs the scan that names the agents."""
     n = len(starts)
     n_verts = graph.n
-    nbr = graph.neighbor_set
+    nbrs = graph.neighbor_sets
     prev = starts
-    occ: Set[int] = set()
+    at = dict(zip(starts, range(n)))
     few = False  # the previous turn moved fewer than n/8 agents
     for turn, cur in enumerate(placements, start=1):
         if len(cur) != n:
             raise PreconditionError(f"turn {turn}: placement covers {len(cur)} agents, expected {n}")
-        movers = _slice_movers(prev, cur) if few else _movers(prev, cur)
-        for a in movers:
-            v = cur[a]
-            if v not in nbr(prev[a]):
+        if few:
+            movers = _slice_movers(prev, cur)
+            olds = [prev[a] for a in movers]
+            news = [cur[a] for a in movers]
+            moves = zip(olds, news)
+        else:
+            moves = zip(prev, cur)
+        moved = 0
+        swap = False
+        for u, v in moves:
+            if u == v:
+                continue
+            if v not in nbrs[u]:
                 if not (0 <= v < n_verts):
                     raise PreconditionError(f"turn {turn}: vertex {v} out of range")
                 return Verdict(
-                    False, "neighborhood", turn, (a,),
-                    f"agent {a} moves {prev[a]} -> {v} without an edge",
+                    False, "neighborhood", turn, (at[u],),
+                    f"agent {at[u]} moves {u} -> {v} without an edge",
                 )
+            moved += 1
+            b = at.get(v)
+            if b is not None and cur[b] == u:
+                swap = True
         if few:
-            occ.difference_update(map(prev.__getitem__, movers))
-            occ.update(map(cur.__getitem__, movers))
+            for u in olds:
+                del at[u]
+            at.update(zip(news, movers))
         else:
-            occ = set(cur)
-        if len(occ) != n:
+            at = dict(zip(cur, range(n)))
+        if len(at) != n:
             seen: Dict[int, int] = {}
             clash: Tuple[int, ...] = ()
             for a, v in enumerate(cur):
@@ -211,14 +225,13 @@ def _validate_turns(
                 False, "injective", turn, clash,
                 f"agents {clash[0]} and {clash[1]} share vertex {cur[clash[1]]}",
             )
-        swaps = _swaps_among(prev, cur, movers)
-        if swaps:
-            a, b = swaps[0]
+        if swap:
+            a, b = detect_swaps(prev, cur)[0]
             return Verdict(
                 False, "swap", turn, (a, b),
                 f"agents {a} and {b} exchange vertices {prev[a]} and {prev[b]}",
             )
-        few = 8 * len(movers) < n
+        few = 8 * moved < n
         prev = cur
     return None
 
@@ -231,12 +244,13 @@ def validate_schedule(inst: Instance, sched: Schedule) -> Verdict:
         return bad
     final = sched.final(inst.starts)
     m = sched.makespan
-    for a in range(inst.n_agents):
-        if final[a] != inst.targets[a]:
-            return Verdict(
-                False, "target", m, (a,),
-                f"agent {a} ends on {final[a]}, target is {inst.targets[a]}",
-            )
+    targets = inst.targets
+    if tuple(final) != tuple(targets):  # one compare in C; the scan names the agent
+        a = next(a for a in inst.agents if final[a] != targets[a])
+        return Verdict(
+            False, "target", m, (a,),
+            f"agent {a} ends on {final[a]}, target is {targets[a]}",
+        )
     if inst.makespan_limit is not None and m > inst.makespan_limit:
         return Verdict(
             False, "limit", m, (),

@@ -1381,6 +1381,221 @@ def test_validator_matches_the_reference_at_scale(monkeypatch: pytest.MonkeyPatc
             assert (kind, outcome, fast) in seen
 
 
+def _square_cycle(size: int) -> Graph:
+    """A cycle whose vertices are also joined to those two steps away."""
+    return Graph(size, sorted({
+        (min(v, w), max(v, w)) for v in range(size) for w in ((v + 1) % size, (v + 2) % size)
+    }))
+
+
+def _conveyor_all(prev: Tuple[int, ...], size: int) -> Tuple[int, ...]:
+    """Every agent one step along the cycle, as pancake timer agents move."""
+    return tuple((v + 1) % size for v in prev)
+
+
+def _conveyor_few(rng: random.Random, prev: Tuple[int, ...], size: int) -> Tuple[int, ...]:
+    """At most n/16 agents step along the cycle, each onto a vertex that no
+    agent held before the turn."""
+    cur = list(prev)
+    taken = set(prev)
+    for a in rng.sample(range(len(prev)), len(prev) // 16):
+        v = (prev[a] + 1) % size
+        if v not in taken:
+            taken.add(v)
+            cur[a] = v
+    return tuple(cur)
+
+
+def _turn_outcome(graph: Graph, prev: Tuple[int, ...], row: Tuple[int, ...]) -> str:
+    try:
+        bad = _reference_validate_turns(graph, prev, (row,))
+    except PreconditionError:
+        return "precondition"
+    return "ok" if bad is None else str(bad.rule)
+
+
+_FAULT_OUTCOME = {
+    "range": "precondition", "neighborhood": "neighborhood",
+    "on-waiter": "injective", "shared": "injective", "swap": "swap",
+}
+
+
+def _conveyor_fault(
+    rng: random.Random, graph: Graph, prev: Tuple[int, ...], kind: str
+) -> Tuple[int, ...]:
+    """The all-mover step after `prev` with one fault of `kind` planted
+    near a random agent a, drawn again until the reference gives that
+    turn the fault's own verdict."""
+    size = graph.n
+    at = {v: a for a, v in enumerate(prev)}
+    for _ in range(500):
+        cur = list(_conveyor_all(prev, size))
+        a = rng.randrange(len(prev))
+        near = [at[w] for w in sorted(graph.neighbor_set(prev[a])) if w in at]
+        if not near:
+            continue
+        b = rng.choice(near)
+        if kind == "range":
+            cur[a] = rng.choice((-1, size, size + 4))
+        elif kind == "neighborhood":
+            cur[a] = rng.choice([
+                v for v in range(size) if v != prev[a] and v not in graph.neighbor_set(prev[a])
+            ])
+        elif kind == "on-waiter":
+            cur[a] = cur[b] = prev[b]
+        elif kind == "shared":
+            cur[a] = cur[b]
+        else:
+            cur[a], cur[b] = prev[b], prev[a]
+        if _turn_outcome(graph, prev, tuple(cur)) == _FAULT_OUTCOME[kind]:
+            return tuple(cur)
+    raise AssertionError(f"no {kind} fault planted")
+
+
+@pytest.mark.parametrize("kind", sorted(_FAULT_OUTCOME))
+@pytest.mark.parametrize("before", ["all", "few"])
+def test_validator_matches_the_reference_on_conveyor_rows(
+    monkeypatch: pytest.MonkeyPatch, kind: str, before: str
+) -> None:
+    # 64 to 200 agents on a cycle of twice as many vertices. On all-mover
+    # turns every agent steps along it, so the next turn walks both rows
+    # whole and rebuilds the vertex-to-agent map; after a turn that moved
+    # at most n/16 agents, the next takes the slice scan. The fault turn is
+    # an all-mover step with one fault planted, after a turn of `before`
+    for seed, n in enumerate((64, 65, 97, 128, 200)):
+        rng = random.Random(seed)
+        size = 2 * n
+        graph = _square_cycle(size)
+        starts = tuple(rng.sample(range(size), n))
+        fault_at = rng.randint(2, 8)
+        rows: List[Tuple[int, ...]] = []
+        prev = starts
+        for turn in range(1, fault_at):
+            few = before == "few" if turn == fault_at - 1 else rng.random() < 0.5
+            prev = _conveyor_few(rng, prev, size) if few else _conveyor_all(prev, size)
+            rows.append(prev)
+        moved = sum(map(int.__ne__, rows[-2] if fault_at > 2 else starts, prev))
+        assert (8 * moved < n) == (before == "few")
+        rows.append(_conveyor_fault(rng, graph, prev, kind))
+        rows.append(rows[-1])
+        sched = Schedule(tuple(rows))
+        inst = Instance(graph, starts, starts)
+        got = _both_ways(monkeypatch, lambda: validate_schedule(inst, sched))
+        assert _outcome(got) == _FAULT_OUTCOME[kind]
+        if not isinstance(got, str):
+            assert got.turn == fault_at
+        cinst = ColoredInstance(graph, (
+            ColoredGroup(1, starts[:40], starts[:40]), ColoredGroup(2, starts[40:], starts[40:]),
+        ))
+        _both_ways(monkeypatch, lambda: validate_colored_schedule(cinst, sched))
+
+
+def _conveyor_before(
+    rng: random.Random, before: str, starts: Tuple[int, ...], size: int
+) -> List[Tuple[int, ...]]:
+    """Rows ahead of a fault turn: none (the fault is on turn 1), or an
+    all-mover turn or a turn of few movers after an all-mover turn."""
+    if before == "none":
+        return []
+    rows = [_conveyor_all(starts, size)]
+    if before == "few":
+        rows.append(_conveyor_few(rng, rows[-1], size))
+    return rows
+
+
+@pytest.mark.parametrize("before", ["none", "all", "few"])
+def test_a_later_non_edge_move_outranks_an_earlier_exchange(
+    monkeypatch: pytest.MonkeyPatch, before: str
+) -> None:
+    # agents 0 and 1 exchange, and agent k, met later in the pass, moves
+    # four steps along the cycle: the neighbourhood verdict names k
+    size, k = 160, 77
+    graph = _square_cycle(size)
+    starts = tuple(range(0, size, 2))
+    rows = _conveyor_before(random.Random(1), before, starts, size)
+    prev = rows[-1] if rows else starts
+    assert prev[1] == prev[0] + 2 and prev[k] + 4 < size
+    cur = list(_conveyor_all(prev, size))
+    cur[0], cur[1] = prev[1], prev[0]
+    cur[k] = prev[k] + 4
+    assert detect_swaps(prev, cur) == [(0, 1)]
+    sched = Schedule(tuple(rows) + (tuple(cur),))
+    got = _both_ways(monkeypatch, lambda: validate_schedule(Instance(graph, starts, starts), sched))
+    assert got == Verdict(
+        False, "neighborhood", len(rows) + 1, (k,),
+        f"agent {k} moves {prev[k]} -> {prev[k] + 4} without an edge",
+    )
+
+
+@pytest.mark.parametrize("before", ["none", "all", "few"])
+def test_a_shared_vertex_outranks_an_exchange_in_the_same_turn(
+    monkeypatch: pytest.MonkeyPatch, before: str
+) -> None:
+    # agents 0 and 1 exchange, and agent k + 1 steps back onto the vertex
+    # agent k steps forward to: the injectivity verdict names k and k + 1
+    size, k = 160, 70
+    graph = _square_cycle(size)
+    starts = tuple(range(0, size, 2))
+    rows = _conveyor_before(random.Random(2), before, starts, size)
+    prev = rows[-1] if rows else starts
+    assert prev[1] == prev[0] + 2 and prev[k + 1] == prev[k] + 2
+    cur = list(_conveyor_all(prev, size))
+    cur[0], cur[1] = prev[1], prev[0]
+    cur[k + 1] = cur[k]
+    assert detect_swaps(prev, cur) == [(0, 1)]
+    sched = Schedule(tuple(rows) + (tuple(cur),))
+    got = _both_ways(monkeypatch, lambda: validate_schedule(Instance(graph, starts, starts), sched))
+    assert got == Verdict(
+        False, "injective", len(rows) + 1, (k, k + 1),
+        f"agents {k} and {k + 1} share vertex {cur[k]}",
+    )
+
+
+def test_a_pancake_witness_with_one_row_corrupted_per_rule(
+    monkeypatch: pytest.MonkeyPatch,
+) -> None:
+    # pancake-4 (268 agents, 72 turns, nearly every agent moves on every
+    # turn): one copy per rule, each broken on one row only
+    inst, reg = build_pancake_instance((3, 1, 4, 2), 4)
+    rows = list(pancake_forward_schedule(inst, reg, (2, 3, 4, 2)).placements)
+    m = len(rows)
+    assert inst.n_agents == 268 and m == inst.makespan_limit == 72
+    assert _outcome(_both_ways(monkeypatch, lambda: validate_schedule(inst, Schedule(tuple(rows))))) == "ok"
+    g = inst.graph
+    turn = m // 2
+    prev, row = rows[turn - 2], rows[turn - 1]
+    movers = [a for a in range(len(row)) if row[a] != prev[a]]
+    assert 8 * len(movers) >= len(row)
+    held = set(row)
+
+    def edit(moves: Dict[int, int]) -> List[Tuple[int, ...]]:
+        """The witness with agent a on vertex moves[a] on `turn`."""
+        cur = list(row)
+        for a, v in moves.items():
+            cur[a] = v
+        return rows[: turn - 1] + [tuple(cur)] + rows[turn:]
+
+    corrupt: Dict[str, Tuple[List[Tuple[int, ...]], int]] = {}
+    a = movers[len(movers) // 2]
+    far = min(v for v in range(g.n) if v not in held and v != prev[a] and v not in g.neighbor_set(prev[a]))
+    corrupt["neighborhood"] = (edit({a: far}), turn)
+    a, v = next(
+        (a, v) for a in movers for v in sorted(g.neighbor_set(prev[a])) if v in held and v != row[a]
+    )
+    corrupt["injective"] = (edit({a: v}), turn)
+    # an exchange over an edge that leaves the row injective
+    at = {v: b for b, v in enumerate(prev)}
+    corrupt["swap"] = (next(
+        bad for a in movers for w in sorted(g.neighbor_set(prev[a]) & at.keys())
+        for bad in [edit({a: w, at[w]: prev[a]})] if len(set(bad[turn - 1])) == len(row)
+    ), turn)
+    corrupt["target"] = (rows[:-1] + [rows[-2]], m)
+    corrupt["limit"] = (rows + [rows[-1]], m + 1)
+    for rule, (bad, at_turn) in corrupt.items():
+        got = _both_ways(monkeypatch, lambda: validate_schedule(inst, Schedule(tuple(bad))))
+        assert isinstance(got, Verdict) and (got.rule, got.turn) == (rule, at_turn), rule
+
+
 @pytest.mark.parametrize("length", [0, 63, 64, 65, 129])
 @pytest.mark.parametrize("kind", [tuple, list])
 def test_slice_movers_match_a_plain_compress(length: int, kind: type) -> None:

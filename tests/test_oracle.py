@@ -3,6 +3,7 @@ from __future__ import annotations
 import importlib.util
 import random
 import time
+import tracemalloc
 from collections import deque
 from dataclasses import replace
 from pathlib import Path
@@ -229,6 +230,29 @@ def test_byte_budget_stops_a_wide_search_within_a_second(
         oracle_with_stats(inst)
     assert time.perf_counter() - started < 1.0
     assert trip.value.states == budget // engine.bytes_per_state(k) == 5242
+
+
+def test_option_rows_cost_the_vertices_asked_for_not_a_slot_per_vertex() -> None:
+    # 75 agents on a 300-vertex path, each one step from its target: the
+    # search keeps 2 states and asks each target's options for one vertex.
+    # Its peak may pass that of building the distance tables alone by less
+    # than half of one row list of n slots (8 bytes each) per target
+    n, k = 300, 75
+    g = Graph(n, [(v, v + 1) for v in range(n - 1)])
+    starts = tuple(4 * i for i in range(k))
+    targets = tuple(4 * i + 1 for i in range(k))
+    tracemalloc.start()
+    try:
+        tables = [engine._Options(g, t) for t in targets]
+        base = tracemalloc.get_traced_memory()[1]
+        del tables
+        tracemalloc.reset_peak()
+        res = engine.joint_bfs(g, starts, targets)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res == engine.BfsResult((starts, targets), 2, 1)
+    assert peak < base + 8 * n * k // 2
 
 
 def test_solve_with_stats_counts_states() -> None:
