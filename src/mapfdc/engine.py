@@ -2,7 +2,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from .errors import PreconditionError, ResourceLimitError
 from .graphs import Graph
@@ -14,7 +14,7 @@ DEFAULT_STATE_GUARD = 50_000_000
 # default state guard for every agent count (3,627,506 states for 8)
 BYTE_BUDGET = 1 << 30
 
-_Row = Tuple[Tuple[int, ...], Tuple[int, ...], Tuple[int, ...], bool]
+_Row = Tuple[Tuple[int, ...], bool]
 
 
 @dataclass(frozen=True)
@@ -105,14 +105,12 @@ def _two_edge_components(graph: Graph) -> List[int]:
 class _Options:
     """Move options of agents bound for one target vertex.
 
-    row(slack, u) is (kept, near, rim, cut): `kept` is the part of N[u] at
-    distance at most `slack` from the target, `near` and `rim` split it
-    into the vertices closer than `slack` and those exactly at it (all
-    three ascending by vertex id), and `cut` tells whether some vertex of
-    N[u] that can still reach the target was left out. Rows are built on
-    first use and kept per slack in a dict of the vertices asked for, not
-    a list of n slots: a search of many agents on a large graph asks for
-    few vertices per target.
+    row(slack, u) is (kept, cut): `kept` is the part of N[u] at distance
+    at most `slack` from the target, ascending by vertex id, and `cut` tells
+    whether some vertex of N[u] that can still reach the target was left
+    out. Rows are built on first use and kept per slack in a dict of the
+    vertices asked for, not a list of n slots: a search of many agents on a
+    large graph asks for few vertices per target.
     """
 
     __slots__ = ("graph", "dist", "rows")
@@ -132,10 +130,8 @@ class _Options:
             closed = self.graph.neighbor_set(u) | {u}
             # sorted, so that successors come out in vertex-id order
             kept = tuple(sorted(v for v in closed if dist[v] <= slack))
-            near = tuple(v for v in kept if dist[v] < slack)
-            rim = tuple(v for v in kept if dist[v] == slack)
             cut = any(slack < dist[v] < self.graph.n for v in closed)
-            entry = by_vertex[u] = (kept, near, rim, cut)
+            entry = by_vertex[u] = (kept, cut)
         return entry
 
 
@@ -198,14 +194,13 @@ def joint_bfs(
     ascending depth g. A state at depth g in layer F offers agent a only the
     vertices v of N[P[a]] with dist(v, t_a) <= F - g - 1, so every successor
     has g + 1 + h <= F and joins layer F at depth g + 1. A state that had an
-    option cut goes back into layer F + 1 at the same depth, where it
-    produces only the successors that the wider budget newly admits. One
-    table, kept across layers, maps each kept placement to the one it was
-    discovered from; a placement is kept when first discovered, and the
-    path is read back through the table. A placement discovered at depth
-    F - 1 of layer F has every agent within one edge of its target, and
-    when no two agents would trade vertices on the way, the target follows
-    it at once.
+    option cut goes back into layer F + 1 at the same depth, where it is
+    expanded again with the wider budget. One table, kept across layers,
+    maps each kept placement to the one it was discovered from; a placement
+    is kept when first discovered, and the path is read back through the
+    table. A placement discovered at depth F - 1 of layer F has every agent
+    within one edge of its target, and when no two agents would trade
+    vertices on the way, the target follows it at once.
 
     Why the answer is optimal, with d(s) the least depth of placement s:
 
@@ -292,26 +287,19 @@ def joint_bfs(
             raise ResourceLimitError(f"{limit} exhausted", len(parent))
         parent[key] = prev
 
-    # buckets[g]: states at depth g waiting in the current layer; a
-    # state at depth `layer` would be the target, so g stays below it. The
-    # first repeats[g] of them were deferred by a cut in the layer before.
+    # buckets[g]: states at depth g waiting in the current layer, those a
+    # cut deferred from the layer before included; a state at depth `layer`
+    # would be the target, so g stays below it.
     buckets: List[List[Tuple[int, ...]]] = [[starts]] + [[] for _ in range(layer)]
-    repeats = [0] * (layer + 1)
 
-    # Successors are enumerated depth-first, one agent per level, from
-    # plans: a plan lists (agent, option row) pairs, and rows with fewer
-    # options come first. A first expansion has one plan with every agent's
-    # kept row. A state expanded again after a cut already produced every
-    # successor inside the old slack, so it only produces those where some
-    # agent takes a rim vertex (exactly at the slack): one plan per such
-    # agent a, with a on its rim first and the rim agents before a held to
-    # their near rows, so no successor comes out twice. No planned row is
-    # empty: a state at depth g has every agent within layer - g of its
-    # target, so each kept row holds a vertex one step closer; a state
-    # expanded again has slack of at least 1, so each near row does too; and
-    # a rim row is planned only when it is non-empty. In the search,
-    # new[level] is the vertex chosen at `level` from opts[level], and
-    # pending[level] iterates over the options not tried yet.
+    # Successors are enumerated depth-first, one agent per level, with the
+    # agents' kept rows in one plan, rows with fewer options first. A state
+    # expanded again after a cut produces its old successors again; they
+    # are in `parent` already and are skipped like any other duplicate. No
+    # row is empty: a state at depth g has every agent within layer - g of
+    # its target, so each kept row holds a vertex one step closer. In the
+    # search, new[level] is the vertex chosen at `level` from opts[level],
+    # and pending[level] iterates over the options not tried yet.
     agents = range(n_agents)
     prev_occ = [-1] * n_verts
     occupied = bytearray(n_verts)
@@ -329,69 +317,53 @@ def joint_bfs(
         for g in range(layer):
             slack = min(layer - g - 1, n_verts - 1)
             grown = buckets[g + 1]
-            for rank, prev in enumerate(buckets[g]):
+            for prev in buckets[g]:
                 rows = [options[a].row(slack, prev[a]) for a in agents]
-                if any(row[3] for row in rows):
+                if any(cut for _, cut in rows):
                     deferred[g].append(prev)
-                if rank < repeats[g]:
-                    plans = []
-                    held: Set[int] = set()
-                    for a in agents:
-                        if rows[a][2]:
-                            others = [
-                                (b, rows[b][1] if b in held else rows[b][0])
-                                for b in agents
-                                if b != a
-                            ]
-                            plans.append([(a, rows[a][2])] + sorted(others, key=_width))
-                            held.add(a)
-                else:
-                    plans = [sorted(((a, rows[a][0]) for a in agents), key=_width)]
+                plan = sorted(((a, rows[a][0]) for a in agents), key=_width)
+                for level, (a, row) in enumerate(plan):
+                    opts[level] = row
+                    here[level] = prev[a]
+                    prev_occ[prev[a]] = level
+                    at_level[a] = level
+                unpermute = itemgetter(*at_level) if n_agents > 1 else tuple
                 hit: Optional[Tuple[int, ...]] = None
-                for plan in plans:
-                    for level, (a, row) in enumerate(plan):
-                        opts[level] = row
-                        here[level] = prev[a]
-                        prev_occ[prev[a]] = level
-                        at_level[a] = level
-                    unpermute = itemgetter(*at_level) if n_agents > 1 else tuple
-                    level = 0
-                    pending[0] = iter(opts[0])
-                    while level >= 0:
-                        mine = here[level]
-                        for v in pending[level]:
-                            if occupied[v]:
-                                continue
-                            holder = prev_occ[v]
-                            if 0 <= holder < level and new[holder] == mine:
-                                continue
-                            new[level] = v
-                            if level < last:
-                                occupied[v] = 1
-                                level += 1
-                                pending[level] = iter(opts[level])
-                                break
-                            generated += 1
-                            key = unpermute(new)
-                            if key in parent:
-                                continue
-                            keep(key, prev)
-                            if key == targets:
-                                hit = key
-                                break
-                            if g + 2 == layer and _steps_home(key, homes, targets):
-                                generated += 1
-                                keep(targets, key)
-                                hit = targets
-                                break
-                            grown.append(key)
-                        else:
-                            level -= 1
-                            if level >= 0:
-                                occupied[new[level]] = 0
+                level = 0
+                pending[0] = iter(opts[0])
+                while level >= 0:
+                    mine = here[level]
+                    for v in pending[level]:
+                        if occupied[v]:
                             continue
-                        if hit is not None:
+                        holder = prev_occ[v]
+                        if 0 <= holder < level and new[holder] == mine:
+                            continue
+                        new[level] = v
+                        if level < last:
+                            occupied[v] = 1
+                            level += 1
+                            pending[level] = iter(opts[level])
                             break
+                        generated += 1
+                        key = unpermute(new)
+                        if key in parent:
+                            continue
+                        keep(key, prev)
+                        if key == targets:
+                            hit = key
+                            break
+                        if g + 2 == layer and _steps_home(key, homes, targets):
+                            generated += 1
+                            keep(targets, key)
+                            hit = targets
+                            break
+                        grown.append(key)
+                    else:
+                        level -= 1
+                        if level >= 0:
+                            occupied[new[level]] = 0
+                        continue
                     if hit is not None:
                         break
                 for v in prev:
@@ -404,7 +376,6 @@ def joint_bfs(
                     path.reverse()
                     return BfsResult(tuple(path), len(parent), generated)
         buckets = deferred
-        repeats = [len(b) for b in deferred]
         layer += 1
         if not any(buckets):
             return BfsResult(None, len(parent), generated)

@@ -310,6 +310,23 @@ def test_trimmed_search_answers_a_tail_that_the_whole_search_cannot() -> None:
         oracle_with_stats(inst, 200_000)
 
 
+
+def test_trimmed_search_answers_a_bottleneck_in_few_states() -> None:
+    # clique 0..299 plus vertex 300 joined to vertex 0 alone (dc 1). Agents
+    # 0 and 1 trade vertices 300 and 1 through the bottleneck vertex 0, and
+    # agent 2 stands still on 2. The trimmed search answers 3 after 163
+    # states; the search of the whole graph answers 3 too, after 178,803.
+    c = 300
+    edges = [(u, v) for u in range(c) for v in range(u + 1, c)]
+    edges.append((0, c))
+    inst = Instance(Graph(c + 1, edges), (c, 1, 2), (1, c, 2))
+    result, states = solve_with_stats(inst)
+    assert result is not None and result[0] == 3 and 0 < states < 1000
+    assert validate_schedule(inst, result[1]).ok
+    whole, _ = oracle_with_stats(inst)
+    assert whole is not None and whole[0] == 3
+    assert validate_schedule(inst, whole[1]).ok
+
 def test_clique_part_answer_plans_one_exchange_among_still_agents(monkeypatch) -> None:
     # dc = 1: clique 0..309, vertex 310 joined to 302..309. Agents 0..99 stand
     # still; agents 100 and 101 exchange vertices, and the rest shift one
