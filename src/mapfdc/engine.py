@@ -2,7 +2,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import AbstractSet, Callable, Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from .errors import PreconditionError, ResourceLimitError
 from .graphs import Graph
@@ -13,6 +13,11 @@ DEFAULT_STATE_GUARD = 50_000_000
 # counts them; joint_bfs reads it at call time. Its cap is below the
 # default state guard for every agent count (3,627,506 states for 8)
 BYTE_BUDGET = 1 << 30
+
+# Backtracking steps the middle-row search of a finish from depth F - 2
+# may take before it gives up. On the 1,500 small seeded draws and the
+# kernel-search slots no such search takes more than 16 (README, Engine).
+_LAYER_FINISH_BACKTRACKS = 30
 
 _Row = Tuple[Tuple[int, ...], bool]
 
@@ -159,6 +164,94 @@ def _steps_home(placement: Tuple[int, ...], homes: List[int], targets: Placement
     return True
 
 
+def middle_row(
+    nbr: Callable[[int], AbstractSet[int]],
+    agents: Sequence[int],
+    pos: Placement,
+    targets: Placement,
+    cap: int,
+    pools: Optional[Sequence[AbstractSet[int]]] = None,
+) -> Tuple[Optional[Dict[int, int]], int]:
+    """Depth-first search for the vertices X of `agents` at the middle turn
+    of P -> X -> T, with P = `pos`, T = `targets` and `nbr(v)` the
+    neighbours of v, such that each X_b lies in N[P_b] & N[T_b].
+
+    Agent b tries its target first, then its candidates: the other vertices
+    of N[P_b] & N[T_b], those that no agent of `agents` targets ascending,
+    then the targeted ones ascending, listed on b's first scan past its
+    target.
+    It takes a candidate v when no placed agent holds v and v makes no
+    exchange with a placed agent: neither the agent on v in P is placed on
+    P_b nor the agent bound for v in T is placed on T_b. Agents go in the
+    given order.
+
+    pools[d], when given, holds every vertex that agents[d], agents[d + 1],
+    ... may take. A depth whose pool, less the vertices placed above it,
+    has fewer vertices than agents left to place is a dead end: they cannot
+    take distinct vertices. So the search turns back there at once, rather
+    than only once the last of them finds nothing.
+
+    Returns X as a dict, or None when the search ran to the end with no
+    placement or took more than `cap` backtracking steps, plus the
+    backtracking steps it took; a count above the cap tells the two Nones
+    apart."""
+    at = {pos[a]: a for a in agents}
+    owner = {targets[a]: a for a in agents}
+    x: Dict[int, int] = {}
+    taken: Set[int] = set()
+    # tried[d]: where agent d of `agents` resumes, 0 for its target, i for
+    # rows[d][i - 1]
+    tried = [0] * len(agents)
+    # rows[d]: the candidates of agent d past its target, None until its
+    # first scan past the target, so an agent that takes it lists none
+    rows: List[Optional[List[int]]] = [None] * len(agents)
+    backtracks = depth = 0
+    while depth < len(agents):
+        b = agents[depth]
+        p, t = pos[b], targets[b]
+        row = rows[depth]
+        if (
+            pools is not None
+            and not tried[depth]
+            and len(pools[depth] - taken) < len(agents) - depth
+        ):
+            end = 0
+        else:
+            if row is None and tried[depth]:
+                # N[p] & N(t), which leaves the target out
+                reach = nbr(p) & nbr(t) | ({p} & nbr(t))
+                free = reach.difference(owner)
+                row = rows[depth] = sorted(free) + sorted(reach - free)
+            end = 1 if row is None else len(row) + 1
+        for i in range(tried[depth], end):
+            v = row[i - 1] if i else t
+            if (
+                v not in taken
+                and (i or v == p or v in nbr(p))
+                and x.get(at.get(v)) != p
+                and x.get(owner.get(v)) != t
+            ):
+                break
+        else:
+            if row is None and end:  # the target failed; list the candidates next
+                tried[depth] = 1
+                continue
+            if depth == 0:
+                return None, backtracks
+            tried[depth] = 0
+            depth -= 1
+            taken.discard(x.pop(agents[depth]))
+            backtracks += 1
+            if backtracks > cap:
+                return None, backtracks
+            continue
+        x[b] = v
+        taken.add(v)
+        tried[depth] = i + 1
+        depth += 1
+    return x, backtracks
+
+
 def joint_bfs(
     graph: Graph,
     starts: Placement,
@@ -200,7 +293,14 @@ def joint_bfs(
     is kept when first discovered, and the path is read back through the
     table. A placement discovered at depth F - 1 of layer F has every agent
     within one edge of its target, and when no two agents would trade
-    vertices on the way, the target follows it at once.
+    vertices on the way, the target follows it at once. A placement P
+    newly kept at depth F - 2 of layer F gets the two-turn finish: the
+    middle-row search looks for X with P -> X -> target, each X_a in
+    N[P_a] & N[t_a] (its option row at slack 1), X injective and no
+    exchange against P or against the target. It gives up after
+    _LAYER_FINISH_BACKTRACKS backtracking steps, so a placement it misses
+    is expanded as any other. When it finds X, X and the target are kept
+    after P, and the path start -> ... -> P -> X -> target is the answer.
 
     Why the answer is optimal, with d(s) the least depth of placement s:
 
@@ -216,12 +316,16 @@ def joint_bfs(
        admits s_{j+1}, which was therefore discovered before s: a
        contradiction. The same argument shows that every s with
        d(s) + h(s) <= F is discovered by the end of layer F.
-       (The target reached by the one-turn step ends the search; 2 covers
-       it.)
+       (The target reached by the one-turn step or the two-turn finish
+       ends the search; 2 covers it.)
     2. Therefore the first goal found is optimal. The target (h = 0) is
        discovered by the end of layer d(target), so a target found in layer
-       F has d(target) >= F, and it is found at depth at most F. Layer
-       F > depth_cap thus proves that no schedule fits within depth_cap.
+       F has d(target) >= F, and it is found at depth at most F. So is the
+       target the one-turn step or the two-turn finish reaches in layer F,
+       at depth F: every schedule shorter than F would have been found in
+       an earlier layer, so any valid schedule of length F built during
+       layer F is optimal. Neither step runs past layer F, so layer
+       F > depth_cap proves that no schedule fits within depth_cap.
     3. An empty queue means every reachable placement was fully expanded:
        no layer holds a state only when every kept placement was expanded
        with nothing cut, so every placement that is reachable and leaves
@@ -310,6 +414,26 @@ def joint_bfs(
     pending: List[Iterator[int]] = [iter(())] * n_agents
     last = n_agents - 1
 
+    nbr = graph.neighbor_set
+
+    def finish(mid: Tuple[int, ...]) -> Optional[Tuple[int, ...]]:
+        # the middle row X of mid -> X -> targets, agents with fewer
+        # candidates first, or None when the capped search finds none.
+        # Each agent's candidates N[u] & N[t] are the kept part of its
+        # option row at slack 1, taken here by set algebra in C: a small
+        # search builds nearly every such row afresh, and sorting them in
+        # Python cost the slowest kernel-search slot about 9%
+        rows = [(nbr(u) | {u}) & (nbr(t) | {t}) for u, t in zip(mid, targets)]
+        order = sorted(agents, key=[len(row) for row in rows].__getitem__)
+        pools: List[AbstractSet[int]] = []
+        pool: AbstractSet[int] = frozenset()
+        for a in reversed(order):
+            pool = pool.union(rows[a])
+            pools.append(pool)
+        pools.reverse()
+        x, _ = middle_row(nbr, order, mid, targets, _LAYER_FINISH_BACKTRACKS, pools)
+        return None if x is None else tuple(x[a] for a in agents)
+
     while True:
         if depth_cap is not None and layer > depth_cap:
             return BfsResult(None, len(parent), generated)
@@ -358,6 +482,14 @@ def joint_bfs(
                             keep(targets, key)
                             hit = targets
                             break
+                        if g + 3 == layer:
+                            x = finish(key)
+                            if x is not None:
+                                generated += 2
+                                keep(x, key)
+                                keep(targets, x)
+                                hit = targets
+                                break
                         grown.append(key)
                     else:
                         level -= 1

@@ -1,15 +1,15 @@
 from __future__ import annotations
 
-from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
-from .engine import DEFAULT_STATE_GUARD, joint_bfs
+from .engine import DEFAULT_STATE_GUARD, joint_bfs, middle_row
 from .errors import MapfError
 from .graphs import Graph
-from .model import Instance, Placement, Schedule, validate_schedule
+from .model import Instance, Schedule, validate_schedule
 
 
-# Backtracking steps the search of `_two_turn_schedule` may take before it
-# gives up.
+# Backtracking steps the middle-row search of `_two_turn_schedule` may take
+# before it gives up.
 _FINISH_BACKTRACKS = 10_000
 
 # kernel_graph keeps a twin class whole when it has at most this many
@@ -17,86 +17,15 @@ _FINISH_BACKTRACKS = 10_000
 VERTICES_PER_AGENT = 3
 
 
-def _middle_row(
-    nbr: Callable[[int], FrozenSet[int]],
-    agents: Sequence[int],
-    pos: Placement,
-    targets: Placement,
-) -> Tuple[Optional[Dict[int, int]], int]:
-    """Depth-first search for the vertices X of `agents` at the middle turn
-    of P -> X -> T, with P = `pos`, T = `targets` and `nbr(v)` the
-    neighbours of v, such that each X_b lies in N[P_b] & N[T_b].
-
-    Agent b tries its target first, then its candidates: the other vertices
-    of N[P_b] & N[T_b], those that no agent of `agents` targets ascending,
-    then the targeted ones ascending, listed on b's first scan past its
-    target. It takes a candidate v when no placed agent holds v and v makes
-    no exchange with a placed agent: neither the agent on v in P is placed
-    on P_b nor the agent bound for v in T is placed on T_b. Agents go in
-    the given order.
-
-    Returns X as a dict, or None when the search ran to the end with no
-    placement or took more than _FINISH_BACKTRACKS backtracking steps, plus
-    the backtracking steps it took; a count above the cap tells the two
-    Nones apart."""
-    at = {pos[a]: a for a in agents}
-    owner = {targets[a]: a for a in agents}
-    x: Dict[int, int] = {}
-    taken: Set[int] = set()
-    # tried[d]: where agent d of `agents` resumes, 0 for its target, i for
-    # rows[d][i - 1]
-    tried = [0] * len(agents)
-    # rows[d]: the candidates of agent d past its target, None until its
-    # first scan past the target, so an agent that takes it lists none
-    rows: List[Optional[List[int]]] = [None] * len(agents)
-    backtracks = depth = 0
-    while depth < len(agents):
-        b = agents[depth]
-        p, t = pos[b], targets[b]
-        row = rows[depth]
-        if row is None and tried[depth]:
-            # N[p] & N(t), which leaves the target out
-            reach = nbr(p) & nbr(t) | ({p} & nbr(t))
-            free = reach.difference(owner)
-            row = rows[depth] = sorted(free) + sorted(reach - free)
-        for i in range(tried[depth], 1 if row is None else len(row) + 1):
-            v = row[i - 1] if i else t
-            if (
-                v not in taken
-                and (i or v == p or v in nbr(p))
-                and x.get(at.get(v)) != p
-                and x.get(owner.get(v)) != t
-            ):
-                break
-        else:
-            if row is None:  # the target failed; list the candidates next
-                tried[depth] = 1
-                continue
-            if depth == 0:
-                return None, backtracks
-            tried[depth] = 0
-            depth -= 1
-            taken.discard(x.pop(agents[depth]))
-            backtracks += 1
-            if backtracks > _FINISH_BACKTRACKS:
-                return None, backtracks
-            continue
-        x[b] = v
-        taken.add(v)
-        tried[depth] = i + 1
-        depth += 1
-    return x, backtracks
-
-
 def _two_turn_schedule(inst: Instance) -> Optional[Schedule]:
-    """A two-turn schedule S -> X -> T of `inst`, or None when `_middle_row`
+    """A two-turn schedule S -> X -> T of `inst`, or None when `middle_row`
     refutes one or gives up after _FINISH_BACKTRACKS backtracking steps.
 
     X_a lies in N[S_a] & N[T_a], so both of a's moves follow an edge or
     wait; an empty intersection refutes makespan 2 at once. The search
     offers each agent that intersection alone, agents ordered by the
     smaller degree of S_a and T_a, ties by id. X is injective, and S and T
-    are, so no turn collides, and the exchange checks of `_middle_row`
+    are, so no turn collides, and the exchange checks of `middle_row`
     against S and T exclude every swap.
     The search is exhaustive below the cap, so a None that is not a
     give-up means no two-turn schedule exists. The validator checks the
@@ -119,7 +48,7 @@ def _two_turn_schedule(inst: Instance) -> Optional[Schedule]:
     agents = sorted(
         inst.agents, key=lambda a: (min(len(nbr(starts[a])), len(nbr(targets[a]))), a)
     )
-    x, _ = _middle_row(nbr, agents, starts, targets)
+    x, _ = middle_row(nbr, agents, starts, targets, _FINISH_BACKTRACKS)
     if x is None:
         return None
     sched = Schedule((tuple(x[a] for a in inst.agents), targets))
@@ -228,7 +157,9 @@ def solve_with_stats(
       step, which answers as if it had not run;
     - trimmed search: one `joint_bfs` over every agent on the
       `kernel_graph` of the instance, each true-twin class trimmed to three
-      vertices per agent, the agents' endpoints among them. The graph keeps
+      vertices per agent, the agents' endpoints among them, each of its
+      layers ending early when the two-turn finish from depth F - 2 finds
+      a middle row. The graph keeps
       the instance's vertex ids, so the schedule found is the instance's
       own. Its state guard or byte budget raises ResourceLimitError when
       it trips. No step reads the distance to clique, so the chain runs

@@ -553,15 +553,16 @@ def test_bench_reports_agreement(tmp_path, capsys) -> None:
 
 
 def test_bench_records_an_aborted_run_and_goes_on(tmp_path, capsys) -> None:
-    # a.mapf is K20 plus the path 20-21 off vertex 0, with one agent from 21
-    # to 19 and two standing on 1 and 2 (optimum 3): the oracle searches
-    # the whole graph and uses up a 100-state guard, while fpt searches the
-    # graph with the 19-vertex twin class trimmed to 9 and answers after 92
-    # states; b.mapf must still run
+    # a.mapf is K20 plus the path 20-21-22 off vertex 0, with one agent
+    # from 22 to 19 and two standing on 1 and 2 (optimum 4): the oracle
+    # searches the whole graph and uses up a 100-state guard, while fpt
+    # searches the graph with the 19-vertex twin class trimmed to 9 and
+    # answers after 93 states; b.mapf must still run
     c = 20
-    edges = [(u, v) for u in range(c) for v in range(u + 1, c)] + [(0, c), (c, c + 1)]
+    edges = [(u, v) for u in range(c) for v in range(u + 1, c)]
+    edges += [(0, c), (c, c + 1), (c + 1, c + 2)]
     _write_instance(
-        tmp_path / "a.mapf", Instance(Graph(c + 2, edges), (c + 1, 1, 2), (c - 1, 1, 2))
+        tmp_path / "a.mapf", Instance(Graph(c + 3, edges), (c + 2, 1, 2), (c - 1, 1, 2))
     )
     _write_instance(tmp_path / "b.mapf", cli_random(6, 1, 2, 3))
     assert cli.main(["bench", str(tmp_path), "--state-guard", "100"]) == 3
@@ -571,7 +572,7 @@ def test_bench_records_an_aborted_run_and_goes_on(tmp_path, capsys) -> None:
         ["a.mapf", "oracle"], ["a.mapf", "fpt"], ["b.mapf", "oracle"], ["b.mapf", "fpt"]
     ]
     assert [row[2] for row in rows] == ["aborted", "yes", "yes", "yes"]
-    assert rows[1][3] == "3" and rows[2][3] == rows[3][3]
+    assert rows[1][3] == "4" and rows[2][3] == rows[3][3]
     assert "a.mapf oracle: state guard of 100 states exhausted" in captured.err
     assert "mismatch" not in captured.err
 

@@ -215,14 +215,17 @@ def test_byte_budget_bounds_the_kept_states_exactly(monkeypatch: pytest.MonkeyPa
 def test_byte_budget_stops_a_wide_search_within_a_second(
     monkeypatch: pytest.MonkeyPatch,
 ) -> None:
-    # tail 300/250: K300 plus the path 300-301 off vertex 0, one agent from
-    # 301 to 299 and 249 standing on 1..249. The whole-graph search keeps
-    # 250-agent placements of 3,200 bytes each, so 16 MB caps it at 5,242
-    # states
+    # tail4 300/250: K300 plus the path 300-301-302 off vertex 0, one agent
+    # from 302 to 299 and 249 standing on 1..249 (optimum 4, so the
+    # two-turn finish runs from depth 2, and the start's expansion keeps
+    # more placements at depth 1 than the budget allows). The whole-graph
+    # search keeps 250-agent placements of 3,200 bytes each, so 16 MB caps
+    # it at 5,242 states
     c, k = 300, 250
-    edges = [(u, v) for u in range(c) for v in range(u + 1, c)] + [(0, c), (c, c + 1)]
+    edges = [(u, v) for u in range(c) for v in range(u + 1, c)]
+    edges += [(0, c), (c, c + 1), (c + 1, c + 2)]
     still = tuple(range(1, k))
-    inst = Instance(Graph(c + 2, edges), (c + 1,) + still, (c - 1,) + still)
+    inst = Instance(Graph(c + 3, edges), (c + 2,) + still, (c - 1,) + still)
     budget = 16 << 20
     monkeypatch.setattr(engine, "BYTE_BUDGET", budget)
     started = time.perf_counter()

@@ -41,17 +41,17 @@ def test_finish_places_four_exchanging_pairs() -> None:
 
 
 def _record_backtracks(monkeypatch) -> List[int]:
-    """The list to which each later `fpt._middle_row` call appends the
+    """The list to which each later `fpt.middle_row` call appends the
     backtracking steps it took."""
     steps: List[int] = []
-    middle_row = fpt._middle_row
+    middle_row = fpt.middle_row
 
     def spy(*args: object):
         row, taken = middle_row(*args)
         steps.append(taken)
         return row, taken
 
-    monkeypatch.setattr(fpt, "_middle_row", spy)
+    monkeypatch.setattr(fpt, "middle_row", spy)
     return steps
 
 
@@ -293,39 +293,84 @@ def test_solve_with_stats_matches_the_oracle_beyond_the_old_distance_ceiling(dc)
 
 
 def test_trimmed_search_answers_a_tail_that_the_whole_search_cannot() -> None:
-    # clique 0..299 plus the modulator path 300-301 hanging off vertex 0
-    # (dc 2). Agent 0 walks 301 -> 300 -> 0 -> 299, and the agents on 1..4
-    # stand still. The clique part splits into vertex 0 and a type of 299
-    # vertices, past the budget of three per agent, which keeps 15 of them:
-    # the search of those 18 vertices answers 3 after 42,594 states, and
-    # the search of the whole graph uses up a 200,000-state guard.
-    c = 300
-    edges = [(u, v) for u in range(c) for v in range(u + 1, c)]
-    edges.extend([(0, c), (c, c + 1)])
-    inst = Instance(Graph(c + 2, edges), (c + 1, 1, 2, 3, 4), (c - 1, 1, 2, 3, 4))
+    # clique 0..299 plus the modulator path 300-301-302 hanging off vertex 0
+    # (dc 3). Agent 0 walks 302 -> 301 -> 300 -> 0 -> 299, and the agents on
+    # 1..4 stand still. The clique part splits into vertex 0 and a type of
+    # 299 vertices, past the budget of three per agent, which keeps 15 of
+    # them: the search of those 19 vertices answers 4 after 42,595 states,
+    # and the search of the whole graph uses up a 200,000-state guard. (With
+    # a two-vertex path the optimum is 3, and the finish from depth 1 answers
+    # both searches after 4 states.)
+    inst = _tail(300, 5, path=3)
     result, states = solve_with_stats(inst)
-    assert result is not None and result[0] == 3 and states > 0
+    assert result is not None and result[0] == 4 and states > 0
     assert validate_schedule(inst, result[1]).ok
     with pytest.raises(ResourceLimitError):
         oracle_with_stats(inst, 200_000)
 
 
-
 def test_trimmed_search_answers_a_bottleneck_in_few_states() -> None:
     # clique 0..299 plus vertex 300 joined to vertex 0 alone (dc 1). Agents
     # 0 and 1 trade vertices 300 and 1 through the bottleneck vertex 0, and
-    # agent 2 stands still on 2. The trimmed search answers 3 after 163
-    # states; the search of the whole graph answers 3 too, after 178,803.
-    c = 300
-    edges = [(u, v) for u in range(c) for v in range(u + 1, c)]
-    edges.append((0, c))
-    inst = Instance(Graph(c + 1, edges), (c, 1, 2), (1, c, 2))
+    # agent 2 stands still on 2. Both searches answer 3 after 4 states, from
+    # the finish at depth 1 (without it, 163 and 178,803 states).
+    inst = _bottleneck(300, 3)
     result, states = solve_with_stats(inst)
     assert result is not None and result[0] == 3 and 0 < states < 1000
     assert validate_schedule(inst, result[1]).ok
     whole, _ = oracle_with_stats(inst)
     assert whole is not None and whole[0] == 3
     assert validate_schedule(inst, whole[1]).ok
+
+
+def _tail(c: int, k: int, path: int = 2) -> Instance:
+    """The tail probe: clique 0..c-1 with a modulator path of `path`
+    vertices c, c + 1, ... hanging off vertex 0. Agent 0 walks from the
+    path's far end to c - 1, path + 1 edges, and agents 1..k-1 stand still
+    on 1..k-1. With path = 3 it is the tail4 probe."""
+    edges = [(u, v) for u in range(c) for v in range(u + 1, c)]
+    edges.extend((v - 1 if v > c else 0, v) for v in range(c, c + path))
+    still = tuple(range(1, k))
+    return Instance(Graph(c + path, edges), (c + path - 1,) + still, (c - 1,) + still)
+
+
+def _bottleneck(c: int, k: int) -> Instance:
+    """The bottleneck probe: clique 0..c-1 plus vertex c joined to 0 alone.
+    Agents 0 and 1 trade vertices c and 1 through vertex 0, and agents
+    2..k-1 stand still on 2..k-1."""
+    edges = [(u, v) for u in range(c) for v in range(u + 1, c)]
+    edges.append((0, c))
+    still = tuple(range(2, k))
+    return Instance(Graph(c + 1, edges), (c, 1) + still, (1, c) + still)
+
+
+@pytest.mark.parametrize("probe", [_tail, _bottleneck], ids=["tail", "bottleneck"])
+@pytest.mark.parametrize("c, k", [(12, 8), (300, 250), (300, 5), (300, 3)])
+def test_finish_answers_the_makespan_3_probes_in_a_few_states(probe, c, k) -> None:
+    # every still agent may wander while the movers need three turns, so a
+    # plain layered search of tail 12/8 keeps 3,391,293 states and one of
+    # bottleneck 12/8 exhausts the byte budget. The finish from depth F - 2
+    # checks each state kept at depth 1 for a middle row to the targets,
+    # and the first state that the movers reach answers 3 in both solvers
+    inst = probe(c, k)
+    for solve in (solve_with_stats, oracle_with_stats):
+        started = time.perf_counter()
+        result, states = solve(inst)
+        assert time.perf_counter() - started < 1.0
+        assert result is not None and result[0] == 3 and states <= 36
+        assert validate_schedule(inst, result[1]).ok
+
+
+def test_finish_stays_within_the_makespan_limit() -> None:
+    # tail 12/8 has optimum 3: the finish builds schedules of its layer's
+    # length alone, and a limit of 2 ends the search before layer 3
+    inst = _tail(12, 8)
+    for solve in (solve_with_stats, oracle_with_stats):
+        assert solve(replace(inst, makespan_limit=2))[0] is None
+        result, _ = solve(replace(inst, makespan_limit=3))
+        assert result is not None and result[0] == 3
+        assert validate_schedule(inst, result[1]).ok
+
 
 def test_clique_part_answer_plans_one_exchange_among_still_agents(monkeypatch) -> None:
     # dc = 1: clique 0..309, vertex 310 joined to 302..309. Agents 0..99 stand
@@ -410,11 +455,13 @@ def test_small_instances_search_the_whole_instance_as_the_kernel_would(
     # reaches it untrimmed, it gives the oracle's makespan, placements and
     # state count, or trips the state guard with the same message. A
     # trimmed search, and an earlier step that answers with no search, give
-    # the oracle's makespan wherever neither trips the guard.
+    # the oracle's makespan wherever neither trips the guard. No draw of
+    # the first 1,500 trips it; draw 1657 (packed, optimum 2, on which the
+    # two-turn step gives up) does, as the search needs 22,404 states.
     graphs = _record_searches(monkeypatch)
     guard = 20_000
     whole = early = tripped = 0
-    for i in range(400):
+    for i in [*range(400), 1657]:
         rng = random.Random(i)
         n = rng.randint(4, 12)
         dc = rng.randint(0, min(3, n - 1))
